@@ -17,13 +17,22 @@ Conventions used throughout the package:
     spans is equality of Howell forms
   * pivot selection is leftmost column, minimal p-valuation, lowest row
     index on ties (deterministic, so fuzz reports are reproducible)
+  * ``howell_form`` is memoized by value (the reduced entries, shape, p
+    and n) in a bounded LRU, because the same spans are canonicalized
+    over and over.  Its results are shared between callers and
+    read-only: writing into one raises, so a caller that needs to
+    modify a span copies it first.
 
-All arithmetic is exact on int64 arrays; moduli at desk scale are at
-most 7**2 so there is no overflow headroom issue.
+Arithmetic is on int64 arrays, reduced mod p^n after every product.
+A product of two reduced matrices sums terms below (p^n)^2, so it is
+exact while the inner dimension times (p^n - 1)^2 stays below 2^63;
+matrix powers go through ``mat_pow_mod``, never through an unreduced
+power.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -51,6 +60,25 @@ def empty_span(cols: int) -> np.ndarray:
 
 def identity_span(cols: int) -> np.ndarray:
     return np.eye(cols, dtype=np.int64)
+
+
+def mat_pow_mod(a: np.ndarray, e: int, m: int) -> np.ndarray:
+    """a^e mod m for a square matrix, by square-and-multiply.
+
+    Reduces after every product, so each product sums terms below m^2;
+    that is exact while dim * (m - 1)^2 < 2^63.
+    """
+    a = np.asarray(a, dtype=np.int64) % m
+    dim = a.shape[0]
+    assert dim * (m - 1) ** 2 < 1 << 63, "matrix product would overflow int64"
+    out = np.eye(dim, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = (out @ a) % m
+        e >>= 1
+        if e:
+            a = (a @ a) % m
+    return out
 
 
 def _echelon(rows: list[np.ndarray], cols: int, p: int, n: int):
@@ -92,8 +120,31 @@ def _echelon(rows: list[np.ndarray], cols: int, p: int, n: int):
     return placed, pivots
 
 
+# Spans kept by the Howell memo; a constant, not a setting.  On the
+# spectral benchmark 256 entries give most of the speed-up of 4096 (11.8
+# against 13.6 trials/s) for +1 MB of peak memory instead of +26 MB.
+HOWELL_MEMO_SIZE = 256
+
+
 def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Unique Howell canonical form of the row span of ``a``.
+    """Unique Howell canonical form of the row span of ``a`` (read-only).
+
+    Memoized by value; the result is shared with every other caller that
+    asks for the same span, so it cannot be written to.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % (p ** n)
+    return _howell_memo(a.tobytes(), a.shape, p, n)
+
+
+@lru_cache(maxsize=HOWELL_MEMO_SIZE)
+def _howell_memo(key: bytes, shape: tuple[int, ...], p: int, n: int) -> np.ndarray:
+    h = _howell_form(np.frombuffer(key, dtype=np.int64).reshape(shape), p, n)
+    h.setflags(write=False)
+    return h
+
+
+def _howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Unique Howell canonical form of the row span of ``a``, unmemoized.
 
     Idempotent; zero rows trimmed.  The Howell property (for every j,
     span elements vanishing on the first j coordinates are spanned by
@@ -268,20 +319,6 @@ def solve_affine(a: np.ndarray, b: np.ndarray, p: int, n: int):
     if resid.any():
         return None, ker
     return x, ker
-
-
-def solve_mod(a: np.ndarray, b: np.ndarray, modspan: np.ndarray, p: int, n: int):
-    """(v, kernel) with v @ a == b modulo span(modspan), kernel in v-coords."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    r = a.shape[0]
-    if modspan.shape[0] == 0:
-        return solve_affine(a, b, p, n)
-    stacked = np.vstack([a, modspan])
-    v, ker = solve_affine(stacked, b, p, n)
-    ker_proj = howell_form(ker[:, :r], p, n) if ker.shape[0] else empty_span(r)
-    if v is None:
-        return None, ker_proj
-    return v[:r], ker_proj
 
 
 def preimage(a: np.ndarray, bspan: np.ndarray, p: int, n: int) -> np.ndarray:

@@ -57,7 +57,7 @@ class FpModule:
                     raise ValueError("span is not gamma-stable")
             # gamma^(p^n) must be the identity on the module
             if dim and self.num.shape[0]:
-                pw = np.linalg.matrix_power(self.gamma, ring.m) % ring.m
+                pw = la.mat_pow_mod(self.gamma, ring.m, ring.m)
                 diff = la.image_span(
                     self.num, (pw - np.eye(dim, dtype=np.int64)) % ring.m, p, n
                 )
@@ -157,7 +157,7 @@ class FpModule:
         if k <= 0:
             return self.num
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
-        mat = np.linalg.matrix_power(gm1, k) % self.m
+        mat = la.mat_pow_mod(gm1, k, self.m)
         return la.span_sum(la.image_span(self.num, mat, self.p, self.n),
                            self.den, self.p, self.n)
 

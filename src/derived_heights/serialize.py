@@ -53,6 +53,14 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
+def _int64(value: Any, path: str) -> int:
+    """An integer entry bound for an int64 array."""
+    value = _int(value, path)
+    if not -(1 << 63) <= value < 1 << 63:
+        raise InputError(path, "integer outside the signed 64-bit range")
+    return value
+
+
 def parse_ring(obj: Any, path: str = "$.ring") -> RingCtx:
     p = _int(_get(obj, "p", path), f"{path}.p")
     n = _int(_get(obj, "n", path), f"{path}.n")
@@ -74,13 +82,10 @@ def parse_matrix(obj: Any, path: str):
         raise InputError(f"{path}.entries",
                          f"expected {rows * cols} entries, got "
                          f"{len(entries) if isinstance(entries, list) else 'non-list'}")
-    vals = []
-    for i, e in enumerate(entries):
-        if isinstance(e, bool) or not isinstance(e, int):
-            raise InputError(f"{path}.entries[{i}]", "expected an integer")
-        vals.append(e)
     if modulus == "int":
+        vals = [_int(e, f"{path}.entries[{i}]") for i, e in enumerate(entries)]
         return [vals[i * cols:(i + 1) * cols] for i in range(rows)], None
+    vals = [_int64(e, f"{path}.entries[{i}]") for i, e in enumerate(entries)]
     mod = _int(modulus, f"{path}.modulus")
     if mod < 2:
         raise InputError(f"{path}.modulus", "modulus must be at least 2")
@@ -107,11 +112,7 @@ def parse_group_ring_elt(obj: Any, ring: RingCtx, path: str):
     coeffs = _get(obj, "coeffs", path)
     if not isinstance(coeffs, list) or len(coeffs) != ring.m:
         raise InputError(f"{path}.coeffs", f"expected {ring.m} coefficients")
-    vals = []
-    for i, c in enumerate(coeffs):
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise InputError(f"{path}.coeffs[{i}]", "expected an integer")
-        vals.append(c)
+    vals = [_int64(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]
     return ring.elt(np.array(vals, dtype=np.int64))
 
 

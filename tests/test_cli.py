@@ -93,6 +93,24 @@ def test_cmd_pairing_bad_file_exit_2(tmp_path, capsys):
     assert "parse-error" in err
 
 
+def test_cmd_pairing_oversized_entry_exit_2(tmp_path, capsys):
+    ring = RingCtx(3, 1)
+    obj = pairing_payload(ring, [[ring.norm()]])
+    obj["ell"]["entries"][4] = 2 ** 63
+    assert main(["pairing", write_json(tmp_path, "big.json", obj)]) == 2
+    err = capsys.readouterr().err
+    assert "parse-error at $.ell.entries[4]" in err and "Traceback" not in err
+    obj["ell"]["entries"][4] = -(2 ** 63) - 1
+    with pytest.raises(ser.InputError, match=r"\$\.ell\.entries\[4\]"):
+        ser.parse_pairing(obj)
+
+
+def test_group_ring_elt_oversized_coeff():
+    ring = RingCtx(3, 1)
+    with pytest.raises(ser.InputError, match=r"\$\.x\.coeffs\[1\]"):
+        ser.parse_group_ring_elt({"coeffs": [0, 2 ** 64, 0]}, ring, "$.x")
+
+
 def test_cmd_structure(tmp_path, capsys):
     obj = {"p": 3, "d": ser.matrix_to_json([[3, 0], [0, 9]], None)}
     path = write_json(tmp_path, "diag.json", obj)

@@ -232,3 +232,79 @@ def test_kernel_unchanged_by_howell():
                 assert la.spans_equal(k1, np.eye(3, dtype=np.int64), p, n)
             else:
                 assert k1.shape == k2.shape and (k1 == k2).all()
+
+
+# -- the Howell memo ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3)])
+def test_memoized_howell_matches_unmemoized(p, n):
+    rng = SplitMix64(4100 + 10 * p + n)
+    m = p ** n
+    cases = [np.zeros((0, 4), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+             np.array([rng.below(m) for _ in range(5)], dtype=np.int64)]
+    for _ in range(60):
+        rows, cols = 1 + rng.below(6), 1 + rng.below(7)
+        # entries outside [0, m) too, so the reduction before the lookup is exercised
+        cases.append(rand_mat(rng, rows, cols, 3 * m) - m)
+    for a in cases + cases:  # the second round is answered from the memo
+        h = la.howell_form(a, p, n)
+        ref = la._howell_form(a, p, n)
+        assert h.shape == ref.shape and (h == ref).all()
+
+
+def test_memoized_howell_is_read_only():
+    a = np.array([[3, 1], [0, 3]], dtype=np.int64)
+    for h in (la.howell_form(a, 3, 2), la.howell_form(np.zeros((0, 2)), 3, 2)):
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[...] = 0
+    # a caller that needs to write copies first
+    c = la.howell_form(a, 3, 2).copy()
+    c[0, 0] = 7
+    assert la.howell_form(a, 3, 2)[0, 0] != 7
+
+
+def test_memo_ignores_later_changes_to_the_input():
+    a = np.array([[2, 4, 1], [1, 1, 1]], dtype=np.int64)
+    first = la.howell_form(a, 5, 1).copy()
+    a[:] = 0
+    b = np.array([[2, 4, 1], [1, 1, 1]], dtype=np.int64)
+    assert (la.howell_form(b, 5, 1) == first).all()
+    assert la.howell_form(a, 5, 1).shape == (0, 3)
+
+
+def test_memo_is_a_clearable_module_attribute():
+    # callers that empty every lru_cache of a module find it by cache_clear
+    memo = la._howell_memo
+    assert callable(memo.cache_clear)
+    la.howell_form(np.eye(2, dtype=np.int64), 3, 1)
+    memo.cache_clear()
+    assert memo.cache_info().currsize == 0
+    assert memo.cache_info().maxsize == la.HOWELL_MEMO_SIZE
+    la.howell_form(np.eye(2, dtype=np.int64), 3, 1)
+    la.howell_form(np.eye(2, dtype=np.int64), 3, 1)
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+# -- exact modular matrix powers -----------------------------------------------
+
+
+def test_mat_pow_mod_does_not_wrap():
+    # the unreduced int64 power wraps here: 5^49 and 8^49 exceed 2^63
+    assert la.mat_pow_mod(np.array([[5]]), 49, 49)[0, 0] == 19
+    assert la.mat_pow_mod(np.array([[8]]), 49, 49)[0, 0] == 1
+
+
+def test_mat_pow_mod_against_exact_integers():
+    rng = SplitMix64(77)
+    for m in (9, 25, 49):
+        for e in (0, 1, 2, 5, 49):
+            a = rand_mat(rng, 3, 3, m)
+            exact = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+            rows = [[int(x) for x in r] for r in a]
+            for _ in range(e):
+                exact = [[sum(exact[i][k] * rows[k][j] for k in range(3)) % m
+                          for j in range(3)] for i in range(3)]
+            assert (la.mat_pow_mod(a, e, m) == np.array(exact)).all()

@@ -342,3 +342,17 @@ def test_transition_kills_kernel_wedge():
         killer = tr.kernel_wedge_span(1)
         for row in killer:
             assert md.eval_scalar(out, row, ring.m) == 0
+
+
+def test_gamma_order_check_is_exact_over_z49():
+    # 8 = 1 + 7 has order 7 in (Z/49)^*, which divides 49; 8^49 overflows
+    # int64, so an unreduced matrix power wrongly rejected this action
+    ring = RingCtx(7, 2)
+    one = np.eye(1, dtype=np.int64)
+    mod = md.FpModule(ring, "R0", 1, np.array([[8]]), one, np.zeros((0, 1), dtype=np.int64))
+    # (gamma - 1)^k = 7^k: I M = 7 Z/49 and I^2 M = 0
+    assert (mod.ideal_multiple_span(1) == np.array([[7]])).all()
+    assert mod.ideal_multiple_span(2).shape == (0, 1)
+    # 5 has order 42, so 5^49 = 19 != 1 and the action is rejected
+    with pytest.raises(ValueError, match="order dividing"):
+        md.FpModule(ring, "R0", 1, np.array([[5]]), one, np.zeros((0, 1), dtype=np.int64))
