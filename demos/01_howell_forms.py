@@ -29,10 +29,10 @@ print("check v @ a = 0 for every basis row:",
 
 print("\n== solving v @ a = b ==")
 b = (np.array([1, 2, 0]) @ a) % m
-v, ker = la.solve_affine(a, b, p, n)
-print("b =", b, " one solution:", v)
-print("solution-space kernel has", la.span_size(ker, p, n), "elements")
-print("no solution for b = [1, 0, 0]:", la.solve(a, np.array([1, 0, 0]), p, n))
+solver = la.Solver(a, p, n)
+print("b =", b, " one solution:", solver.solve(b))
+print("solution-space kernel has", la.span_size(solver.ker, p, n), "elements")
+print("no solution for b = [1, 0, 0]:", solver.solve(np.array([1, 0, 0])))
 
 print("\n== annihilators, the chain-ring phenomenon ==")
 single = np.array([[3]])

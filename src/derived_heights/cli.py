@@ -103,11 +103,19 @@ def _report(command: str, config: dict, records: list, extra: dict | None = None
 # -- single-file commands -----------------------------------------------------
 
 
+def _kmax(args, p: int) -> int:
+    """The --kmax option: 0 or absent means p - 1; a negative one is refused
+    because it would check nothing and pass."""
+    if args.kmax is not None and args.kmax < 0:
+        raise InputError("$.kmax", "must be nonnegative (0 means p - 1)")
+    return args.kmax if args.kmax else p - 1
+
+
 def cmd_pairing(args) -> dict:
     data = parse_pairing(load_file(args.file))
     data.validate()
     rng = SplitMix64(args.seed)
-    kmax = args.kmax if args.kmax else data.ring.p - 1
+    kmax = _kmax(args, data.ring.p)
     rep = data.compare(kmax, rng=rng, max_card=args.max_card)
     record = {"offset": 0, "digest": digest(pairing_to_json(data)),
               "checks": [{"name": "compari", "pass": rep["pass"],
@@ -120,7 +128,7 @@ def cmd_pairing(args) -> dict:
 
 def cmd_spectral(args) -> dict:
     cx = parse_complex(load_file(args.file))
-    kmax = args.kmax if args.kmax else cx.ring.p - 1
+    kmax = _kmax(args, cx.ring.p)
     checks = []
     for k in range(1, kmax + 1):
         checks.append({"name": f"relate_k{k}", "pass": cx.verify_relate(k)})
@@ -146,6 +154,8 @@ def cmd_stark(args) -> dict:
 
 
 def cmd_fitting(args) -> dict:
+    if args.imax is not None and args.imax < 0:
+        raise InputError("$.imax", "must be nonnegative")
     inst = parse_stark(load_file(args.file))
     system = inst.stark_system(inst.ring.one())
     imax = args.imax if args.imax is not None else inst.a
@@ -190,7 +200,8 @@ def _trial_compari(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     return checks, payload
 
 
-def _trial_relate(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
+def _random_free_complex(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
+    """Free complex R^a -> R^b with random R-linear d, and its payload."""
     from .complexes import TwoTermComplex
     from .heights import random_ell_matrix
     from .modules import r_matrix_expand
@@ -201,22 +212,18 @@ def _trial_relate(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     cx = TwoTermComplex.free(ring, a, b, r_matrix_expand(ring, ell))
     payload = {"ring": [ring.p, ring.n], "rank1": a, "rank2": b,
                "d": [int(x) for x in cx.d.reshape(-1)]}
+    return cx, payload
+
+
+def _trial_relate(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
+    cx, payload = _random_free_complex(ring, rng, config)
     checks = [{"name": f"relate_k{k}", "pass": cx.verify_relate(k)}
               for k in range(1, ring.p)]
     return checks, payload
 
 
 def _trial_coker(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
-    from .complexes import TwoTermComplex
-    from .heights import random_ell_matrix
-    from .modules import r_matrix_expand
-
-    a = rng.below(config.max_rank) + 1
-    b = rng.below(config.max_rank) + 1
-    ell = random_ell_matrix(ring, a, b, rng)
-    cx = TwoTermComplex.free(ring, a, b, r_matrix_expand(ring, ell))
-    payload = {"ring": [ring.p, ring.n], "rank1": a, "rank2": b,
-               "d": [int(x) for x in cx.d.reshape(-1)]}
+    cx, payload = _random_free_complex(ring, rng, config)
     checks = []
     for k in range(1, ring.p):
         rep = cx.coker_iso_reports(k)
@@ -305,6 +312,17 @@ def cmd_fuzz(args) -> dict:
     for s in suites:
         if s not in SUITES:
             raise InputError("$.suite", f"unknown suite {s!r}")
+    if args.trials < 0:
+        raise InputError("$.trials", "must be nonnegative")
+    if args.max_rank < 1:
+        raise InputError("$.max_rank", "must be at least 1")
+    if args.time_budget is not None and args.time_budget < 0:
+        raise InputError("$.time_budget", "must be nonnegative")
+    for i, (p, n) in enumerate(args.rings):
+        try:
+            RingCtx(p, n)
+        except ValueError as exc:
+            raise InputError(f"$.rings[{i}]", str(exc)) from exc
     config = FuzzConfig(
         seed=args.seed,
         trials=args.trials,

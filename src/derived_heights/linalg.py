@@ -6,7 +6,9 @@ form, the Howell normal form, which this module computes together with
 the operations built on it: kernels, solving, span arithmetic, coset
 reduction and exhaustive span enumeration.  Everything downstream
 (group-ring modules, spectral sequences, pairings) reduces to these
-primitives.
+primitives.  There is one solver, ``Solver`` (``kernel`` is its
+solution kernel), and one coset reducer, ``CosetReducer`` (membership
+tests go through it).
 
 Conventions used throughout the package:
 
@@ -17,6 +19,8 @@ Conventions used throughout the package:
     spans is equality of Howell forms
   * pivot selection is leftmost column, minimal p-valuation, lowest row
     index on ties (deterministic, so fuzz reports are reproducible)
+  * every primitive accepts empty spans, shape (0, cols), and returns
+    them with the right width, so callers do not guard the empty case
   * ``howell_form`` is memoized by value (the reduced entries, shape, p
     and n) in a bounded LRU, because the same spans are canonicalized
     over and over.  Its results are shared between callers and
@@ -193,27 +197,6 @@ def _pivots_of(h: np.ndarray, p: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def reduce_vec(v: np.ndarray, h: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Canonical coset representative of v modulo the span h (Howell form).
-
-    Constant on cosets: entries at each pivot column end up in [0, p^v).
-    """
-    m = p ** n
-    v = np.asarray(v, dtype=np.int64) % m
-    if h.shape[0] == 0:
-        return v
-    for i, (col, val) in enumerate(_pivots_of(h, p, n)):
-        pv = p ** val
-        q = int(v[col]) // pv
-        if q:
-            v = (v - q * h[i]) % m
-    return v
-
-
-def in_span(v: np.ndarray, h: np.ndarray, p: int, n: int) -> bool:
-    return not reduce_vec(v, h, p, n).any()
-
-
 def span_size(h: np.ndarray, p: int, n: int) -> int:
     """Number of elements of the span (a power of p); h in Howell form."""
     size = 1
@@ -246,10 +229,6 @@ def span_elements(h: np.ndarray, p: int, n: int) -> Iterator[np.ndarray]:
 
 
 def span_sum(a: np.ndarray, b: np.ndarray, p: int, n: int) -> np.ndarray:
-    if a.shape[0] == 0:
-        return howell_form(b, p, n)
-    if b.shape[0] == 0:
-        return howell_form(a, p, n)
     return howell_form(np.vstack([a, b]), p, n)
 
 
@@ -260,65 +239,13 @@ def spans_equal(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
 
 def span_contains(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
     """True iff span(b) is contained in span(a)."""
-    ha = howell_form(a, p, n)
-    return all(in_span(b[i], ha, p, n) for i in range(b.shape[0]))
+    reducer = CosetReducer(howell_form(a, p, n), p, n)
+    return all(reducer.contains(row) for row in b)
 
 
 def kernel(a: np.ndarray, p: int, n: int) -> np.ndarray:
     """Howell basis of {v : v @ a == 0}."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    r, c = a.shape
-    if r == 0:
-        return empty_span(0)
-    aug = np.hstack([a % (p ** n), np.eye(r, dtype=np.int64)])
-    h = howell_form(aug, p, n)
-    rows = [h[i, c:] for i in range(h.shape[0]) if not h[i, :c].any()]
-    if not rows:
-        return empty_span(r)
-    return howell_form(np.array(rows), p, n)
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int, n: int) -> Optional[np.ndarray]:
-    """Some v with v @ a == b, or None when b is not in the row span."""
-    v, _ = solve_affine(a, b, p, n)
-    return v
-
-
-def solve_affine(a: np.ndarray, b: np.ndarray, p: int, n: int):
-    """(particular solution or None, Howell basis of the solution kernel).
-
-    Every solution of v @ a == b is particular + combination of kernel
-    rows; downstream code draws random solutions this way to certify
-    choice-independence of derived quantities.
-    """
-    m = p ** n
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    r, c = a.shape
-    b = np.asarray(b, dtype=np.int64) % m
-    if r == 0:
-        return (np.zeros(0, dtype=np.int64) if not b.any() else None), empty_span(0)
-    aug = np.hstack([a % m, np.eye(r, dtype=np.int64)])
-    h = howell_form(aug, p, n)
-    ker_rows = [h[i, c:] for i in range(h.shape[0]) if not h[i, :c].any()]
-    ker = howell_form(np.array(ker_rows), p, n) if ker_rows else empty_span(r)
-    resid = b.copy()
-    x = np.zeros(r, dtype=np.int64)
-    for i in range(h.shape[0]):
-        u = h[i, :c]
-        if not u.any():
-            continue
-        col = int(np.nonzero(u)[0][0])
-        pv = p ** valuation(int(u[col]), p, n)
-        e = int(resid[col])
-        if e % pv:
-            return None, ker
-        q = e // pv
-        if q:
-            resid = (resid - q * u) % m
-            x = (x + q * h[i, c:]) % m
-    if resid.any():
-        return None, ker
-    return x, ker
+    return Solver(a, p, n).ker
 
 
 def preimage(a: np.ndarray, bspan: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -352,20 +279,11 @@ def image_span(basis: np.ndarray, a: np.ndarray, p: int, n: int) -> np.ndarray:
     return howell_form((basis @ a) % (p ** n), p, n)
 
 
-def random_solution(a: np.ndarray, b: np.ndarray, p: int, n: int, rng) -> Optional[np.ndarray]:
-    """A randomly perturbed solution of v @ a == b (for choice audits)."""
-    m = p ** n
-    v, ker = solve_affine(a, b, p, n)
-    if v is None:
-        return None
-    for row in ker:
-        v = (v + rng.below(m) * row) % m
-    return v
-
-
 class CosetReducer:
     """Canonical coset reduction against one fixed Howell span.
 
+    Constant on cosets: the entry at each pivot column ends up in
+    [0, p^v), so ``reduce(v)`` is zero exactly when v lies in the span.
     Reduction results are memoized by value: pairing loops reduce the
     same handful of representatives thousands of times.
     """
@@ -411,11 +329,6 @@ class Solver:
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         self.p, self.n, self.m = p, n, p ** n
         self.rows, self.cols = a.shape
-        if self.rows == 0:
-            self.h = empty_span(self.cols)
-            self.pivots = []
-            self.ker = empty_span(0)
-            return
         aug = np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)])
         self.h = howell_form(aug, p, n)
         self.pivots = []
@@ -433,10 +346,7 @@ class Solver:
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         m = self.m
-        b = np.asarray(b, dtype=np.int64) % m
-        if self.rows == 0:
-            return np.zeros(0, dtype=np.int64) if not b.any() else None
-        resid = b.copy()
+        resid = np.asarray(b, dtype=np.int64) % m
         x = np.zeros(self.rows, dtype=np.int64)
         for i, col, pv in self.pivots:
             e = int(resid[col])

@@ -42,8 +42,8 @@ class FpModule:
         self.tag = tag
         self.dim = dim
         self.gamma = np.asarray(gamma, dtype=np.int64) % ring.m
-        self.num = la.howell_form(num, ring.p, ring.n) if num.shape[0] else num
-        self.den = la.howell_form(den, ring.p, ring.n) if den.shape[0] else den
+        self.num = la.howell_form(num, ring.p, ring.n)
+        self.den = la.howell_form(den, ring.p, ring.n)
         self._gamma_pows = None
         self._den_reducer = None
         if check:
@@ -51,9 +51,7 @@ class FpModule:
             if not la.span_contains(self.num, self.den, p, n):
                 raise ValueError("denominator is not contained in numerator")
             for span in (self.num, self.den):
-                if span.shape[0] and not la.span_contains(
-                    span, la.image_span(span, self.gamma, p, n), p, n
-                ):
+                if not la.span_contains(span, la.image_span(span, self.gamma, p, n), p, n):
                     raise ValueError("span is not gamma-stable")
             # gamma^(p^n) must be the identity on the module
             if dim and self.num.shape[0]:
@@ -61,7 +59,7 @@ class FpModule:
                 diff = la.image_span(
                     self.num, (pw - np.eye(dim, dtype=np.int64)) % ring.m, p, n
                 )
-                if diff.shape[0] and not la.span_contains(self.den, diff, p, n):
+                if not la.span_contains(self.den, diff, p, n):
                     raise ValueError("gamma action does not have order dividing p^n")
 
     # -- basic structure ------------------------------------------------------
@@ -104,7 +102,7 @@ class FpModule:
         return not self.reduce((v - w) % self.m).any()
 
     def contains_elt(self, v: np.ndarray) -> bool:
-        return la.in_span(v, self.num, self.p, self.n)
+        return la.CosetReducer(self.num, self.p, self.n).contains(v)
 
     def generators(self) -> list[np.ndarray]:
         """Scalar generators of num (coset images generate the module)."""
@@ -192,12 +190,12 @@ class ModuleHom:
         if not la.span_contains(self.tgt.num, img_num, p, n):
             raise ValueError("map does not send numerator into numerator")
         img_den = la.image_span(self.src.den, self.mat, p, n)
-        if img_den.shape[0] and not la.span_contains(self.tgt.den, img_den, p, n):
+        if not la.span_contains(self.tgt.den, img_den, p, n):
             raise ValueError("map does not send denominator into denominator")
         # R-linearity on representatives: commutes with gamma modulo den
         comm = (self.src.gamma @ self.mat - self.mat @ self.tgt.gamma) % self.src.m
         img = la.image_span(self.src.num, comm, p, n)
-        if img.shape[0] and not la.span_contains(self.tgt.den, img, p, n):
+        if not la.span_contains(self.tgt.den, img, p, n):
             raise ValueError("map does not commute with the gamma action")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -254,8 +252,7 @@ def from_presentation(ring: RingCtx, tag: str, generators: int,
         raise ValueError("relation rows have the wrong width")
     if rel.shape[0] and tag == "R":
         rel = np.vstack([(rel @ base.gamma_power(i)) % ring.m for i in range(ring.m)])
-    return FpModule(ring, tag, base.dim, g, base.num,
-                    la.howell_form(rel, ring.p, ring.n) if rel.shape[0] else rel)
+    return FpModule(ring, tag, base.dim, g, base.num, rel)
 
 
 def r_matrix_expand(ring: RingCtx, rows: list[list[GroupRingElt]]) -> np.ndarray:
@@ -319,8 +316,8 @@ def dual(mod: FpModule) -> FpModule:
     For tag R the R-valued functional is recovered by ``eval_r``.
     """
     p, n = mod.p, mod.n
-    num = la.kernel(mod.den.T, p, n) if mod.den.shape[0] else la.identity_span(mod.dim)
-    den = la.kernel(mod.num.T, p, n) if mod.num.shape[0] else la.identity_span(mod.dim)
+    num = la.kernel(mod.den.T, p, n)
+    den = la.kernel(mod.num.T, p, n)
     return FpModule(mod.ring, mod.tag, mod.dim, mod.gamma.T % mod.m, num, den,
                     check=False)
 
@@ -371,7 +368,7 @@ def r_generators(mod: FpModule) -> list[np.ndarray]:
     span = mod.den
     gens: list[np.ndarray] = []
     for row in mod.generators():
-        if la.in_span(row, span, p, n):
+        if la.CosetReducer(span, p, n).contains(row):
             continue
         gens.append(row)
         if mod.tag == "R":
@@ -454,7 +451,7 @@ class Ideal:
     def __init__(self, ring: RingCtx, tag: str, span: np.ndarray):
         self.ring = ring
         self.tag = tag
-        self.span = la.howell_form(span, ring.p, ring.n) if span.shape[0] else span
+        self.span = la.howell_form(span, ring.p, ring.n)
 
     @classmethod
     def from_elements(cls, ring: RingCtx, tag: str,
@@ -510,7 +507,7 @@ class Ideal:
                  else self.ring.scalar(int(row[0])))
             mat = mod.scale_matrix(x)
             img = la.image_span(mod.num, mat, mod.p, mod.n)
-            if img.shape[0] and not la.span_contains(mod.den, img, mod.p, mod.n):
+            if not la.span_contains(mod.den, img, mod.p, mod.n):
                 return False
         return True
 
@@ -602,9 +599,7 @@ class ExteriorAlgebra:
                             rel_scalar.append((vec @ base.gamma_power(i)) % m)
         den = (np.array(rel_scalar, dtype=np.int64) if rel_scalar
                else la.empty_span(base.dim))
-        out = FpModule(ring, "R", base.dim, base.gamma, base.num,
-                       la.howell_form(den, ring.p, ring.n) if den.shape[0] else den,
-                       check=False)
+        out = FpModule(ring, "R", base.dim, base.gamma, base.num, den, check=False)
         self._modules[r] = out
         return out
 
@@ -654,64 +649,3 @@ def exterior_bidual(mod: FpModule, r: int) -> tuple[FpModule, ExteriorAlgebra]:
     alg = ExteriorAlgebra(mod.ring, pres.g, pres.relation_rows_r())
     wedge = alg.module(r)
     return dual(wedge), alg
-
-
-class Transition:
-    """Contraction map of an exact sequence 0 -> X -> Y -> Z, Z free.
-
-    Y free of rank y_rank with Z-coordinates given by the columns of an
-    R-matrix; X is forced to be the kernel (exactness at X and Y), and a
-    supplied X is checked against it.  ``apply`` sends a functional on
-    wedge^{r+s}(Y*) to one on wedge^{r}(Y*) that kills the relation span
-    of wedge^r(X*), i.e. lands in the r-th exterior bidual of X; the
-    det(Z) leg is trivialized by the chosen basis.
-    """
-
-    def __init__(self, ring: RingCtx, y_rank: int,
-                 zmat: list[list[GroupRingElt]],
-                 x_span: Optional[np.ndarray] = None):
-        self.ring = ring
-        self.y_rank = y_rank
-        self.zmat = zmat
-        self.s = len(zmat[0]) if zmat and zmat[0] else 0
-        scalar = r_matrix_expand(ring, zmat)
-        self.x_span = la.kernel(scalar, ring.p, ring.n)
-        if x_span is not None and not la.spans_equal(
-            x_span, self.x_span, ring.p, ring.n
-        ):
-            raise ValueError("sequence is not exact: X differs from ker(Y -> Z)")
-        self.alg = ExteriorAlgebra(ring, y_rank, [])
-        self.fs = [[row[q] for row in zmat] for q in range(self.s)]
-
-    def apply(self, r: int, eps: np.ndarray) -> np.ndarray:
-        """Contract by the Z-coordinates in ascending order."""
-        out = np.asarray(eps, dtype=np.int64)
-        level = r + self.s
-        for q in range(self.s):
-            out = self.alg.contract(level, out, self.fs[q])
-            level -= 1
-        return out
-
-    def kernel_wedge_span(self, r: int) -> np.ndarray:
-        """Span of ker(Y* -> X*) wedge (r-1 forms) inside wedge^r(Y*).
-
-        The result of ``apply`` must kill this span; that is what makes
-        it an element of the exterior bidual of X.
-        """
-        ring = self.ring
-        if r == 0:
-            return la.empty_span(self.alg.module(0).dim)
-        ann = la.kernel(self.x_span.T, ring.p, ring.n) if self.x_span.shape[0] \
-            else la.identity_span(self.y_rank * ring.m)
-        rows = []
-        wr = self.alg.module(r)
-        for phi in ann:
-            coords = rcoords_from_functional(ring, phi, self.y_rank)
-            wm = self.alg.wedge_matrix(r - 1, coords)
-            prev = self.alg.module(r - 1)
-            img = la.image_span(prev.num, wm, ring.p, ring.n)
-            if img.shape[0]:
-                rows.append(img)
-        if not rows:
-            return la.empty_span(wr.dim)
-        return la.howell_form(np.vstack(rows), ring.p, ring.n)

@@ -19,6 +19,22 @@ from dataclasses import dataclass, field
 
 from . import intlinalg as il
 
+# Declared limit on p: trial division up to sqrt(p) stays under a second
+# below it, and p near 10^18 would take minutes.
+P_LIMIT = 1 << 31
+
+
+def _is_prime(p: int) -> bool:
+    """Trial division up to the square root of p."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
 
 @dataclass(frozen=True)
 class IntComplex:
@@ -28,7 +44,9 @@ class IntComplex:
     d: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, self.p)):
+        if self.p >= P_LIMIT:
+            raise ValueError("p must be below 2^31")
+        if not _is_prime(self.p):
             raise ValueError("p must be prime")
         if not self.d or not self.d[0]:
             raise ValueError("d must be a nonempty matrix")

@@ -28,13 +28,13 @@ from .complexes import TwoTermComplex
 from .groupring import RingCtx
 from .heights import PairingData
 from .modules import FpModule, from_presentation, r_rows_from_scalar
-from .recovery import IntComplex
+from .recovery import P_LIMIT, IntComplex
 from .stark import StarkInstance
 
 
 class InputError(ValueError):
-    def __init__(self, path: str, message: str):
-        super().__init__(f"parse-error at {path}: {message}")
+    def __init__(self, path: str, message: str, kind: str = "parse-error"):
+        super().__init__(f"{kind} at {path}: {message}")
         self.path = path
         self.reason = message
 
@@ -196,10 +196,7 @@ def fp_module_to_json(mod: FpModule) -> dict:
     return {
         "ring": {"p": mod.ring.p, "n": mod.ring.n},
         "generators": mod.dim // mod.m,
-        "relations": matrix_to_json(
-            mod.den if mod.den.shape[0] else np.zeros((0, mod.dim), dtype=np.int64),
-            mod.m,
-        ),
+        "relations": matrix_to_json(mod.den, mod.m),
         "gamma_action": matrix_to_json(mod.gamma, mod.m),
     }
 
@@ -221,6 +218,8 @@ def parse_complex(obj: Any, path: str = "$") -> TwoTermComplex:
 
 def parse_int_complex(obj: Any, path: str = "$") -> IntComplex:
     p = _int(_get(obj, "p", path), f"{path}.p")
+    if p >= P_LIMIT:
+        raise InputError(f"{path}.p", "p must be below 2^31", kind="resource-limit")
     mat, mod = parse_matrix(_get(obj, "d", path), f"{path}.d")
     if mod is not None:
         raise InputError(f"{path}.d.modulus", 'integer complexes need modulus "int"')

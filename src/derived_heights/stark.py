@@ -220,8 +220,7 @@ class StarkSystem:
             if deg <= 0:
                 continue
             hspan = inst.h_span(vertex)
-            ann = (la.kernel(hspan.T, p, n) if hspan.shape[0]
-                   else la.identity_span(inst.a * ring.m))
+            ann = la.kernel(hspan.T, p, n)
             eps = self.eps[vertex]
             prev = inst.alg.module(deg - 1)
             for phi in ann:
@@ -305,6 +304,8 @@ def extend_instance(inst: StarkInstance, rng: SplitMix64) -> StarkInstance:
 def random_instance(ring: RingCtx, rng: SplitMix64, max_rank: int = 3,
                     max_primes: int = 3, chi_choices=(0, 1)) -> StarkInstance:
     """Random core-vertex instance with chi drawn from chi_choices."""
+    # r >= 1 local lines fit under max_rank only when chi < max_rank
+    chi_choices = [c for c in chi_choices if c < max_rank]
     chi = chi_choices[rng.below(len(chi_choices))]
     r = rng.below(min(max_primes, max_rank - chi)) + 1
     rows = random_ell_matrix(ring, r + chi, r, rng)

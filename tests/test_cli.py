@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from derived_heights import serialize as ser
-from derived_heights.cli import FuzzConfig, main, run_fuzz
+from derived_heights.cli import SUITES, FuzzConfig, main, run_fuzz
 from derived_heights.groupring import RingCtx
 from derived_heights.heights import PairingData
 from derived_heights.modules import r_matrix_expand
+from derived_heights.recovery import IntComplex
 
 
 def write_json(tmp_path, name, obj):
@@ -137,10 +139,11 @@ def test_cmd_stark_and_fitting(tmp_path, capsys):
     ]
 
 
-def test_cmd_spectral(tmp_path, capsys):
+def gamma_minus_one_complex():
+    """[R -> R] with d = gamma - 1 over (3,1), as a spectral file."""
     ring = RingCtx(3, 1)
     gm1 = (ring.gamma() - ring.one()).coeffs
-    obj = {
+    return {
         "ring": {"p": 3, "n": 1},
         "C1": {"ring": {"p": 3, "n": 1}, "generators": 1,
                "relations": ser.matrix_to_json(np.zeros((0, 3), dtype=np.int64), 3)},
@@ -150,7 +153,10 @@ def test_cmd_spectral(tmp_path, capsys):
             np.array([np.roll(gm1, i) for i in range(3)]) % 3, 3
         ),
     }
-    path = write_json(tmp_path, "cx.json", obj)
+
+
+def test_cmd_spectral(tmp_path, capsys):
+    path = write_json(tmp_path, "cx.json", gamma_minus_one_complex())
     assert main(["spectral", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] and report["summary"]["checks"] >= 4
@@ -210,3 +216,63 @@ def test_json_out_flag(tmp_path, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert out.read_text() == stdout
+
+
+def assert_exit_2_at(argv, capsys, where):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert where in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["--max-rank", "0", "fuzz"], "parse-error at $.max_rank"),
+    (["--ring", "3,1", "--ring", "3,3", "fuzz"], "parse-error at $.rings[1]"),
+    (["--ring", "2,1", "fuzz"], "parse-error at $.rings[0]"),
+    (["--trials", "-3", "fuzz"], "parse-error at $.trials"),
+    (["--time-budget", "-1", "fuzz"], "parse-error at $.time_budget"),
+])
+def test_fuzz_bad_options_exit_2(argv, where, capsys):
+    assert_exit_2_at(argv, capsys, where)
+
+
+def test_negative_kmax_and_imax_exit_2(tmp_path, capsys):
+    cx = write_json(tmp_path, "cx.json", gamma_minus_one_complex())
+    assert_exit_2_at(["spectral", cx, "--kmax", "-1"], capsys, "parse-error at $.kmax")
+    ring = RingCtx(3, 1)
+    pairing = write_json(tmp_path, "norm.json", pairing_payload(ring, [[ring.norm()]]))
+    assert_exit_2_at(["pairing", pairing, "--kmax", "-1"], capsys, "parse-error at $.kmax")
+    from derived_heights.stark import StarkInstance
+
+    stark = write_json(tmp_path, "stark.json",
+                       ser.stark_to_json(StarkInstance(ring, [[ring.norm()]])))
+    assert_exit_2_at(["fitting", stark, "--imax", "-1"], capsys, "parse-error at $.imax")
+
+
+def test_fuzz_max_rank_one_builds_every_suite(capsys):
+    # a core vertex with chi = 1 needs rank 2, so rank 1 draws chi = 0 only
+    argv = ["--seed", "4", "--trials", "6", "--ring", "3,1", "--max-rank", "1", "fuzz"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and len(report["records"]) == 6 * len(SUITES)
+
+
+def test_structure_large_prime_is_fast(tmp_path, capsys):
+    # primality by trial division up to sqrt(p) (about 3e4 steps), not up
+    # to p (1e9 steps, minutes)
+    obj = {"p": 1_000_000_007, "d": ser.matrix_to_json([[6]], None)}
+    started = time.process_time()
+    assert main(["structure", write_json(tmp_path, "big_p.json", obj)]) == 0
+    assert time.process_time() - started < 10
+    res = json.loads(capsys.readouterr().out)["records"][0]["result"]
+    assert res["recovered"] == res["oracle"]
+
+
+def test_structure_p_beyond_limit_exit_2(tmp_path, capsys):
+    obj = {"p": 10 ** 18 + 9, "d": ser.matrix_to_json([[6]], None)}
+    path = write_json(tmp_path, "huge_p.json", obj)
+    assert_exit_2_at(["structure", path], capsys, "resource-limit at $.p")
+    with pytest.raises(ValueError, match="below 2"):
+        IntComplex.make(2 ** 31 + 11, [[6]])
+    with pytest.raises(ValueError, match="prime"):
+        IntComplex.make(2 ** 31 - 3, [[6]])  # 2^31 - 3 = 5 * 429496729

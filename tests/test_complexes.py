@@ -55,11 +55,12 @@ def test_page_entry_gamma_minus_one_31():
 
     gm1 = R31.gamma() - R31.one()
     ik1 = aug_ideal_power(R31, 1)
+    mod_ik1 = la.CosetReducer(ik1, 3, 1)
     cycles = set()
     for coeffs in product(range(3), repeat=3):
         a = R31.elt(np.array(coeffs, dtype=np.int64))
-        if la.in_span((gm1 * a).coeffs, ik1, 3, 1):
-            cycles.add(tuple(la.reduce_vec(a.coeffs, ik1, 3, 1)))
+        if mod_ik1.contains((gm1 * a).coeffs):
+            cycles.add(tuple(mod_ik1.reduce(a.coeffs)))
     c = mult_complex(R31, gm1)
     assert c.page_entry(1, 0, 1).order() == len(cycles) == 3
 
@@ -155,7 +156,7 @@ def test_generalized_bockstein_snake_oracle_k1():
         psi = c.generalized_bockstein(1)
         for a in psi.src.generators():
             # independent lift: canonical representative of a mod I C^1
-            lift = la.reduce_vec(a, c.ideal_span1(1), 3, 1)
+            lift = la.CosetReducer(c.ideal_span1(1), 3, 1).reduce(a)
             img = (lift @ c.d) % 3
             assert psi.tgt.eq_elts(psi.apply(a), img)
 

@@ -115,17 +115,18 @@ def test_span_size_and_enumeration():
             assert listed == oracle
 
 
-def test_reduce_vec_constant_on_cosets():
+def test_coset_reducer_constant_on_cosets():
     rng = SplitMix64(13)
     for p, n, cols in [(2, 2, 3), (3, 1, 3)]:
         m = p ** n
         for _ in range(20):
             a = rand_mat(rng, 2, cols, m)
             h = la.howell_form(a, p, n)
+            reducer = la.CosetReducer(h, p, n)
             v = np.array([rng.below(m) for _ in range(cols)], dtype=np.int64)
-            base = la.reduce_vec(v, h, p, n)
+            base = reducer.reduce(v)
             for x in la.span_elements(h, p, n):
-                assert (la.reduce_vec((v + x) % m, h, p, n) == base).all()
+                assert (reducer.reduce((v + x) % m) == base).all()
 
 
 def test_kernel_annihilator_of_p():
@@ -160,10 +161,10 @@ def test_kernel_exhaustive_oracle_z9():
 def test_solve_identity_and_no_solution():
     p, n = 3, 2
     b = np.array([4, 7, 1], dtype=np.int64)
-    v = la.solve(np.eye(3, dtype=np.int64), b, p, n)
+    v = la.Solver(np.eye(3, dtype=np.int64), p, n).solve(b)
     assert (v == b).all()
-    assert la.solve(np.array([[p]]), np.array([1]), p, n) is None
-    v = la.solve(np.array([[p]]), np.array([p]), p, n)
+    assert la.Solver(np.array([[p]]), p, n).solve(np.array([1])) is None
+    v = la.Solver(np.array([[p]]), p, n).solve(np.array([p]))
     assert (v @ np.array([[p]]) % p ** n == np.array([p])).all()
 
 
@@ -175,7 +176,7 @@ def test_solve_matches_span_membership():
             a = rand_mat(rng, r, c, m)
             span = brute_span(a, p, n)
             b = np.array([rng.below(m) for _ in range(c)], dtype=np.int64)
-            v = la.solve(a, b, p, n)
+            v = la.Solver(a, p, n).solve(b)
             if tuple(b) in span:
                 assert v is not None and ((v @ a) % m == b).all()
             else:
@@ -188,8 +189,9 @@ def test_random_solution_is_a_solution():
     m = 3
     a = rand_mat(rng, 3, 3, m)
     b = (np.array([1, 2, 0], dtype=np.int64) @ a) % m
+    solver = la.Solver(a, p, n)
     for _ in range(10):
-        v = la.random_solution(a, b, p, n, rng)
+        v = solver.random_solution(b, rng)
         assert v is not None and ((v @ a) % m == b).all()
 
 

@@ -9,6 +9,7 @@ from derived_heights import linalg as la
 from derived_heights import modules as md
 from derived_heights.groupring import RingCtx, aug_ideal_power, regular_rep
 from derived_heights.rng import SplitMix64
+from derived_heights.stark import StarkInstance, StarkSystem
 
 R31 = RingCtx(3, 1)
 RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1)]
@@ -256,20 +257,31 @@ def test_exterior_bidual_rank_one_matches_module():
     assert bidual.order() == mod.order()
 
 
+def contraction(ring, zmat):
+    """Y = R^a -> Z = R^s given by the columns of zmat, as a Stark instance.
+
+    Its transition from the top vertex to the empty one contracts a
+    functional on wedge^a(Y*) by every Z-coordinate in ascending order,
+    with merge sign +1, landing in degree chi = a - s.
+    """
+    inst = StarkInstance(ring, zmat)
+    return inst, lambda eps: inst.transition(inst.primes, (), eps)
+
+
 def test_transition_determinant_normalization():
     # X = 0, Y = Z = R^s, identity: top functional maps to 1
     ring = R31
     for s in (1, 2):
         ident = [[ring.one() if i == j else ring.zero() for j in range(s)]
                  for i in range(s)]
-        tr = md.Transition(ring, s, ident)
-        top = tr.alg.module(s)
+        inst, apply = contraction(ring, ident)
         # canonical basis functional on e_{0..s-1}
         eps = md.functional_from_rcoords(
-            ring, [ring.one() if i == 0 else ring.zero() for i in range(len(tr.alg.subsets(s)))]
+            ring, [ring.one() if i == 0 else ring.zero()
+                   for i in range(len(inst.alg.subsets(s)))]
         )
-        out = tr.apply(0, eps)
-        val = md.eval_r(tr.alg.module(0), out, tr.alg.basis_vector(0, ()))
+        out = apply(eps)
+        val = md.eval_r(inst.alg.module(0), out, inst.alg.basis_vector(0, ()))
         assert val == ring.one()
 
 
@@ -280,7 +292,7 @@ def test_transition_basis_change_cancels_det():
     y_rank, s = 2, 2
     zmat = [[ring.elt(np.array([rng.below(3) for _ in range(3)])) for _ in range(s)]
             for _ in range(y_rank)]
-    tr = md.Transition(ring, y_rank, zmat)
+    inst, apply = contraction(ring, zmat)
     # unimodular V over R with a non-trivial unit determinant
     v11, v12 = ring.gamma(), ring.zero()
     v21, v22 = ring.one(), ring.one()
@@ -291,57 +303,44 @@ def test_transition_basis_change_cancels_det():
         for row in zmat
     ]
     # columns of new_zmat are g_i = sum_j V[j][i] f_j
-    tr2 = md.Transition(ring, y_rank, new_zmat)
-    top = tr.alg.module(s)
-    for sub in tr.alg.subsets(s):
+    inst2, apply2 = contraction(ring, new_zmat)
+    top = inst.alg.module(s)
+    for sub in inst.alg.subsets(s):
         eps = np.zeros(top.dim, dtype=np.int64)
-        eps[tr.alg.subsets(s).index(sub) * ring.m] = 1
-        out1 = tr.apply(0, eps)
-        out2 = tr2.apply(0, eps)
-        v1 = md.eval_r(tr.alg.module(0), out1, tr.alg.basis_vector(0, ()))
-        v2 = md.eval_r(tr2.alg.module(0), out2, tr.alg.basis_vector(0, ()))
+        eps[inst.alg.subsets(s).index(sub) * ring.m] = 1
+        v1 = md.eval_r(inst.alg.module(0), apply(eps), inst.alg.basis_vector(0, ()))
+        v2 = md.eval_r(inst2.alg.module(0), apply2(eps), inst2.alg.basis_vector(0, ()))
         assert v2 == detv * v1
 
 
 def test_transition_projection_matches_dual_basis_contraction():
     # Y = R^2, Z = R via projection onto the first coordinate, X = ker,
-    # r = 1: the transition map must agree with the hand computation
+    # chi = 1: the transition map must agree with the hand computation
     # Psi -> Psi(phi_0 wedge .) on every generator of the top bidual
     ring = R31
     zmat = [[ring.one()], [ring.zero()]]
-    tr = md.Transition(ring, 2, zmat)
-    top = tr.alg.module(2)
-    e0 = tr.alg.basis_vector(1, (0,))
-    e1 = tr.alg.basis_vector(1, (1,))
+    inst, apply = contraction(ring, zmat)
+    e0 = inst.alg.basis_vector(1, (0,))
+    e1 = inst.alg.basis_vector(1, (1,))
     for c in (ring.one(), ring.gamma(), ring.gamma() - ring.one()):
         psi = md.functional_from_rcoords(ring, [c])  # c * dual of e_{(0,1)}
-        out = tr.apply(1, psi)
+        out = apply(psi)
         # phi_0 ^ e_(0,) = 0 and phi_0 ^ e_(1,) = e_(0,1)
-        assert md.eval_r(tr.alg.module(1), out, e0) == ring.zero()
-        assert md.eval_r(tr.alg.module(1), out, e1) == c
-
-
-def test_transition_rejects_wrong_kernel():
-    ring = R31
-    zmat = [[ring.norm()]]
-    wrong = la.empty_span(ring.m)
-    with pytest.raises(ValueError):
-        md.Transition(ring, 1, zmat, x_span=wrong)
+        assert md.eval_r(inst.alg.module(1), out, e0) == ring.zero()
+        assert md.eval_r(inst.alg.module(1), out, e1) == c
 
 
 def test_transition_kills_kernel_wedge():
-    # contraction output kills ker(Y* -> X*) wedge forms: exercised at r=1
+    # contraction output kills ker(Y* -> X*) wedge forms: exercised at chi=1
     ring = R31
     rng = SplitMix64(79)
     zmat = [[ring.norm()], [ring.zero()]]
-    tr = md.Transition(ring, 2, zmat)
-    top = tr.alg.module(2)
+    inst, _ = contraction(ring, zmat)
+    top = inst.alg.module(2)
     for _ in range(5):
         eps = np.array([rng.below(3) for _ in range(top.dim)], dtype=np.int64)
-        out = tr.apply(1, eps)
-        killer = tr.kernel_wedge_span(1)
-        for row in killer:
-            assert md.eval_scalar(out, row, ring.m) == 0
+        family = {v: inst.transition(inst.primes, v, eps) for v in inst.vertices()}
+        assert StarkSystem(inst, family, ring.one()).check_kills_wedge_kernel()
 
 
 def test_gamma_order_check_is_exact_over_z49():

@@ -1,0 +1,114 @@
+"""Property tests of the span primitives against exhaustive enumeration.
+
+Every matrix is small enough that its row span, its kernel and the whole
+ambient module can be listed outright, so each property is checked
+against a brute-force oracle that never touches the echelon code.  Empty
+matrices (no rows) are drawn too: the primitives accept them without
+guards on the caller's side.  Runs are derandomized and keep no example
+database, so the suite is reproducible.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from derived_heights import linalg as la
+
+RINGS = [(3, 1), (3, 2), (5, 1), (2, 3)]
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+
+@st.composite
+def matrices(draw, ring=None, cols=None):
+    """(p, n, a) with a over Z/p^n, 0..3 rows and 1..3 columns."""
+    p, n = draw(st.sampled_from(RINGS)) if ring is None else ring
+    rows = draw(st.integers(0, 3))
+    cols = draw(st.integers(1, 3)) if cols is None else cols
+    entries = draw(st.lists(st.integers(0, p ** n - 1),
+                            min_size=rows * cols, max_size=rows * cols))
+    return p, n, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+def ambient(m: int, cols: int):
+    for v in product(range(m), repeat=cols):
+        yield np.array(v, dtype=np.int64)
+
+
+def row_span(a: np.ndarray, m: int) -> set[tuple[int, ...]]:
+    """Every Z/m-combination of the rows of a."""
+    return {tuple(int(x) for x in (c @ a) % m) for c in ambient(m, a.shape[0])}
+
+
+@PROPERTY
+@given(matrices())
+def test_howell_idempotent_and_span_size_counts_the_span(case):
+    p, n, a = case
+    h = la.howell_form(a, p, n)
+    again = la.howell_form(h, p, n)
+    assert again.shape == h.shape and (again == h).all()
+    span = row_span(a, p ** n)
+    listed = [tuple(int(x) for x in v) for v in la.span_elements(h, p, n)]
+    assert la.span_size(h, p, n) == len(span) == len(listed)
+    assert set(listed) == span
+
+
+@PROPERTY
+@given(matrices())
+def test_coset_reducer_is_constant_on_cosets_and_zero_exactly_on_the_span(case):
+    p, n, a = case
+    m = p ** n
+    reducer = la.CosetReducer(la.howell_form(a, p, n), p, n)
+    span = row_span(a, m)
+    values = set()
+    for w in ambient(m, a.shape[1]):
+        r = reducer.reduce(w)
+        # r lies in the coset of w ...
+        assert tuple(int(x) for x in (w - r) % m) in span
+        assert (not r.any()) == (tuple(int(x) for x in w) in span)
+        assert reducer.contains(w) == (tuple(int(x) for x in w) in span)
+        values.add(tuple(int(x) for x in r))
+    # ... and there is one value per coset, so it is constant on each
+    assert len(values) * len(span) == m ** a.shape[1]
+
+
+@PROPERTY
+@given(matrices())
+def test_solver_solves_exactly_the_row_span(case):
+    p, n, a = case
+    m = p ** n
+    solver = la.Solver(a, p, n)
+    span = row_span(a, m)
+    for b in ambient(m, a.shape[1]):
+        v = solver.solve(b)
+        if tuple(int(x) for x in b) in span:
+            assert v is not None and ((v @ a) % m == b).all()
+        else:
+            assert v is None
+
+
+@PROPERTY
+@given(matrices())
+def test_solver_kernel_is_the_enumerated_kernel(case):
+    p, n, a = case
+    m = p ** n
+    oracle = {tuple(int(x) for x in v) for v in ambient(m, a.shape[0])
+              if not ((v @ a) % m).any()}
+    ker = la.Solver(a, p, n).ker
+    assert ker.shape[1] == a.shape[0]
+    assert {tuple(int(x) for x in v) for v in la.span_elements(ker, p, n)} == oracle
+    same = la.kernel(a, p, n)
+    assert same.shape == ker.shape and (same == ker).all()
+
+
+@PROPERTY
+@given(st.data())
+def test_span_contains_is_inclusion_of_enumerated_spans(data):
+    p, n, a = data.draw(matrices())
+    _, _, b = data.draw(matrices(ring=(p, n), cols=a.shape[1]))
+    m = p ** n
+    assert la.span_contains(a, b, p, n) == (row_span(b, m) <= row_span(a, m))
