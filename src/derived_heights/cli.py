@@ -104,10 +104,14 @@ def _report(command: str, config: dict, records: list, extra: dict | None = None
 
 
 def _kmax(args, p: int) -> int:
-    """The --kmax option: 0 or absent means p - 1; a negative one is refused
-    because it would check nothing and pass."""
-    if args.kmax is not None and args.kmax < 0:
-        raise InputError("$.kmax", "must be nonnegative (0 means p - 1)")
+    """The --kmax option: 0 or absent means p - 1.
+
+    A negative one is refused because it would check nothing and pass,
+    and one above p - 1 because the checks are stated only where the
+    graded pieces Q^k are free of rank one, k <= p - 1.
+    """
+    if args.kmax is not None and not 0 <= args.kmax <= p - 1:
+        raise InputError("$.kmax", f"must be in [0, {p - 1}] (0 means p - 1)")
     return args.kmax if args.kmax else p - 1
 
 

@@ -21,6 +21,9 @@ Conventions used throughout the package:
     index on ties (deterministic, so fuzz reports are reproducible)
   * every primitive accepts empty spans, shape (0, cols), and returns
     them with the right width, so callers do not guard the empty case
+  * ``Solver.solve``, ``Solver.random_solution`` and
+    ``CosetReducer.reduce`` take one vector or a matrix of them, one per
+    row; a matrix is processed in one pass over the pivots
   * ``howell_form`` is memoized by value (the reduced entries, shape, p
     and n) in a bounded LRU, because the same spans are canonicalized
     over and over.  Its results are shared between callers and
@@ -284,34 +287,36 @@ class CosetReducer:
 
     Constant on cosets: the entry at each pivot column ends up in
     [0, p^v), so ``reduce(v)`` is zero exactly when v lies in the span.
-    Reduction results are memoized by value: pairing loops reduce the
-    same handful of representatives thousands of times.
+    A 2-D argument is reduced row by row in one pass over the pivots.
     """
 
-    __slots__ = ("p", "n", "m", "h", "pivots", "_cache")
+    __slots__ = ("p", "n", "m", "h", "pivots")
 
     def __init__(self, h: np.ndarray, p: int, n: int):
         self.p, self.n, self.m = p, n, p ** n
         self.h = h
         self.pivots = [(i, col, p ** v) for i, (col, v) in enumerate(_pivots_of(h, p, n))]
-        self._cache: dict[bytes, np.ndarray] = {}
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.int64) % self.m
-        key = v.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            out = v
+        m = self.m
+        out = np.asarray(v, dtype=np.int64) % m
+        if out.ndim == 1:
+            # one vector: scalar quotients, a row operation only where needed
             for i, col, pv in self.pivots:
                 q = int(out[col]) // pv
                 if q:
-                    out = (out - q * self.h[i]) % self.m
-            if len(self._cache) < 1 << 16:
-                self._cache[key] = out
-            hit = out
-        return hit.copy()
+                    out = (out - q * self.h[i]) % m
+            return out
+        for i, col, pv in self.pivots:
+            # entries stay congruent mod m, so the quotients are read off
+            # the reduced pivot column and the rows are reduced once, at the end
+            q = out[:, col] % m // pv
+            if q.any():
+                out -= q[:, None] * self.h[i]
+        return out % m
 
     def contains(self, v: np.ndarray) -> bool:
+        """True iff v (every row of v, if 2-D) lies in the span."""
         return not self.reduce(v).any()
 
 
@@ -319,8 +324,9 @@ class Solver:
     """Repeated solving of v @ a == b for one fixed a.
 
     Factors the Howell form of [a | I] once; each solve is then a single
-    reduction pass.  Used by the pairing evaluations, which solve against
-    the same handful of matrices for every (k, s, t).
+    reduction pass, for one target or a whole matrix of them.  Used by the
+    pairing tables, which lift every element of a filtration piece against
+    the same handful of matrices in one call.
     """
 
     __slots__ = ("p", "n", "m", "rows", "cols", "h", "pivots", "ker")
@@ -345,25 +351,50 @@ class Solver:
         )
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
+        """A solution v of v @ a == b, or None if there is none.
+
+        For a 2-D b (one target per row) this solves the matrix equation
+        V @ a == b in one pass over the pivots: row i of V solves row i
+        of b, and the result is None if any row has no solution.
+        """
         m = self.m
         resid = np.asarray(b, dtype=np.int64) % m
-        x = np.zeros(self.rows, dtype=np.int64)
+        if resid.ndim == 1:
+            # one target: scalar quotients, a row operation only where needed
+            x = np.zeros(self.rows, dtype=np.int64)
+            for i, col, pv in self.pivots:
+                e = int(resid[col])
+                if e % pv:
+                    return None
+                q = e // pv
+                if q:
+                    resid = (resid - q * self.h[i, : self.cols]) % m
+                    x = (x + q * self.h[i, self.cols:]) % m
+            return None if resid.any() else x
+        x = np.zeros((resid.shape[0], self.rows), dtype=np.int64)
         for i, col, pv in self.pivots:
-            e = int(resid[col])
-            if e % pv:
+            # entries stay congruent mod m; reduced once, at the end
+            e = resid[:, col] % m
+            if (e % pv).any():
                 return None
             q = e // pv
-            if q:
-                resid = (resid - q * self.h[i, : self.cols]) % m
-                x = (x + q * self.h[i, self.cols:]) % m
-        if resid.any():
-            return None
-        return x
+            if q.any():
+                resid -= q[:, None] * self.h[i, : self.cols]
+                x += q[:, None] * self.h[i, self.cols:]
+        return None if (resid % m).any() else x % m
 
     def random_solution(self, b: np.ndarray, rng) -> Optional[np.ndarray]:
+        """``solve`` plus a uniformly random kernel element per target row.
+
+        Draws are made per target row, then per kernel row, so a 2-D b
+        consumes the stream exactly as solving its rows one by one does.
+        """
         v = self.solve(b)
         if v is None:
             return None
-        for row in self.ker:
-            v = (v + rng.below(self.m) * row) % self.m
+        rows = np.atleast_2d(v)  # a view: v is updated in place
+        shape = (rows.shape[0], self.ker.shape[0])
+        coeffs = np.array([rng.below(self.m) for _ in range(shape[0] * shape[1])],
+                          dtype=np.int64).reshape(shape)
+        rows[:] = (rows + coeffs @ self.ker) % self.m
         return v

@@ -249,6 +249,24 @@ def test_negative_kmax_and_imax_exit_2(tmp_path, capsys):
     assert_exit_2_at(["fitting", stark, "--imax", "-1"], capsys, "parse-error at $.imax")
 
 
+def test_kmax_above_p_minus_one_exit_2(tmp_path, capsys):
+    # beyond p - 1 the graded pieces are not free of rank one, and checks
+    # there would be reported as passes
+    cx = write_json(tmp_path, "cx.json", gamma_minus_one_complex())
+    assert_exit_2_at(["spectral", cx, "--kmax", "5"], capsys, "parse-error at $.kmax")
+    assert_exit_2_at(["spectral", cx, "--kmax", "3"], capsys, "parse-error at $.kmax")
+    ring = RingCtx(3, 1)
+    pairing = write_json(tmp_path, "norm.json", pairing_payload(ring, [[ring.norm()]]))
+    assert_exit_2_at(["pairing", pairing, "--kmax", "3"], capsys, "parse-error at $.kmax")
+
+
+def test_kmax_p_minus_one_runs_every_k(tmp_path, capsys):
+    cx = write_json(tmp_path, "cx.json", gamma_minus_one_complex())
+    assert main(["spectral", cx, "--kmax", "2"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["records"][0]["checks"]]
+    assert "relate_k2" in names and not any(n.endswith("_k3") for n in names)
+
+
 def test_fuzz_max_rank_one_builds_every_suite(capsys):
     # a core vertex with chi = 1 needs rank 2, so rank 1 draws chi = 0 only
     argv = ["--seed", "4", "--trials", "6", "--ring", "3,1", "--max-rank", "1", "fuzz"]

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from derived_heights import linalg as la
-from derived_heights.groupring import RingCtx, graded_classes_equal
+from derived_heights.groupring import RingCtx, convolve, graded_classes_equal
 from derived_heights.heights import (
     MembershipError,
     PairingData,
     PairingError,
     random_pairing_data,
 )
-from derived_heights.rng import SplitMix64
+from derived_heights.rng import SplitMix64, trial_rng
 
 R31 = RingCtx(3, 1)
 RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1)]
@@ -65,6 +68,27 @@ def test_membership_rejection():
         data.bd_pairing(1, one, one)  # 1 is not in S_0^(1) = N R
     with pytest.raises(MembershipError):
         data.bd_pairing(3, one, one)  # k = p is out of range
+
+
+def test_value_table_matches_pairwise_convolutions():
+    # the contraction against the loop it replaced: w(y) = sum_j w_j * y_j,
+    # one cyclic convolution per slot, for every (w, y)
+    gen = np.random.default_rng(5)
+    for ring in RINGS + [RingCtx(7, 2)]:
+        m = ring.m
+        for b in (1, 3):
+            data = PairingData(ring, [[ring.one()] * b])
+            w = gen.integers(0, m, (4, b * m))
+            y = gen.integers(0, m, (3, b * m))
+            table = data.eval_functional(w, y)
+            assert table.shape == (4, 3, m)
+            for i in range(4):
+                for j in range(3):
+                    ref = np.zeros(m, dtype=np.int64)
+                    for slot in range(b):
+                        part = slice(slot * m, (slot + 1) * m)
+                        ref = (ref + convolve(w[i, part], y[j, part], m)) % m
+                    assert (table[i, j] == ref).all()
 
 
 def test_worked_example_k1():
@@ -240,3 +264,73 @@ def test_boc_equals_bd_on_norm_kernel_instance():
     data.validate()
     rep = data.compare(2, rng=SplitMix64(7), max_card=10 ** 4)
     assert rep["pass"] and rep["records"]
+
+
+# sha256 of the compare() reports on the corpus below, computed with the
+# per-pair implementation that the batched value tables replaced; every
+# recorded value is canonical, so a change of lift draws cannot move it
+COMPARE_CORPUS_SHA256 = "6764f824dbd6205a0ebaf4a10cdea0b1194bbf1a44025a878cd728983510fb32"
+
+
+def test_compare_records_match_the_golden_digest():
+    # (3,1), (3,2) and (5,1) in turn; max_card 20 on instances 1, 13 and
+    # 20 sends them down the generator-pair branch, the rest enumerate
+    reports = []
+    for i in range(21):
+        ring = RINGS[i % 3]
+        rng = trial_rng(4242, i)
+        data = random_pairing_data(ring, rng, max_rank=2)
+        card = 20 if i in (1, 13, 20) else 10 ** 4
+        reports.append(data.compare(ring.p - 1, rng=rng, max_card=card))
+    assert [len(r["records"]) for r in reports] == [
+        32, 2, 0, 0, 0, 1184, 16, 0, 0, 4, 64, 0, 8, 4, 0, 8, 68, 0, 32, 0, 3]
+    blob = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == COMPARE_CORPUS_SHA256
+
+
+def _norm_line_data():
+    """ell = gamma - 1 over (3,2): S_0^(1) = T_0^(1) = N R, eight nonzero
+    elements each, and only k = 1 pairs."""
+    ring = RingCtx(3, 2)
+    data = mult_data(ring, ring.gamma() - ring.one())
+    rep = data.compare(2, rng=SplitMix64(5))
+    assert rep["pass"] and len(rep["records"]) == 64
+    return ring, data, rep
+
+
+def _shift(v, elt):
+    """v plus the ring element elt in slot 0."""
+    m = elt.ring.m
+    return (v + np.pad(elt.coeffs, (0, v.size - m))) % m
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("chain", "derivative-lift pairing depended on lift choices"),
+    ("boc", "Bockstein pairing depended on representative choices"),
+])
+def test_audit_detects_one_corrupted_second_draw(kind, message):
+    ring, data, rep = _norm_line_data()
+    s = np.array(rep["records"][9]["s"], dtype=np.int64)
+    key = ("chain", "s", 1, 1, s.tobytes()) if kind == "chain" else ("boc", 1, s.tobytes())
+    # a lift x feeds ell(x) = (gamma - 1) x, a functional w is used as
+    # it is: either shift moves every value against a norm line by a
+    # nonzero multiple of gamma - 1, so off its class in Q^1
+    shift = ring.one() if kind == "chain" else ring.gamma() - ring.one()
+    first, second = data._chains[key]
+    data._chains[key] = (first, _shift(second, shift))
+    with pytest.raises(AssertionError, match=message):
+        data.compare(2, rng=SplitMix64(5))
+
+
+def test_symmetry_flag_detects_one_corrupted_dual_chain():
+    ring, data, rep = _norm_line_data()
+    t0 = rep["records"][3]["t"]
+    dual = data.dual()
+    key = ("chain", "s", 1, 1, np.array(t0, dtype=np.int64).tobytes())
+    first, second = dual._chains[key]
+    dual._chains[key] = (_shift(first, ring.one()), second)
+    again = data.compare(2, rng=SplitMix64(5))
+    assert not again["pass"]
+    assert [r["symmetric"] for r in again["records"]] == [
+        r["t"] != t0 for r in again["records"]]
+    assert all(r["equal"] and r["gamma_independent"] for r in again["records"])

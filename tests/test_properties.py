@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derived_heights import linalg as la
+from derived_heights.rng import SplitMix64
 
 RINGS = [(3, 1), (3, 2), (5, 1), (2, 3)]
 
@@ -74,6 +75,9 @@ def test_coset_reducer_is_constant_on_cosets_and_zero_exactly_on_the_span(case):
         values.add(tuple(int(x) for x in r))
     # ... and there is one value per coset, so it is constant on each
     assert len(values) * len(span) == m ** a.shape[1]
+    # a matrix is reduced row by row in one pass
+    every = np.array(list(ambient(m, a.shape[1])))
+    assert (reducer.reduce(every) == np.array([reducer.reduce(w) for w in every])).all()
 
 
 @PROPERTY
@@ -89,6 +93,38 @@ def test_solver_solves_exactly_the_row_span(case):
             assert v is not None and ((v @ a) % m == b).all()
         else:
             assert v is None
+
+
+@PROPERTY
+@given(st.data())
+def test_solver_on_a_target_matrix_matches_row_by_row_solves(data):
+    p, n, a = data.draw(matrices())
+    m = p ** n
+    rows, cols = a.shape
+
+    def vector(width):
+        return np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=width,
+                                           max_size=width)), dtype=np.int64)
+
+    # targets from the span, and arbitrary ones that often have no solution
+    targets = [vector(cols) if data.draw(st.booleans()) else (vector(rows) @ a) % m
+               for _ in range(data.draw(st.integers(0, 4)))]
+    b = np.array(targets, dtype=np.int64).reshape(len(targets), cols)
+    solver = la.Solver(a, p, n)
+    each = [solver.solve(row) for row in b]
+    batch = solver.solve(b)
+    if any(v is None for v in each):
+        assert batch is None
+        assert solver.random_solution(b, SplitMix64(9)) is None
+        return
+    assert batch.shape == (len(b), rows)
+    assert (batch == np.array(each, dtype=np.int64).reshape(len(b), rows)).all()
+    # a random solution per row, drawn as row-by-row calls draw them
+    drawn = solver.random_solution(b, SplitMix64(9))
+    again = SplitMix64(9)
+    rowwise = [solver.random_solution(row, again) for row in b]
+    assert (drawn == np.array(rowwise, dtype=np.int64).reshape(len(b), rows)).all()
+    assert ((drawn @ a) % m == b).all()
 
 
 @PROPERTY
