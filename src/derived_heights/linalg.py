@@ -17,8 +17,10 @@ Conventions used throughout the package:
   * spans are kept in Howell form: zero rows trimmed, each pivot a
     power of p, entries above a pivot reduced below it; equality of
     spans is equality of Howell forms
-  * pivot selection is leftmost column, minimal p-valuation, lowest row
-    index on ties (deterministic, so fuzz reports are reproducible)
+  * the Howell form of a span is unique (Howell, "Spans in the module
+    (Z_m)^s", 1986), so the output does not depend on which of the
+    rows of least valuation is taken as a pivot; fuzz reports are
+    reproducible whatever the selection
   * every primitive accepts empty spans, shape (0, cols), and returns
     them with the right width, so callers do not guard the empty case
   * ``Solver.solve``, ``Solver.random_solution`` and
@@ -30,6 +32,17 @@ Conventions used throughout the package:
     read-only: writing into one raises, so a caller that needs to
     modify a span copies it first.
 
+The Howell form is computed in one pass over the columns, in the manner
+of Storjohann and Mulders ("Fast algorithms for linear algebra modulo
+N", 1998): at each column the active row of least p-valuation v becomes
+the pivot, one outer-product update clears the column from every other
+row (and reduces the rows already placed), and for v > 0 the
+annihilator row p^(n-v) * pivot row rejoins the active rows, which
+gives the Howell property without a second pass.  Valuations, inverses
+of unit parts and the powers of p come from per-(p, n) lookup tables
+(``_tables``, one entry per residue), so a pivot step makes a fixed
+number of array operations and no per-entry Python work.
+
 Arithmetic is on int64 arrays, reduced mod p^n after every product.
 A product of two reduced matrices sums terms below (p^n)^2, so it is
 exact while the inner dimension times (p^n - 1)^2 stays below 2^63;
@@ -40,25 +53,10 @@ power.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Optional
 
 import numpy as np
-
-
-def valuation(x: int, p: int, n: int) -> int:
-    """p-adic valuation of the canonical residue x; val(0) = n."""
-    if x % p ** n == 0:
-        return n
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _as_rows(a: np.ndarray, m: int) -> list[np.ndarray]:
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % m
-    return [a[i].copy() for i in range(a.shape[0]) if a[i].any()]
 
 
 def empty_span(cols: int) -> np.ndarray:
@@ -88,45 +86,6 @@ def mat_pow_mod(a: np.ndarray, e: int, m: int) -> np.ndarray:
     return out
 
 
-def _echelon(rows: list[np.ndarray], cols: int, p: int, n: int):
-    """Row echelon over Z/p^n.
-
-    Returns (placed, pivots) where pivots[i] = (col, val) and placed[i]
-    has its pivot normalized to p^val, zeros in earlier pivot columns.
-    """
-    m = p ** n
-    active = [r for r in rows if r.any()]
-    placed: list[np.ndarray] = []
-    pivots: list[tuple[int, int]] = []
-    for col in range(cols):
-        if not active:
-            break
-        best = -1
-        best_v = n + 1
-        for i, r in enumerate(active):
-            e = int(r[col])
-            if e == 0:
-                continue
-            v = valuation(e, p, n)
-            if v < best_v:
-                best_v, best = v, i
-        if best < 0:
-            continue
-        row = active.pop(best)
-        v = best_v
-        unit = int(row[col]) // p ** v
-        row = (row * pow(unit, -1, m)) % m  # pivot now exactly p^v
-        pv = p ** v
-        for i, r in enumerate(active):
-            e = int(r[col])
-            if e:
-                active[i] = (r - (e // pv) * row) % m
-        active = [r for r in active if r.any()]
-        placed.append(row)
-        pivots.append((col, v))
-    return placed, pivots
-
-
 # Spans kept by the Howell memo; a constant, not a setting.  On the
 # spectral benchmark 256 entries give most of the speed-up of 4096 (11.8
 # against 13.6 trials/s) for +1 MB of peak memory instead of +26 MB.
@@ -150,69 +109,98 @@ def _howell_memo(key: bytes, shape: tuple[int, ...], p: int, n: int) -> np.ndarr
     return h
 
 
+@lru_cache(maxsize=16)
+def _tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables for Z/p^n, indexed by the canonical residue x.
+
+    ``val[x]`` is the p-valuation of x (``val[0] = n``), ``inv[x]`` the
+    inverse mod p^n of its unit part x // p^val[x] (``inv[0] = 0``), and
+    ``pw[k] = p^k`` for k = 0..n.  Read-only and shared.
+    """
+    m = p ** n
+    pw = p ** np.arange(n + 1, dtype=np.int64)
+    x = np.arange(m, dtype=np.int64)
+    val = (x[:, None] % pw[None, 1:] == 0).sum(axis=1)
+    inv = np.array([pow(int(u), -1, m) if u else 0 for u in x // pw[val]],
+                   dtype=np.int64)
+    for t in (val, inv, pw):
+        t.setflags(write=False)
+    return val, inv, pw
+
+
 def _howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
     """Unique Howell canonical form of the row span of ``a``, unmemoized.
 
-    Idempotent; zero rows trimmed.  The Howell property (for every j,
-    span elements vanishing on the first j coordinates are spanned by
-    the rows vanishing there) is obtained by repeatedly adjoining the
-    annihilator multiple p^(n-v) * row of every non-unit pivot row and
-    re-reducing until the echelon stabilizes.
+    One pass over the columns.  Rows ``w[:j]`` are placed (pivots in
+    increasing columns) and rows ``w[j:j + k]`` are active.  At column c
+    the active row of least valuation v becomes the pivot, normalized to
+    p^v; one outer-product update clears column c from the active rows
+    and reduces the placed rows' entries there into [0, p^v).  If v > 0,
+    p^(n-v) * pivot row joins the active rows: it is in the span, zero at
+    column c, and with the other active rows it spans every element of
+    the span vanishing on columns <= c, which gives the Howell property.
     """
     m = p ** n
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    cols = a.shape[1]
-    placed, pivots = _echelon(_as_rows(a, m), cols, p, n)
-    while True:
-        extra = []
-        for row, (_, v) in zip(placed, pivots):
-            if v > 0:
-                ann = (row * p ** (n - v)) % m
-                if ann.any():
-                    extra.append(ann)
-        if not extra:
+    val, inv, pw = _tables(p, n)
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % m
+    a = a[a.any(axis=1)]
+    k, cols = a.shape
+    # at most one annihilator row joins per pivot, and there is at most
+    # one pivot per column
+    w = np.zeros((k + cols, cols), dtype=np.int64)
+    w[:k] = a
+    j = 0
+    for c in range(cols):
+        if not k:
             break
-        new_placed, new_pivots = _echelon(placed + extra, cols, p, n)
-        if new_pivots == pivots and all(
-            (x == y).all() for x, y in zip(new_placed, placed)
-        ):
-            break
-        placed, pivots = new_placed, new_pivots
-    # reduce entries above each pivot into [0, p^v)
-    for i, (col, v) in enumerate(pivots):
-        pv = p ** v
-        for j in range(i):
-            q = int(placed[j][col]) // pv
-            if q:
-                placed[j] = (placed[j] - q * placed[i]) % m
-    if not placed:
-        return empty_span(cols)
-    return np.array(placed, dtype=np.int64)
+        vc = val[w[j:j + k, c]]
+        i = int(vc.argmin())
+        v = int(vc[i])
+        if v == n:
+            continue
+        i += j
+        row = w[i] * inv[w[i, c]] % m
+        w[i] = w[j]
+        w[j] = row
+        q = w[:j + k, c] // pw[v]
+        q[j] = 0
+        # only rows with a nonzero multiplier change (few, in the sparse
+        # block matrices of the group-ring layer), and only from column c
+        # on, since the pivot row is zero left of it
+        nz = np.flatnonzero(q)
+        w[nz, c:] = (w[nz, c:] - np.multiply.outer(q[nz], row[c:])) % m
+        j += 1
+        k -= 1
+        if v:
+            ann = row * pw[n - v] % m
+            if ann.any():
+                w[j + k] = ann
+                k += 1
+    return w[:j].copy()
 
 
-def _pivots_of(h: np.ndarray, p: int, n: int) -> list[tuple[int, int]]:
-    """(column, valuation) of each row's leading entry; h in Howell form."""
-    out = []
-    for i in range(h.shape[0]):
-        nz = np.nonzero(h[i])[0]
-        col = int(nz[0])
-        out.append((col, valuation(int(h[i][col]), p, n)))
-    return out
+def _pivots_of(h: np.ndarray) -> list[tuple[int, int, int]]:
+    """(row, column, entry) of each row's leading entry.
+
+    For rows of a Howell form the entry is the pivot p^v itself.
+    """
+    if not h.size:  # argmax refuses a (0, 0) array
+        return []
+    cols = (h != 0).argmax(axis=1)
+    rows = np.arange(h.shape[0])
+    return list(zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist()))
 
 
 def span_size(h: np.ndarray, p: int, n: int) -> int:
     """Number of elements of the span (a power of p); h in Howell form."""
-    size = 1
-    for _, v in _pivots_of(h, p, n):
-        size *= p ** (n - v)
-    return size
+    return prod(p ** n // pv for _, _, pv in _pivots_of(h))
 
 
 def span_elements(h: np.ndarray, p: int, n: int) -> Iterator[np.ndarray]:
     """Iterate every element of the span exactly once; h in Howell form."""
     m = p ** n
     cols = h.shape[1]
-    ranges = [p ** (n - v) for _, v in _pivots_of(h, p, n)]
+    ranges = [m // pv for _, _, pv in _pivots_of(h)]
     idx = [0] * len(ranges)
     while True:
         acc = np.zeros(cols, dtype=np.int64)
@@ -242,8 +230,7 @@ def spans_equal(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
 
 def span_contains(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
     """True iff span(b) is contained in span(a)."""
-    reducer = CosetReducer(howell_form(a, p, n), p, n)
-    return all(reducer.contains(row) for row in b)
+    return CosetReducer(howell_form(a, p, n), p, n).contains(np.atleast_2d(b))
 
 
 def kernel(a: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -295,7 +282,7 @@ class CosetReducer:
     def __init__(self, h: np.ndarray, p: int, n: int):
         self.p, self.n, self.m = p, n, p ** n
         self.h = h
-        self.pivots = [(i, col, p ** v) for i, (col, v) in enumerate(_pivots_of(h, p, n))]
+        self.pivots = _pivots_of(h)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         m = self.m
@@ -337,18 +324,12 @@ class Solver:
         self.rows, self.cols = a.shape
         aug = np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)])
         self.h = howell_form(aug, p, n)
-        self.pivots = []
-        ker_rows = []
-        for i in range(self.h.shape[0]):
-            u = self.h[i, : self.cols]
-            if u.any():
-                col = int(np.nonzero(u)[0][0])
-                self.pivots.append((i, col, p ** valuation(int(u[col]), p, n)))
-            else:
-                ker_rows.append(self.h[i, self.cols:])
-        self.ker = (
-            howell_form(np.array(ker_rows), p, n) if ker_rows else empty_span(self.rows)
-        )
+        # rows with a pivot in the a-part come first; the rest, zero there,
+        # are already the Howell form of the kernel (Howell property at the
+        # first column of the I-part)
+        r = int(self.h[:, : self.cols].any(axis=1).sum())
+        self.pivots = _pivots_of(self.h[:r, : self.cols])
+        self.ker = self.h[r:, self.cols:]
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """A solution v of v @ a == b, or None if there is none.

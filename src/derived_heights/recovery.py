@@ -16,12 +16,18 @@ normal form over Z provides the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from . import intlinalg as il
 
 # Declared limit on p: trial division up to sqrt(p) stays under a second
 # below it, and p near 10^18 would take minutes.
 P_LIMIT = 1 << 31
+
+# Declared limit on the shape of d: the Smith oracle enumerates all
+# C(rows + cols, rows) - 1 square minors.  C(20, 10) of them (10 x 10) take
+# a few seconds; 12 x 12 has 14 times as many.
+MINOR_LIMIT = comb(20, 10)
 
 
 def _is_prime(p: int) -> bool:

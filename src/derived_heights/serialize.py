@@ -20,6 +20,7 @@ Parse failures raise InputError carrying a JSONPath-style location, e.g.
 from __future__ import annotations
 
 import json
+from math import comb
 from typing import Any
 
 import numpy as np
@@ -28,7 +29,7 @@ from .complexes import TwoTermComplex
 from .groupring import RingCtx
 from .heights import PairingData
 from .modules import FpModule, from_presentation, r_rows_from_scalar
-from .recovery import P_LIMIT, IntComplex
+from .recovery import MINOR_LIMIT, P_LIMIT, IntComplex
 from .stark import StarkInstance
 
 
@@ -223,6 +224,10 @@ def parse_int_complex(obj: Any, path: str = "$") -> IntComplex:
     mat, mod = parse_matrix(_get(obj, "d", path), f"{path}.d")
     if mod is not None:
         raise InputError(f"{path}.d.modulus", 'integer complexes need modulus "int"')
+    rows, cols = len(mat), len(mat[0]) if mat else 0
+    if comb(rows + cols, rows) > MINOR_LIMIT:
+        raise InputError(f"{path}.d", f"{rows} x {cols} is beyond the Smith oracle's "
+                         "limit C(rows + cols, rows) <= C(20, 10)", kind="resource-limit")
     try:
         return IntComplex.make(p, mat)
     except ValueError as exc:

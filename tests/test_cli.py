@@ -286,6 +286,21 @@ def test_structure_large_prime_is_fast(tmp_path, capsys):
     assert res["recovered"] == res["oracle"]
 
 
+def test_structure_shape_beyond_minor_limit_exit_2(tmp_path, capsys):
+    # 12 x 12 has C(24, 12) - 1 minors, 14 times the limit; refused at once
+    diag = [[3 * (i == j) for j in range(12)] for i in range(12)]
+    obj = {"p": 3, "d": ser.matrix_to_json(diag, None)}
+    started = time.process_time()
+    assert_exit_2_at(["structure", write_json(tmp_path, "d12.json", obj)], capsys,
+                     "resource-limit at $.d")
+    assert time.process_time() - started < 1
+    # the limit itself is accepted: 10 x 10 has C(20, 10) - 1 minors
+    ten = [row[:10] for row in diag[:10]]
+    assert ser.parse_int_complex({"p": 3, "d": ser.matrix_to_json(ten, None)}).p == 3
+    with pytest.raises(ser.InputError, match="resource-limit at \\$.d"):
+        ser.parse_int_complex({"p": 3, "d": ser.matrix_to_json([r + [0] for r in ten], None)})
+
+
 def test_structure_p_beyond_limit_exit_2(tmp_path, capsys):
     obj = {"p": 10 ** 18 + 9, "d": ser.matrix_to_json([[6]], None)}
     path = write_json(tmp_path, "huge_p.json", obj)

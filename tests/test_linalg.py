@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import howell_oracle
 from derived_heights import linalg as la
 from derived_heights.rng import SplitMix64
 
@@ -251,8 +252,22 @@ def test_memoized_howell_matches_unmemoized(p, n):
         cases.append(rand_mat(rng, rows, cols, 3 * m) - m)
     for a in cases + cases:  # the second round is answered from the memo
         h = la.howell_form(a, p, n)
-        ref = la._howell_form(a, p, n)
+        ref = howell_oracle.howell_form(a, p, n)
         assert h.shape == ref.shape and (h == ref).all()
+
+
+@pytest.mark.parametrize("rows,cols", [(9, 18), (15, 30), (27, 54), (54, 81)])
+def test_howell_matches_the_fixpoint_oracle_at_benchmark_shapes(rows, cols):
+    # over Z/9; half the rows have their left half multiplied by 3, so that
+    # pivots of valuation 1 have unit entries to their right and their
+    # annihilator rows are nonzero; one row is dependent
+    rng = SplitMix64(5200 + rows)
+    a = rand_mat(rng, rows, cols, 9)
+    a[::2, : cols // 2] = 3 * a[::2, : cols // 2] % 9
+    a[-1] = (a[0] + 2 * a[1]) % 9
+    h = la._howell_form(a, 3, 2)
+    ref = howell_oracle.howell_form(a, 3, 2)
+    assert h.shape == ref.shape and (h == ref).all()
 
 
 def test_memoized_howell_is_read_only():

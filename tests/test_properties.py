@@ -4,7 +4,9 @@ Every matrix is small enough that its row span, its kernel and the whole
 ambient module can be listed outright, so each property is checked
 against a brute-force oracle that never touches the echelon code.  Empty
 matrices (no rows) are drawn too: the primitives accept them without
-guards on the caller's side.  Runs are derandomized and keep no example
+guards on the caller's side.  The Howell form itself is also checked on
+matrices too large to enumerate, against the retired fixpoint echelon
+(``howell_oracle``).  Runs are derandomized and keep no example
 database, so the suite is reproducible.
 """
 
@@ -16,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import howell_oracle
 from derived_heights import linalg as la
 from derived_heights.rng import SplitMix64
 
@@ -43,6 +46,42 @@ def ambient(m: int, cols: int):
 def row_span(a: np.ndarray, m: int) -> set[tuple[int, ...]]:
     """Every Z/m-combination of the rows of a."""
     return {tuple(int(x) for x in (c @ a) % m) for c in ambient(m, a.shape[0])}
+
+
+@st.composite
+def wide_matrices(draw):
+    """(p, n, a) with 0..8 rows and 0..10 columns, rows scaled by powers of p.
+
+    Too large to enumerate; the scaling makes non-unit pivots (and so
+    annihilator rows) common.
+    """
+    p, n = draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (2, 3)]))
+    m = p ** n
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    entries = draw(st.lists(st.integers(0, m - 1), min_size=rows * cols,
+                            max_size=rows * cols))
+    scale = draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows))
+    a = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    return p, n, a * (p ** np.array(scale, dtype=np.int64))[:, None] % m
+
+
+@settings(PROPERTY, max_examples=400)
+@given(wide_matrices())
+def test_howell_form_equals_the_fixpoint_oracle(case):
+    p, n, a = case
+    h = la._howell_form(a, p, n)
+    ref = howell_oracle.howell_form(a, p, n)
+    assert h.shape == ref.shape and (h == ref).all()
+
+
+@PROPERTY
+@given(wide_matrices())
+def test_solver_kernel_is_already_canonical(case):
+    # Solver takes the kernel rows of the Howell form of [a | I] as they are
+    p, n, a = case
+    ker = la.Solver(a, p, n).ker
+    ref = howell_oracle.howell_form(ker, p, n)
+    assert ker.shape == ref.shape and (ker == ref).all()
 
 
 @PROPERTY
