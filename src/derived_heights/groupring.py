@@ -117,9 +117,6 @@ class GroupRingElt:
     def __sub__(self, other):
         return GroupRingElt(self.ring, self.coeffs - other.coeffs)
 
-    def __neg__(self):
-        return GroupRingElt(self.ring, -self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return GroupRingElt(self.ring, self.coeffs * other)
@@ -236,20 +233,26 @@ def _graded_solver(p: int, n: int, k: int) -> la.Solver:
     return la.Solver(np.vstack([gm1k.reshape(1, -1), ik1]), p, n)
 
 
-def graded_scalar(ring: RingCtx, k: int, x: GroupRingElt) -> int:
-    """Image of the class of x in Q^k = I^k/I^(k+1) under (gamma-1)^k -> 1.
+def graded_scalars(ring: RingCtx, k: int, xs: np.ndarray) -> np.ndarray:
+    """Images of classes in Q^k = I^k/I^(k+1) under (gamma-1)^k -> 1.
 
-    Only defined for 1 <= k <= p-1 where Q^k is free of rank one over
-    Z/p^n; the representative must lie in I^k.
+    xs holds one coefficient vector per row, each in I^k; the whole batch
+    is one membership test and one solve.  Only defined for
+    1 <= k <= p-1, where Q^k is free of rank one over Z/p^n.
     """
     if not 1 <= k <= ring.p - 1:
         raise ValueError("graded piece is free of rank one only for k <= p-1")
-    if not ideal_reducer(ring.p, ring.n, k).contains(x.coeffs):
+    if not ideal_reducer(ring.p, ring.n, k).contains(xs):
         raise ValueError("representative does not lie in I^k")
-    v = _graded_solver(ring.p, ring.n, k).solve(x.coeffs)
+    v = _graded_solver(ring.p, ring.n, k).solve(np.atleast_2d(xs))
     if v is None:
         raise AssertionError("I^k element not expressible; graded piece broken")
-    return int(v[0]) % ring.m
+    return v[:, 0] % ring.m
+
+
+def graded_scalar(ring: RingCtx, k: int, x: GroupRingElt) -> int:
+    """``graded_scalars`` of one element."""
+    return int(graded_scalars(ring, k, x.coeffs)[0])
 
 
 def graded_classes_equal(ring: RingCtx, k: int, x: GroupRingElt, y: GroupRingElt) -> bool:

@@ -52,6 +52,7 @@ from .groupring import (
     RingCtx,
     derivative_op,
     graded_scalar,
+    graded_scalars,
     ideal_reducer,
 )
 from .modules import FpModule, free_module, r_matrix_expand, r_rows_from_scalar
@@ -159,7 +160,6 @@ class PairingData:
         self.s_span = la.kernel(self.d, p, n)
         self.t_span = la.kernel(self.d_t, p, n)
         self._complex: Optional[TwoTermComplex] = None
-        self._psi: dict[int, object] = {}
         self._pieces: dict[tuple[str, int], np.ndarray] = {}
         self._solvers: dict[tuple, la.Solver] = {}
         self._chains: dict[tuple, tuple] = {}
@@ -358,7 +358,7 @@ class PairingData:
                         rng: SplitMix64, perturb: bool) -> np.ndarray:
         ring = self.ring
         m = ring.m
-        psi = self._psi_map(k)
+        psi = self.complex().generalized_bockstein(k)
         am, bm = self.a * m, self.b * m
 
         def build_big():
@@ -402,11 +402,6 @@ class PairingData:
             return ys
 
         return self._drawn_pairs([("norm-pre", t.tobytes()) for t in t_rows], t_rows, draw)
-
-    def _psi_map(self, k: int):
-        if k not in self._psi:
-            self._psi[k] = self.complex().generalized_bockstein(k)
-        return self._psi[k]
 
     # -- the two pairings as value tables ------------------------------------------------
 
@@ -528,21 +523,20 @@ class PairingData:
             else:
                 gamma_ok = np.ones(equal.shape, dtype=bool)
             ok = ok and bool(equal.all() and symmetric.all() and gamma_ok.all())
-            # the scalar is a function of the class: one solve per distinct class
-            scalars: dict[bytes, int] = {}
+            # one batched solve over the whole table; deduplicating the
+            # classes first costs more than the rows it saves
+            scalars = graded_scalars(ring, k, bd.reshape(-1, ring.m))
+            scalars = scalars.reshape(bd.shape[:2]).tolist()
             s_lists, t_lists = s_rows.tolist(), t_rows.tolist()
             for i, s in enumerate(s_lists):
                 for j, t in enumerate(t_lists):
-                    key = bd[i, j].tobytes()
-                    if key not in scalars:
-                        scalars[key] = graded_scalar(ring, k, ring.elt(bd[i, j]))
                     records.append({
                         "k": k,
                         "s": list(s),
                         "t": list(t),
                         "bd": bd[i, j].tolist(),
                         "boc": boc[i, j].tolist(),
-                        "scalar": scalars[key],
+                        "scalar": scalars[i][j],
                         "equal": bool(equal[i, j]),
                         "symmetric": bool(symmetric[i, j]),
                         "gamma_independent": bool(gamma_ok[i, j]),

@@ -24,8 +24,12 @@ Conventions used throughout the package:
   * every primitive accepts empty spans, shape (0, cols), and returns
     them with the right width, so callers do not guard the empty case
   * ``Solver.solve``, ``Solver.random_solution`` and
-    ``CosetReducer.reduce`` take one vector or a matrix of them, one per
-    row; a matrix is processed in one pass over the pivots
+    ``CosetReducer.reduce`` take a matrix of vectors, one per row, in one
+    pass over the pivots; a vector is the one-row case, with no branch
+  * ``span_intersect`` and ``preimage`` are one Howell form each, of
+    [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus): its rows that vanish
+    on the left block are already the canonical answer (Storjohann,
+    "Algorithms for Matrix Canonical Forms", 2000)
   * ``howell_form`` is memoized by value (the reduced entries, shape, p
     and n) in a bounded LRU, because the same spans are canonicalized
     over and over.  Its results are shared between callers and
@@ -238,28 +242,41 @@ def kernel(a: np.ndarray, p: int, n: int) -> np.ndarray:
     return Solver(a, p, n).ker
 
 
+def _vanishing_tail(h: np.ndarray, cols: int) -> np.ndarray:
+    """Right block of the rows of a Howell form that vanish on its first cols.
+
+    By the Howell property they are the Howell form of that part of the span.
+    """
+    return h[int(h[:, :cols].any(axis=1).sum()):, cols:]
+
+
+def _zassenhaus(top_left: np.ndarray, top_right: np.ndarray, bottom_left: np.ndarray,
+                p: int, n: int) -> np.ndarray:
+    """``_vanishing_tail`` of the Howell form of [[top_left, top_right], [bottom_left, 0]]."""
+    (r, cols), s = top_left.shape, bottom_left.shape[0]
+    w = np.zeros((r + s, cols + top_right.shape[1]), dtype=np.int64)
+    w[:r, :cols], w[:r, cols:], w[r:, :cols] = top_left, top_right, bottom_left
+    return _vanishing_tail(howell_form(w, p, n), cols)
+
+
 def preimage(a: np.ndarray, bspan: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Howell basis of {v : v @ a lies in span(bspan)}."""
+    """Howell basis of {v : v @ a lies in span(bspan)}.
+
+    The rows of [[a, I], [bspan, 0]] span the pairs (v @ a + w, v) with
+    w in span(bspan); those zero on the left block are exactly the v.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    r = a.shape[0]
-    if bspan.shape[0] == 0:
-        return kernel(a, p, n)
-    k = kernel(np.vstack([a, bspan]), p, n)
-    if k.shape[0] == 0:
-        return empty_span(r)
-    return howell_form(k[:, :r], p, n)
+    return _zassenhaus(a, np.eye(a.shape[0], dtype=np.int64), bspan, p, n)
 
 
 def span_intersect(a: np.ndarray, b: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Howell basis of span(a) intersected with span(b)."""
-    cols = a.shape[1]
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return empty_span(cols)
-    k = kernel(np.vstack([a, b]), p, n)
-    if k.shape[0] == 0:
-        return empty_span(cols)
-    x = (k[:, : a.shape[0]] @ a) % (p ** n)
-    return howell_form(x, p, n)
+    """Howell basis of span(a) intersected with span(b).
+
+    Zassenhaus's construction: the rows of [[a, a], [b, 0]] span the
+    pairs (x @ a + y @ b, x @ a); those zero on the left block carry
+    x @ a = -(y @ b), which is every element of the intersection.
+    """
+    return _zassenhaus(a, a, b, p, n)
 
 
 def image_span(basis: np.ndarray, a: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -269,12 +286,22 @@ def image_span(basis: np.ndarray, a: np.ndarray, p: int, n: int) -> np.ndarray:
     return howell_form((basis @ a) % (p ** n), p, n)
 
 
+def check_accumulation(terms: int, m: int) -> None:
+    """Assert that a residue plus ``terms`` products of residues mod m fits int64.
+
+    The batched loops of ``CosetReducer.reduce`` and ``Solver.solve`` add
+    one product per pivot to a reduced entry and reduce once, at the end.
+    """
+    assert terms * (m - 1) ** 2 + m < 1 << 63, "batched reduction would overflow int64"
+
+
 class CosetReducer:
     """Canonical coset reduction against one fixed Howell span.
 
     Constant on cosets: the entry at each pivot column ends up in
     [0, p^v), so ``reduce(v)`` is zero exactly when v lies in the span.
-    A 2-D argument is reduced row by row in one pass over the pivots.
+    The rows of a 2-D argument are reduced in one pass over the pivots; a
+    1-D argument is the one-row case.
     """
 
     __slots__ = ("p", "n", "m", "h", "pivots")
@@ -283,24 +310,19 @@ class CosetReducer:
         self.p, self.n, self.m = p, n, p ** n
         self.h = h
         self.pivots = _pivots_of(h)
+        check_accumulation(len(self.pivots), self.m)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         m = self.m
-        out = np.asarray(v, dtype=np.int64) % m
-        if out.ndim == 1:
-            # one vector: scalar quotients, a row operation only where needed
-            for i, col, pv in self.pivots:
-                q = int(out[col]) // pv
-                if q:
-                    out = (out - q * self.h[i]) % m
-            return out
+        v = np.asarray(v, dtype=np.int64)
+        out = np.atleast_2d(v) % m
         for i, col, pv in self.pivots:
             # entries stay congruent mod m, so the quotients are read off
             # the reduced pivot column and the rows are reduced once, at the end
             q = out[:, col] % m // pv
             if q.any():
                 out -= q[:, None] * self.h[i]
-        return out % m
+        return (out % m).reshape(v.shape)
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v (every row of v, if 2-D) lies in the span."""
@@ -324,34 +346,22 @@ class Solver:
         self.rows, self.cols = a.shape
         aug = np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)])
         self.h = howell_form(aug, p, n)
-        # rows with a pivot in the a-part come first; the rest, zero there,
-        # are already the Howell form of the kernel (Howell property at the
-        # first column of the I-part)
-        r = int(self.h[:, : self.cols].any(axis=1).sum())
-        self.pivots = _pivots_of(self.h[:r, : self.cols])
-        self.ker = self.h[r:, self.cols:]
+        # rows with a pivot in the a-part come first; the rest are the kernel
+        self.ker = _vanishing_tail(self.h, self.cols)
+        self.pivots = _pivots_of(self.h[: self.h.shape[0] - self.ker.shape[0], : self.cols])
+        check_accumulation(len(self.pivots), self.m)
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """A solution v of v @ a == b, or None if there is none.
 
         For a 2-D b (one target per row) this solves the matrix equation
         V @ a == b in one pass over the pivots: row i of V solves row i
-        of b, and the result is None if any row has no solution.
+        of b, and the result is None if any row has no solution.  A 1-D b
+        is the one-row case and gives a 1-D v.
         """
         m = self.m
-        resid = np.asarray(b, dtype=np.int64) % m
-        if resid.ndim == 1:
-            # one target: scalar quotients, a row operation only where needed
-            x = np.zeros(self.rows, dtype=np.int64)
-            for i, col, pv in self.pivots:
-                e = int(resid[col])
-                if e % pv:
-                    return None
-                q = e // pv
-                if q:
-                    resid = (resid - q * self.h[i, : self.cols]) % m
-                    x = (x + q * self.h[i, self.cols:]) % m
-            return None if resid.any() else x
+        b = np.asarray(b, dtype=np.int64)
+        resid = np.atleast_2d(b) % m
         x = np.zeros((resid.shape[0], self.rows), dtype=np.int64)
         for i, col, pv in self.pivots:
             # entries stay congruent mod m; reduced once, at the end
@@ -362,7 +372,7 @@ class Solver:
             if q.any():
                 resid -= q[:, None] * self.h[i, : self.cols]
                 x += q[:, None] * self.h[i, self.cols:]
-        return None if (resid % m).any() else x % m
+        return None if (resid % m).any() else (x % m).reshape(b.shape[:-1] + (self.rows,))
 
     def random_solution(self, b: np.ndarray, rng) -> Optional[np.ndarray]:
         """``solve`` plus a uniformly random kernel element per target row.

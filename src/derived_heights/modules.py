@@ -108,14 +108,6 @@ class FpModule:
         """Scalar generators of num (coset images generate the module)."""
         return [self.num[i] for i in range(self.num.shape[0])]
 
-    def elements(self) -> list[np.ndarray]:
-        """All elements as canonical representatives (small modules only)."""
-        seen = {}
-        for v in la.span_elements(self.num, self.p, self.n):
-            r = self.reduce(v)
-            seen.setdefault(tuple(int(x) for x in r), r)
-        return list(seen.values())
-
     # -- derived modules -------------------------------------------------------
 
     def submodule(self, span: np.ndarray) -> "FpModule":
@@ -213,9 +205,6 @@ class ModuleHom:
     def is_surjective(self) -> bool:
         return self.image().order() == self.tgt.order()
 
-    def is_injective(self) -> bool:
-        return self.kernel().order() == 1
-
 
 # -- constructors --------------------------------------------------------------
 
@@ -264,16 +253,6 @@ def r_matrix_expand(ring: RingCtx, rows: list[list[GroupRingElt]]) -> np.ndarray
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             out[i * m:(i + 1) * m, j * m:(j + 1) * m] = regular_rep(x)
-    return out
-
-
-def r_rows_to_scalar(ring: RingCtx, rows: list[list[GroupRingElt]]) -> np.ndarray:
-    """Each R-row vector becomes one scalar row of length g * m."""
-    m = ring.m
-    out = np.zeros((len(rows), len(rows[0]) * m), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j * m:(j + 1) * m] = x.coeffs
     return out
 
 

@@ -57,9 +57,6 @@ class SplitMix64:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
 
 def trial_rng(seed: int, offset: int) -> SplitMix64:
     """Independent stream for trial ``offset`` of a campaign seed."""

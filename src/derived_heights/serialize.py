@@ -193,15 +193,6 @@ def parse_fp_module(obj: Any, ring: RingCtx, path: str) -> FpModule:
         raise InputError(path, str(exc)) from exc
 
 
-def fp_module_to_json(mod: FpModule) -> dict:
-    return {
-        "ring": {"p": mod.ring.p, "n": mod.ring.n},
-        "generators": mod.dim // mod.m,
-        "relations": matrix_to_json(mod.den, mod.m),
-        "gamma_action": matrix_to_json(mod.gamma, mod.m),
-    }
-
-
 def parse_complex(obj: Any, path: str = "$") -> TwoTermComplex:
     ring = parse_ring(_get(obj, "ring", path), f"{path}.ring")
     c1 = parse_fp_module(_get(obj, "C1", path), ring, f"{path}.C1")

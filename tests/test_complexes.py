@@ -255,3 +255,63 @@ def test_h2_right_exactness():
             c = random_complex(ring, rng, max_rank=2)
             for i in (1, 2, 3):
                 assert c.h2_of_quotient(i).order() == c._h2_mod_ideal_order(i)
+
+
+def _derived_objects(c, k):
+    """Every span the two checks at k build, as (shape, bytes)."""
+    spans = [c.h2_filtration_quotient(k).num, c.h2_filtration_quotient(k).den]
+    for hom in (c.generalized_bockstein(k), c.derived_bockstein(k),
+                c.pi_projection(k), c.rho_projection(k)):
+        spans += [hom.src.num, hom.src.den, hom.tgt.num, hom.tgt.den, hom.mat]
+    spans += [c.h2_of_quotient(i).den for i in range(1, k + 2)]
+    return [(s.shape, s.tobytes()) for s in spans]
+
+
+def test_memo_matches_a_fresh_complex_per_call():
+    # one complex queried out of order (cokernels first, k descending,
+    # repeats, then shuffled) against a fresh complex for every call
+    rng = SplitMix64(137)
+    for ring in RINGS:
+        for _ in range(3):
+            c = random_complex(ring, rng, max_rank=2)
+            ks = list(range(ring.p - 1, 0, -1))
+            calls = ([("coker", k) for k in ks] + [("relate", k) for k in ks]
+                     + [("coker", ks[-1]), ("relate", ks[0])])
+            shuffled = list(calls)
+            for i in range(len(shuffled) - 1, 0, -1):
+                j = rng.below(i + 1)
+                shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+            for check, k in calls + shuffled:
+                fresh = TwoTermComplex(c.c1, c.c2, c.d)
+                if check == "coker":
+                    assert c.coker_iso_reports(k) == fresh.coker_iso_reports(k)
+                else:
+                    assert c.verify_relate(k) == fresh.verify_relate(k)
+                assert _derived_objects(c, k) == _derived_objects(fresh, k)
+
+
+def test_verify_relate_fails_when_one_generator_breaks_the_square():
+    # d = 0 over (3,1): the generators of H^1(C/IC) are the unit vectors,
+    # and both composites vanish; a snake map that is wrong on generator
+    # j alone must make the batched check fail
+    k = 1
+    for j in range(R31.m):
+        c = zero_complex(R31)
+        assert c.verify_relate(k)
+        psi = c.generalized_bockstein(k)
+        assert (psi.src.num == np.eye(R31.m, dtype=np.int64)).all()
+        tgt = c.derived_bockstein(k).tgt
+        w = next(row for row in c.ideal_span2(k) if not tgt.is_zero_elt(row))
+        bad = np.zeros_like(psi.mat)
+        bad[j] = w
+        broken = md.ModuleHom(psi.src, psi.tgt, bad, check=False)
+        c.generalized_bockstein = lambda _k: broken
+        assert c.verify_relate(k) is False, j
+
+
+def test_differential_is_read_only():
+    c = mult_complex(R31, R31.norm())
+    with pytest.raises(ValueError):
+        c.d[0, 0] = 1
+    with pytest.raises(AttributeError):
+        c.d = np.zeros_like(c.d)

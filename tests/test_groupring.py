@@ -12,6 +12,7 @@ from derived_heights.groupring import (
     derivative_op,
     derivative_relation_table,
     graded_scalar,
+    graded_scalars,
     regular_rep,
 )
 from derived_heights.rng import SplitMix64
@@ -114,6 +115,21 @@ def test_graded_scalar_rejections():
         graded_scalar(ring, 3, ring.zero())  # k >= p
     with pytest.raises(ValueError):
         graded_scalar(ring, 2, ring.one())  # 1 not in I^2
+
+
+def test_graded_scalars_of_a_batch():
+    # c (gamma-1)^k plus anything in I^(k+1) has the scalar c, row by row
+    rng = SplitMix64(89)
+    for ring in RINGS:
+        gm1 = ring.gamma() - ring.one()
+        for k in range(1, ring.p):
+            cs = [rng.below(ring.m) for _ in range(6)]
+            rows = np.array([(ring.scalar(c) * gm1 ** k + gm1 ** (k + 1) * ring.elt(
+                np.array([rng.below(ring.m) for _ in range(ring.m)]))).coeffs for c in cs])
+            assert graded_scalars(ring, k, rows).tolist() == cs
+            assert graded_scalars(ring, k, rows[:0]).shape == (0,)
+            with pytest.raises(ValueError):  # one row outside I^k
+                graded_scalars(ring, k, np.vstack([rows, ring.one().coeffs]))
 
 
 def test_graded_scalar_is_bijection_on_classes():

@@ -325,3 +325,31 @@ def test_mat_pow_mod_against_exact_integers():
                 exact = [[sum(exact[i][k] * rows[k][j] for k in range(3)) % m
                           for j in range(3)] for i in range(3)]
             assert (la.mat_pow_mod(a, e, m) == np.array(exact)).all()
+
+
+def test_batched_accumulation_bound_is_asserted():
+    # a residue plus one product per pivot must fit int64 before the one
+    # reduction at the end: 2^51 pivots of products below 48^2 do, 2^52 do not
+    la.check_accumulation(2 ** 51, 49)
+    with pytest.raises(AssertionError, match="overflow"):
+        la.check_accumulation(2 ** 52, 49)
+    # near m = 2^62 a single pivot is already too many
+    with pytest.raises(AssertionError, match="overflow"):
+        la.CosetReducer(np.array([[1, 0]], dtype=np.int64), 2 ** 31 - 1, 2)
+
+
+def test_one_vector_is_the_one_row_case():
+    rng = SplitMix64(83)
+    for p, n in ((3, 2), (5, 1), (7, 2)):
+        m = p ** n
+        a = rand_mat(rng, 4, 6, m)
+        reducer = la.CosetReducer(la.howell_form(a, p, n), p, n)
+        solver = la.Solver(a, p, n)
+        for _ in range(20):
+            v = rand_mat(rng, 1, 6, m)[0]
+            r = reducer.reduce(v)
+            assert r.shape == (6,) and (r == reducer.reduce(v[None])[0]).all()
+            b = rand_mat(rng, 1, 4, m)[0] @ a % m
+            x = solver.solve(b)
+            assert x.shape == (4,) and (x == solver.solve(b[None])[0]).all()
+            assert ((x @ a) % m == b).all()

@@ -4,7 +4,9 @@ Every matrix is small enough that its row span, its kernel and the whole
 ambient module can be listed outright, so each property is checked
 against a brute-force oracle that never touches the echelon code.  Empty
 matrices (no rows) are drawn too: the primitives accept them without
-guards on the caller's side.  The Howell form itself is also checked on
+guards on the caller's side.  ``span_intersect`` and ``preimage`` are
+compared with the enumerated intersection and preimage, and their output
+with its own Howell form.  The Howell form itself is also checked on
 matrices too large to enumerate, against the retired fixpoint echelon
 (``howell_oracle``).  Runs are derandomized and keep no example
 database, so the suite is reproducible.
@@ -187,3 +189,36 @@ def test_span_contains_is_inclusion_of_enumerated_spans(data):
     _, _, b = data.draw(matrices(ring=(p, n), cols=a.shape[1]))
     m = p ** n
     assert la.span_contains(a, b, p, n) == (row_span(b, m) <= row_span(a, m))
+
+
+def canonical(h: np.ndarray, p: int, n: int) -> bool:
+    """h is its own Howell form (checked against the fixpoint oracle)."""
+    ref = howell_oracle.howell_form(h, p, n)
+    return h.shape == ref.shape and bool((h == ref).all())
+
+
+@PROPERTY
+@given(st.data())
+def test_span_intersect_is_the_enumerated_intersection(data):
+    p, n, a = data.draw(matrices())
+    _, _, b = data.draw(matrices(ring=(p, n), cols=a.shape[1]))
+    m = p ** n
+    got = la.span_intersect(a, b, p, n)
+    assert got.shape[1] == a.shape[1]
+    assert row_span(got, m) == row_span(a, m) & row_span(b, m)
+    assert canonical(got, p, n)
+
+
+@PROPERTY
+@given(st.data())
+def test_preimage_is_the_enumerated_preimage(data):
+    p, n, a = data.draw(matrices())
+    _, _, b = data.draw(matrices(ring=(p, n), cols=a.shape[1]))
+    m = p ** n
+    target = row_span(b, m)
+    oracle = {tuple(int(x) for x in v) for v in ambient(m, a.shape[0])
+              if tuple(int(x) for x in (v @ a) % m) in target}
+    got = la.preimage(a, b, p, n)
+    assert got.shape[1] == a.shape[0]
+    assert row_span(got, m) == oracle
+    assert canonical(got, p, n)
