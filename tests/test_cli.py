@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -182,6 +183,17 @@ def test_fuzz_cli_byte_identical(tmp_path, capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert report["pass"] and not report["truncated"]
+
+
+# sha256 of the `--seed 42 --trials 50 fuzz` report on stdout: every
+# suite on the default rings; refactors must leave each byte in place
+FUZZ_42_50_SHA256 = "b415f13e46cabd943b1da6483be54990d39c737c577a9cc72a6a0f8cf58e3d89"
+
+
+def test_fuzz_seed_42_report_is_pinned(capsys):
+    assert main(["--seed", "42", "--trials", "50", "fuzz"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_42_50_SHA256
 
 
 def test_fuzz_all_suites_smoke():
