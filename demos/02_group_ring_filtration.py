@@ -7,7 +7,6 @@ derivative operators D(k) satisfy (g - 1) D(k) = D(k-1) with D(0) the
 norm; they are what turn filtration data into height pairings.
 """
 
-from derived_heights import linalg as la
 from derived_heights.groupring import (
     RingCtx,
     aug_ideal_power,
@@ -25,7 +24,7 @@ print("(g-1) * D(1) =", gm1 * derivative_op(ring, 1), " (the norm)")
 
 print("\n== filtration I^0 > I^1 > I^2 > I^3 ==")
 for k in range(4):
-    size = la.span_size(aug_ideal_power(ring, k), ring.p, ring.n)
+    size = aug_ideal_power(ring, k).size()
     print(f"|I^{k}| = {size}")
 print("I^2 is the norm line: (g-1)^2 =", gm1 * gm1)
 

@@ -14,11 +14,16 @@ The derived Bockstein is the page differential d_k^{0,1}; the
 generalized Bockstein is the snake map of the k-th filtration step; both
 act on representatives by d itself, landing in different subquotients.
 
-Every derived object (the filtration spans, the cohomology and page
-subquotients, the four maps of the Bockstein square) is built once per
-complex and kept in one memo, keyed by method and arguments, so the
-checks for successive k share them; each ``ModuleHom`` is validated once,
-when it is built.  ``d`` is read-only, so the memo cannot go stale.
+Every span here (filtration pieces I^i C, cycles Z, boundaries B, and
+the numerators and denominators of every subquotient) is a
+``linalg.Span``: it carries its ring and its coset reducer, so the
+checks combine spans with ``+``, ``contains``, ``==`` and ``size``
+without threading (p, n).  Every derived object (the filtration spans,
+the cohomology and page subquotients, the four maps of the Bockstein
+square) is built once per complex and kept in one memo, keyed by method
+and arguments, so the checks for successive k share them; each
+``ModuleHom`` is validated once, when it is built.  ``d`` is read-only,
+so the memo cannot go stale.
 """
 
 from __future__ import annotations
@@ -73,15 +78,12 @@ class TwoTermComplex:
     # -- filtration spans ------------------------------------------------------
 
     @_derived
-    def ideal_span1(self, i: int) -> np.ndarray:
+    def ideal_span1(self, i: int) -> la.Span:
         return self.c1.ideal_multiple_span(max(i, 0))
 
     @_derived
-    def ideal_span2(self, i: int) -> np.ndarray:
+    def ideal_span2(self, i: int) -> la.Span:
         return self.c2.ideal_multiple_span(max(i, 0))
-
-    def image_of_span(self, span: np.ndarray) -> np.ndarray:
-        return la.image_span(span, self.d, self.ring.p, self.ring.n)
 
     # -- cohomology ------------------------------------------------------------
 
@@ -90,16 +92,13 @@ class TwoTermComplex:
 
     @_derived
     def h2(self) -> FpModule:
-        return self.c2.quotient(self.image_of_span(self.c1.num))
+        return self.c2.quotient(la.image_span(self.c1.num, self.d))
 
     @_derived
     def h1_mod_ik(self, k: int) -> FpModule:
         """H^1(C / I^k C) as the subquotient {a : da in I^k C2} / I^k C1."""
-        p, n = self.ring.p, self.ring.n
-        num = la.span_intersect(
-            self.c1.num, la.preimage(self.d, self.ideal_span2(k), p, n), p, n
-        )
-        num = la.span_sum(num, self.c1.den, p, n)
+        pre = la.preimage(self.d, self.ideal_span2(k))
+        num = la.span_intersect(self.c1.num, pre) + self.c1.den
         return FpModule(self.ring, self.c1.tag, self.c1.dim, self.c1.gamma,
                         num, self.ideal_span1(k), check=False)
 
@@ -111,49 +110,40 @@ class TwoTermComplex:
     @_derived
     def h2_ik_step(self, k: int) -> FpModule:
         """H^2(I^k C / I^{k+1} C) = I^k C^2 / (I^{k+1} C^2 + d(I^k C^1))."""
-        p, n = self.ring.p, self.ring.n
-        den = la.span_sum(self.ideal_span2(k + 1),
-                          self.image_of_span(self.ideal_span1(k)), p, n)
+        den = self.ideal_span2(k + 1) + la.image_span(self.ideal_span1(k), self.d)
         return FpModule(self.ring, self.c2.tag, self.c2.dim, self.c2.gamma,
                         self.ideal_span2(k), den, check=False)
 
     @_derived
     def h2_filtration_quotient(self, k: int) -> FpModule:
         """I^k H^2(C) / I^{k+1} H^2(C) as a subquotient of C^2."""
-        p, n = self.ring.p, self.ring.n
-        imd = self.image_of_span(self.c1.num)
-        num = la.span_sum(self.ideal_span2(k), imd, p, n)
-        den = la.span_sum(self.ideal_span2(k + 1), imd, p, n)
+        imd = self.h2().den  # d(C^1) + den C^2; den C^2 lies in every I^k C^2
+        num = self.ideal_span2(k) + imd
+        den = self.ideal_span2(k + 1) + imd
         return FpModule(self.ring, self.c2.tag, self.c2.dim, self.c2.gamma,
                         num, den, check=False)
 
     # -- spectral sequence -----------------------------------------------------
 
     @_derived
-    def z_span(self, k: int, i: int, degree: int) -> np.ndarray:
+    def z_span(self, k: int, i: int, degree: int) -> la.Span:
         """Z_k^{i, degree-i}: cycles of the filtered complex."""
-        p, n = self.ring.p, self.ring.n
         if degree == 2:
             return self.ideal_span2(i)
         if degree == 1:
-            pre = la.preimage(self.d, self.ideal_span2(i + k), p, n)
-            return la.span_sum(
-                la.span_intersect(self.ideal_span1(i), pre, p, n), self.c1.den, p, n
-            )
+            pre = la.preimage(self.d, self.ideal_span2(i + k))
+            return la.span_intersect(self.ideal_span1(i), pre) + self.c1.den
         raise ValueError("two-term complexes live in degrees 1 and 2")
 
     @_derived
-    def b_span(self, k: int, i: int, degree: int) -> np.ndarray:
+    def b_span(self, k: int, i: int, degree: int) -> la.Span:
         """B_k^{i, degree-i}: boundaries of the filtered complex."""
-        p, n = self.ring.p, self.ring.n
         if degree == 1:
             return self.c1.den  # C^0 = 0
         if degree == 2:
             src = self.ideal_span1(i - k) if i - k > 0 else self.c1.num
-            return la.span_sum(
-                la.span_intersect(self.ideal_span2(i), self.image_of_span(src), p, n),
-                self.c2.den, p, n,
-            )
+            inter = la.span_intersect(self.ideal_span2(i), la.image_span(src, self.d))
+            return inter + self.c2.den
         raise ValueError("two-term complexes live in degrees 1 and 2")
 
     @_derived
@@ -164,12 +154,9 @@ class TwoTermComplex:
         degree = i + j
         if degree not in (1, 2) or i < 0:
             raise ValueError("entry outside the populated window")
-        p, n = self.ring.p, self.ring.n
         num = self.z_span(k, i, degree)
-        den = la.span_sum(
-            self.z_span(k - 1, i + 1, degree), self.b_span(k - 1, i, degree), p, n
-        )
-        if not la.span_contains(num, den, p, n):
+        den = self.z_span(k - 1, i + 1, degree) + self.b_span(k - 1, i, degree)
+        if not num.contains(den):
             raise AssertionError("page denominator escaped the cycle span")
         carrier = self.c1 if degree == 1 else self.c2
         return FpModule(self.ring, carrier.tag, carrier.dim, carrier.gamma,
@@ -221,7 +208,7 @@ class TwoTermComplex:
         rho = self.rho_projection(k)
         if not pi.is_surjective() or not rho.is_surjective():
             return False
-        gens = psi.src.num
+        gens = psi.src.num.h
         diff = rho.apply(psi.apply(gens)) - beta.apply(pi.apply(gens))
         return not beta.tgt.reduce(diff).any()
 
@@ -233,7 +220,6 @@ class TwoTermComplex:
         kernel span must match the image span of the Bockstein, and the
         numerators must agree modulo denominators.
         """
-        p, n = self.ring.p, self.ring.n
         target = self.h2_filtration_quotient(k)
         out = {}
 
@@ -241,20 +227,12 @@ class TwoTermComplex:
         beta = self.derived_bockstein(k)
         for name, bock in (("psi", psi), ("beta", beta)):
             src = bock.tgt  # coker of bock lives in its target
-            img = bock.image()
-            coker_den = la.span_sum(img.num, src.den, p, n)
+            coker_den = bock.image().num  # image of the Bockstein plus src.den
             # identity on representatives into the filtration quotient
-            surj = la.spans_equal(
-                la.span_sum(src.num, target.den, p, n), target.num, p, n
-            )
+            surj = src.num + target.den == target.num
             # kernel of the induced map equals the image of the Bockstein
-            ker = la.span_intersect(src.num, target.den, p, n)
-            inj = la.spans_equal(la.span_sum(ker, src.den, p, n), coker_den, p, n)
-            orders = (
-                la.span_size(src.num, p, n)
-                // la.span_size(coker_den, p, n)
-                == target.order()
-            )
+            inj = la.span_intersect(src.num, target.den) + src.den == coker_den
+            orders = src.num.size() // coker_den.size() == target.order()
             out[name] = bool(surj and inj and orders)
         # right-exactness step used in the cokernel proof
         out["h2_right_exact"] = all(
@@ -266,17 +244,12 @@ class TwoTermComplex:
     @_derived
     def _h2_mod_ideal_order(self, i: int) -> int:
         h2 = self.h2()
-        den = la.span_sum(h2.ideal_multiple_span(i), h2.den, self.ring.p, self.ring.n)
-        return la.span_size(h2.num, self.ring.p, self.ring.n) // la.span_size(
-            den, self.ring.p, self.ring.n
-        )
+        return h2.num.size() // h2.ideal_multiple_span(i).size()  # I^i H^2 + den
 
     def e1_entry_order_matches_h(self, i: int, j: int) -> bool:
         """E_1^{i,j} has the order of H^{i+j}(I^i C / I^{i+1} C)."""
-        p, n = self.ring.p, self.ring.n
         if i + j == 2:
             order = self.h2_ik_step(i).order()
         else:  # {a in I^i C^1 : da in I^(i+1) C^2} / I^(i+1) C^1
-            order = (la.span_size(self.z_span(1, i, 1), p, n)
-                     // la.span_size(self.ideal_span1(i + 1), p, n))
+            order = self.z_span(1, i, 1).size() // self.ideal_span1(i + 1).size()
         return self.page_entry(1, i, j).order() == order

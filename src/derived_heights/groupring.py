@@ -199,30 +199,23 @@ def derivative_op(ring: RingCtx, k: int, gen_exp: int = 1) -> GroupRingElt:
 
 
 @lru_cache(maxsize=None)
-def _aug_power_cached(p: int, n: int, k: int):
+def _aug_power_cached(p: int, n: int, k: int) -> la.Span:
     ring = RingCtx(p, n)
-    if k <= 0:
-        return la.identity_span(ring.m)
     gm1 = regular_rep(ring.gamma() - ring.one())
-    span = la.identity_span(ring.m)
+    span = la.Span.whole(ring.m, p, n)
     for _ in range(k):
-        span = la.image_span(span, gm1, p, n)
-    span.setflags(write=False)
+        span = la.image_span(span, gm1)
     return span
 
 
-def aug_ideal_power(ring: RingCtx, k: int) -> np.ndarray:
-    """Howell basis of I^k = (gamma - 1)^k R in coefficient coordinates."""
+def aug_ideal_power(ring: RingCtx, k: int) -> la.Span:
+    """I^k = (gamma - 1)^k R in coefficient coordinates.
+
+    Cached per (p, n, k), so reductions modulo I^k share the span's reducer.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _aug_power_cached(ring.p, ring.n, min(k, ring.m * ring.n))
-
-
-@lru_cache(maxsize=None)
-def ideal_reducer(p: int, n: int, k: int) -> la.CosetReducer:
-    """Cached canonical reduction modulo I^k."""
-    ring = RingCtx(p, n)
-    return la.CosetReducer(aug_ideal_power(ring, k), p, n)
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +223,7 @@ def _graded_solver(p: int, n: int, k: int) -> la.Solver:
     ring = RingCtx(p, n)
     gm1k = ((ring.gamma() - ring.one()) ** k).coeffs
     ik1 = aug_ideal_power(ring, k + 1)
-    return la.Solver(np.vstack([gm1k.reshape(1, -1), ik1]), p, n)
+    return la.Solver(np.vstack([gm1k.reshape(1, -1), ik1.h]), p, n)
 
 
 def graded_scalars(ring: RingCtx, k: int, xs: np.ndarray) -> np.ndarray:
@@ -242,7 +235,7 @@ def graded_scalars(ring: RingCtx, k: int, xs: np.ndarray) -> np.ndarray:
     """
     if not 1 <= k <= ring.p - 1:
         raise ValueError("graded piece is free of rank one only for k <= p-1")
-    if not ideal_reducer(ring.p, ring.n, k).contains(xs):
+    if not aug_ideal_power(ring, k).contains(xs):
         raise ValueError("representative does not lie in I^k")
     v = _graded_solver(ring.p, ring.n, k).solve(np.atleast_2d(xs))
     if v is None:
@@ -257,7 +250,7 @@ def graded_scalar(ring: RingCtx, k: int, x: GroupRingElt) -> int:
 
 def graded_classes_equal(ring: RingCtx, k: int, x: GroupRingElt, y: GroupRingElt) -> bool:
     """Equality in Q^k, i.e. congruence modulo I^(k+1)."""
-    return ideal_reducer(ring.p, ring.n, k + 1).contains((x - y).coeffs)
+    return aug_ideal_power(ring, k + 1).contains((x - y).coeffs)
 
 
 def derivative_relation_table(ring: RingCtx, kmax: int | None = None) -> dict[int, bool]:

@@ -50,10 +50,11 @@ from .complexes import TwoTermComplex
 from .groupring import (
     GroupRingElt,
     RingCtx,
+    aug_ideal_power,
     derivative_op,
     graded_scalar,
     graded_scalars,
-    ideal_reducer,
+    regular_rep,
 )
 from .modules import FpModule, free_module, r_matrix_expand, r_rows_from_scalar
 from .rng import SplitMix64
@@ -74,9 +75,9 @@ def graded_classes(ring: RingCtx, k: int, raw: np.ndarray) -> np.ndarray:
     whole batch is checked and reduced in one pass over the pivots.
     """
     flat = raw.reshape(-1, ring.m)
-    if ideal_reducer(ring.p, ring.n, k).reduce(flat).any():
+    if aug_ideal_power(ring, k).reduce(flat).any():
         raise AssertionError("pairing value escaped I^k")
-    return ideal_reducer(ring.p, ring.n, k + 1).reduce(flat).reshape(raw.shape)
+    return aug_ideal_power(ring, k + 1).reduce(flat).reshape(raw.shape)
 
 
 class PairingValue:
@@ -156,11 +157,10 @@ class PairingData:
         self.d = r_matrix_expand(ring, ell_rows)
         self.d_t = r_matrix_expand(ring, [[ell_rows[i][j] for i in range(self.a)]
                                           for j in range(self.b)])
-        p, n = ring.p, ring.n
-        self.s_span = la.kernel(self.d, p, n)
-        self.t_span = la.kernel(self.d_t, p, n)
+        self.s_span = la.kernel(self.d, ring.p, ring.n)
+        self.t_span = la.kernel(self.d_t, ring.p, ring.n)
         self._complex: Optional[TwoTermComplex] = None
-        self._pieces: dict[tuple[str, int], np.ndarray] = {}
+        self._pieces: dict[tuple[str, int], la.Span] = {}
         self._solvers: dict[tuple, la.Solver] = {}
         self._chains: dict[tuple, tuple] = {}
         self._dual: Optional[PairingData] = None
@@ -202,16 +202,12 @@ class PairingData:
     def t_module(self) -> FpModule:
         return self.y.submodule(self.t_span)
 
-    def piece_span(self, side: str, k: int) -> np.ndarray:
-        """Numerator span of S_0^(k) (side 's') or T_0^(k) (side 't')."""
-        return self._piece(side, k)[0]
-
-    def _piece(self, side: str, k: int):
+    def piece_span(self, side: str, k: int) -> la.Span:
+        """Numerator span of S_0^(k) (side 's') or T_0^(k) (side 't'), built once."""
         key = (side, k)
         if key not in self._pieces:
             mod = self.s_module() if side == "s" else self.t_module()
-            span = mod.filtration_piece(k).num
-            self._pieces[key] = (span, la.CosetReducer(span, self.ring.p, self.ring.n))
+            self._pieces[key] = mod.filtration_piece(k).num
         return self._pieces[key]
 
     def eval_bilinear(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
@@ -252,15 +248,11 @@ class PairingData:
         bookkeeping for surjectivity onto S*.
         """
         ring = self.ring
-        p, n, m = ring.p, ring.n, ring.m
+        m = ring.m
         ann = self._annihilator_of(self.s_span, self.a)
-        im_dual = la.howell_form(self.d_t, p, n)
-        if not la.spans_equal(ann, im_dual, p, n):
+        if ann != la.Span(self.d_t, ring.p, ring.n):
             raise PairingError("not-exact: image of ell* differs from ann(S) at X*")
-        s_order = la.span_size(self.s_span, p, n)
-        xstar_order = m ** (self.a * m)
-        ann_order = la.span_size(ann, p, n)
-        if xstar_order // ann_order != s_order:
+        if m ** (self.a * m) // ann.size() != self.s_span.size():
             raise PairingError("not-exact: X* does not surject onto S*")
         # adjunction on basis pairs: ell*(e_j)(e_i) = ell(e_i)(e_j)
         x_basis = np.eye(self.a * m, dtype=np.int64)[::m]
@@ -272,20 +264,18 @@ class PairingData:
             i, j = bad[0]
             raise PairingError(f"adjunction-failure at basis pair ({i}, {j})")
 
-    def _annihilator_of(self, span: np.ndarray, rank: int) -> np.ndarray:
+    def _annihilator_of(self, span: la.Span, rank: int) -> la.Span:
         """Functionals in the dual-basis model vanishing on a span in R^rank."""
         ring = self.ring
-        p, n, m = ring.p, ring.n, ring.m
-        if span.shape[0] == 0:
-            return la.identity_span(rank * m)
-        from .groupring import regular_rep
-
+        m = ring.m
+        if span.h.shape[0] == 0:
+            return la.Span.whole(rank * m, ring.p, ring.n)
         blocks = []
-        for srow in span:
+        for srow in span.h:
             cols = np.vstack([regular_rep(ring.elt(srow[i * m:(i + 1) * m]))
                               for i in range(rank)])
             blocks.append(cols)
-        return la.kernel(np.hstack(blocks), p, n)
+        return la.kernel(np.hstack(blocks), ring.p, ring.n)
 
     # -- per-element lifts -----------------------------------------------------------
 
@@ -328,17 +318,17 @@ class PairingData:
         """
         ring = self.ring
         m = ring.m
-        ker_span = self.s_span if side == "s" else self.t_span
+        ker = (self.s_span if side == "s" else self.t_span).h
         free = self.x if side == "s" else self.y
         g = ring.gamma(gen_exp)
         tilde_solver = self._solver(
             ("tilde", side, k, gen_exp),
-            lambda: (ker_span @ free.scale_matrix((g - ring.one()) ** (k - 1))) % m,
+            lambda: (ker @ free.scale_matrix((g - ring.one()) ** (k - 1))) % m,
         )
         coeffs = tilde_solver.random_solution(target, rng)
         if coeffs is None:
             raise AssertionError("lift-not-found: element not divisible inside the kernel")
-        tilde = (coeffs @ ker_span) % m
+        tilde = (coeffs @ ker) % m
         lift_solver = self._solver(
             ("lift", side, k, gen_exp),
             lambda: free.scale_matrix(derivative_op(ring, k - 1, gen_exp)),
@@ -363,7 +353,7 @@ class PairingData:
 
         def build_big():
             # unknown (a, w): a d = w (I^k C^2 basis)  and  a N = s
-            ik2 = self.complex().ideal_span2(k)
+            ik2 = self.complex().ideal_span2(k).h
             rows = ik2.shape[0]
             big = np.zeros((am + rows, bm + am), dtype=np.int64)
             big[:am, :bm] = self.d
@@ -381,7 +371,7 @@ class PairingData:
         if not psi.src.contains_elt(a):
             raise AssertionError("page representative escaped H^1(C/I^k C)")
         w = psi.apply(a)
-        den = psi.tgt.den
+        den = psi.tgt.den.h
         if perturb and den.shape[0]:
             # adding anything from the target denominator must not move
             # the evaluation: certifies the boundary-killing of the
@@ -409,9 +399,9 @@ class PairingData:
         """Every s row in S_0^(k) and every t row in T_0^(k), in one batch each."""
         if not 1 <= k <= self.ring.p - 1:
             raise MembershipError("pairings exist for 1 <= k <= p-1")
-        if not self._piece("s", k)[1].contains(s_rows):
+        if not self.piece_span("s", k).contains(s_rows):
             raise MembershipError("s is not in S_0^(k)")
-        if not self._piece("t", k)[1].contains(t_rows):
+        if not self.piece_span("t", k).contains(t_rows):
             raise MembershipError("t is not in T_0^(k)")
 
     def _bd_table(self, k: int, s_rows: np.ndarray, t_rows: np.ndarray,
@@ -498,17 +488,14 @@ class PairingData:
         for k in range(1, min(kmax, ring.p - 1) + 1):
             s_span = self.piece_span("s", k)
             t_span = self.piece_span("t", k)
-            s_size = la.span_size(s_span, ring.p, ring.n)
-            t_size = la.span_size(t_span, ring.p, ring.n)
+            s_size, t_size = s_span.size(), t_span.size()
             if s_size == 1 or t_size == 1:
                 continue
             if s_size * t_size <= max_card:
-                s_rows = np.array([v for v in la.span_elements(s_span, ring.p, ring.n)
-                                   if v.any()])
-                t_rows = np.array([v for v in la.span_elements(t_span, ring.p, ring.n)
-                                   if v.any()])
+                s_rows = np.array([v for v in la.span_elements(s_span) if v.any()])
+                t_rows = np.array([v for v in la.span_elements(t_span) if v.any()])
             else:
-                s_rows, t_rows = np.array(s_span), np.array(t_span)
+                s_rows, t_rows = np.array(s_span.h), np.array(t_span.h)
             u = units[rng.below(len(units))] if units else 1
             self._check_membership(k, s_rows, t_rows)
             dual._check_membership(k, t_rows, s_rows)

@@ -14,15 +14,22 @@ Conventions used throughout the package:
 
   * vectors are rows; matrices act on the right, ``y = v @ A``
   * "span" of a matrix means the set of Z/p^n-combinations of its rows
-  * spans are kept in Howell form: zero rows trimmed, each pivot a
-    power of p, entries above a pivot reduced below it; equality of
-    spans is equality of Howell forms
-  * the Howell form of a span is unique (Howell, "Spans in the module
-    (Z_m)^s", 1986), so the output does not depend on which of the
-    rows of least valuation is taken as a pivot; fuzz reports are
-    reproducible whatever the selection
-  * every primitive accepts empty spans, shape (0, cols), and returns
-    them with the right width, so callers do not guard the empty case
+  * a span travels as a ``Span``: its Howell form ``h`` (zero rows
+    trimmed, each pivot a power of p, entries above a pivot reduced
+    below it; read-only) together with its ring (p, n), and a
+    ``CosetReducer`` built on first use, once per span.  The Howell
+    form of a span is unique (Howell, "Spans in the module (Z_m)^s",
+    1986), so two spans are equal exactly when their rings and Howell
+    forms are; the output does not depend on which of the rows of least
+    valuation is taken as a pivot, and fuzz reports are reproducible
+    whatever the selection
+  * ``Span(rows, p, n)`` canonicalizes arbitrary rows; a primitive whose
+    result is already a Howell form (a Zassenhaus tail, a solver's
+    kernel) wraps it without a second Howell form.  Sum, containment,
+    equality and size are ``Span`` members; intersection, preimage,
+    image and enumeration take ``Span`` arguments and read (p, n) off
+    them.  The zero span has shape (0, cols), and every primitive
+    accepts and returns it with the right width
   * ``Solver.solve``, ``Solver.random_solution`` and
     ``CosetReducer.reduce`` take a matrix of vectors, one per row, in one
     pass over the pivots; a vector is the one-row case, with no branch
@@ -61,14 +68,6 @@ from math import prod
 from typing import Iterator, Optional
 
 import numpy as np
-
-
-def empty_span(cols: int) -> np.ndarray:
-    return np.zeros((0, cols), dtype=np.int64)
-
-
-def identity_span(cols: int) -> np.ndarray:
-    return np.eye(cols, dtype=np.int64)
 
 
 def mat_pow_mod(a: np.ndarray, e: int, m: int) -> np.ndarray:
@@ -195,14 +194,9 @@ def _pivots_of(h: np.ndarray) -> list[tuple[int, int, int]]:
     return list(zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist()))
 
 
-def span_size(h: np.ndarray, p: int, n: int) -> int:
-    """Number of elements of the span (a power of p); h in Howell form."""
-    return prod(p ** n // pv for _, _, pv in _pivots_of(h))
-
-
-def span_elements(h: np.ndarray, p: int, n: int) -> Iterator[np.ndarray]:
-    """Iterate every element of the span exactly once; h in Howell form."""
-    m = p ** n
+def span_elements(span: "Span") -> Iterator[np.ndarray]:
+    """Iterate every element of the span exactly once."""
+    m, h = span.m, span.h
     cols = h.shape[1]
     ranges = [m // pv for _, _, pv in _pivots_of(h)]
     idx = [0] * len(ranges)
@@ -223,22 +217,98 @@ def span_elements(h: np.ndarray, p: int, n: int) -> Iterator[np.ndarray]:
             return
 
 
-def span_sum(a: np.ndarray, b: np.ndarray, p: int, n: int) -> np.ndarray:
-    return howell_form(np.vstack([a, b]), p, n)
+class Span:
+    """A row span over Z/p^n: its Howell form ``h`` and its ring (p, n).
+
+    Immutable and hashable.  ``h`` is read-only, equality and hash are by
+    (p, n, h), and the coset reducer against the span is built on first
+    use and kept, so a span is reduced against many times for the price
+    of one set of pivots.
+    """
+
+    __slots__ = ("h", "p", "n", "_reducer")
+
+    def __init__(self, rows: np.ndarray, p: int, n: int):
+        """The span of arbitrary rows (a 1-D argument is one row)."""
+        self._set(howell_form(rows, p, n), p, n)
+
+    @classmethod
+    def _of_howell(cls, h: np.ndarray, p: int, n: int) -> "Span":
+        """Wrap h, which is already a Howell form, without canonicalizing it."""
+        span = cls.__new__(cls)
+        span._set(h, p, n)
+        return span
+
+    @classmethod
+    def zero(cls, cols: int, p: int, n: int) -> "Span":
+        return cls._of_howell(np.zeros((0, cols), dtype=np.int64), p, n)
+
+    @classmethod
+    def whole(cls, cols: int, p: int, n: int) -> "Span":
+        return cls._of_howell(np.eye(cols, dtype=np.int64), p, n)
+
+    def _set(self, h: np.ndarray, p: int, n: int) -> None:
+        h.setflags(write=False)
+        for name, value in (("h", h), ("p", p), ("n", n), ("_reducer", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Span is immutable")
+
+    @property
+    def m(self) -> int:
+        return self.p ** self.n
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return ((self.p, self.n) == (other.p, other.n) and self.h.shape == other.h.shape
+                and bool((self.h == other.h).all()))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, self.h.shape, self.h.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Span(p={self.p}, n={self.n}, h={self.h.tolist()})"
+
+    def __add__(self, other: "Span") -> "Span":
+        """The sum of two spans over the same ring."""
+        _same_ring(self, other)
+        if not other.h.shape[0]:
+            return self
+        if not self.h.shape[0]:
+            return other
+        return Span(np.vstack([self.h, other.h]), self.p, self.n)
+
+    @property
+    def reducer(self) -> "CosetReducer":
+        if self._reducer is None:
+            object.__setattr__(self, "_reducer", CosetReducer(self.h, self.p, self.n))
+        return self._reducer
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Canonical representative of v (of each row, if 2-D) modulo the span."""
+        return self.reducer.reduce(v)
+
+    def contains(self, other: "Span | np.ndarray") -> bool:
+        """True iff every row of other (a span, or vectors) lies in the span."""
+        if isinstance(other, Span):
+            _same_ring(self, other)
+            other = other.h
+        return self.reducer.contains(other)
+
+    def size(self) -> int:
+        """Number of elements of the span (a power of p)."""
+        return prod(self.m // pv for _, _, pv in _pivots_of(self.h))
 
 
-def spans_equal(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
-    ha, hb = howell_form(a, p, n), howell_form(b, p, n)
-    return ha.shape == hb.shape and (ha == hb).all()
+def _same_ring(a: Span, b: Span) -> None:
+    if (a.p, a.n) != (b.p, b.n):
+        raise ValueError(f"spans over Z/{a.p}^{a.n} and Z/{b.p}^{b.n}")
 
 
-def span_contains(a: np.ndarray, b: np.ndarray, p: int, n: int) -> bool:
-    """True iff span(b) is contained in span(a)."""
-    return CosetReducer(howell_form(a, p, n), p, n).contains(np.atleast_2d(b))
-
-
-def kernel(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Howell basis of {v : v @ a == 0}."""
+def kernel(a: np.ndarray, p: int, n: int) -> Span:
+    """The span {v : v @ a == 0}."""
     return Solver(a, p, n).ker
 
 
@@ -250,40 +320,41 @@ def _vanishing_tail(h: np.ndarray, cols: int) -> np.ndarray:
     return h[int(h[:, :cols].any(axis=1).sum()):, cols:]
 
 
-def _zassenhaus(top_left: np.ndarray, top_right: np.ndarray, bottom_left: np.ndarray,
-                p: int, n: int) -> np.ndarray:
-    """``_vanishing_tail`` of the Howell form of [[top_left, top_right], [bottom_left, 0]]."""
-    (r, cols), s = top_left.shape, bottom_left.shape[0]
+def _zassenhaus(top_left: np.ndarray, top_right: np.ndarray, bottom: Span) -> Span:
+    """``_vanishing_tail`` of the Howell form of [[top_left, top_right], [bottom, 0]]."""
+    (r, cols), s = top_left.shape, bottom.h.shape[0]
     w = np.zeros((r + s, cols + top_right.shape[1]), dtype=np.int64)
-    w[:r, :cols], w[:r, cols:], w[r:, :cols] = top_left, top_right, bottom_left
-    return _vanishing_tail(howell_form(w, p, n), cols)
+    w[:r, :cols], w[:r, cols:], w[r:, :cols] = top_left, top_right, bottom.h
+    p, n = bottom.p, bottom.n
+    return Span._of_howell(_vanishing_tail(howell_form(w, p, n), cols), p, n)
 
 
-def preimage(a: np.ndarray, bspan: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Howell basis of {v : v @ a lies in span(bspan)}.
+def preimage(a: np.ndarray, b: Span) -> Span:
+    """The span {v : v @ a lies in b}.
 
-    The rows of [[a, I], [bspan, 0]] span the pairs (v @ a + w, v) with
-    w in span(bspan); those zero on the left block are exactly the v.
+    The rows of [[a, I], [b, 0]] span the pairs (v @ a + w, v) with w in
+    b; those zero on the left block are exactly the v.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    return _zassenhaus(a, np.eye(a.shape[0], dtype=np.int64), bspan, p, n)
+    return _zassenhaus(a, np.eye(a.shape[0], dtype=np.int64), b)
 
 
-def span_intersect(a: np.ndarray, b: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Howell basis of span(a) intersected with span(b).
+def span_intersect(a: Span, b: Span) -> Span:
+    """The intersection of two spans over the same ring.
 
     Zassenhaus's construction: the rows of [[a, a], [b, 0]] span the
     pairs (x @ a + y @ b, x @ a); those zero on the left block carry
     x @ a = -(y @ b), which is every element of the intersection.
     """
-    return _zassenhaus(a, a, b, p, n)
+    _same_ring(a, b)
+    return _zassenhaus(a.h, a.h, b)
 
 
-def image_span(basis: np.ndarray, a: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Howell basis of {v @ a : v in span(basis)}."""
-    if basis.shape[0] == 0:
-        return empty_span(a.shape[1])
-    return howell_form((basis @ a) % (p ** n), p, n)
+def image_span(span: Span, a: np.ndarray) -> Span:
+    """The span {v @ a : v in span}."""
+    if span.h.shape[0] == 0:
+        return Span.zero(a.shape[1], span.p, span.n)
+    return Span((span.h @ a) % span.m, span.p, span.n)
 
 
 def check_accumulation(terms: int, m: int) -> None:
@@ -296,7 +367,7 @@ def check_accumulation(terms: int, m: int) -> None:
 
 
 class CosetReducer:
-    """Canonical coset reduction against one fixed Howell span.
+    """Canonical coset reduction against one fixed Howell form (``Span.reducer``).
 
     Constant on cosets: the entry at each pivot column ends up in
     [0, p^v), so ``reduce(v)`` is zero exactly when v lies in the span.
@@ -347,8 +418,8 @@ class Solver:
         aug = np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)])
         self.h = howell_form(aug, p, n)
         # rows with a pivot in the a-part come first; the rest are the kernel
-        self.ker = _vanishing_tail(self.h, self.cols)
-        self.pivots = _pivots_of(self.h[: self.h.shape[0] - self.ker.shape[0], : self.cols])
+        self.ker = Span._of_howell(_vanishing_tail(self.h, self.cols), p, n)
+        self.pivots = _pivots_of(self.h[: self.h.shape[0] - self.ker.h.shape[0], : self.cols])
         check_accumulation(len(self.pivots), self.m)
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
@@ -384,8 +455,8 @@ class Solver:
         if v is None:
             return None
         rows = np.atleast_2d(v)  # a view: v is updated in place
-        shape = (rows.shape[0], self.ker.shape[0])
+        shape = (rows.shape[0], self.ker.h.shape[0])
         coeffs = np.array([rng.below(self.m) for _ in range(shape[0] * shape[1])],
                           dtype=np.int64).reshape(shape)
-        rows[:] = (rows + coeffs @ self.ker) % self.m
+        rows[:] = (rows + coeffs @ self.ker.h) % self.m
         return v

@@ -1,11 +1,14 @@
 """Finitely presented modules over R = Z/p^n[G] and R0 = Z/p^n.
 
 Every module is stored as a subquotient num/den of a free scalar ambient
-(Z/p^n)^dim carrying an explicit gamma matrix: num and den are Howell
-spans with den inside num, both gamma-stable.  Free modules, submodules,
-quotients, duals, fixed points, filtration pieces, Fitting ideals and
-exterior biduals all stay inside this one representation, so everything
-reduces to the Howell primitives.
+(Z/p^n)^dim carrying an explicit gamma matrix: num and den are
+``linalg.Span`` values (Howell form plus ring) with den inside num, both
+gamma-stable.  Free modules, submodules, quotients, duals, fixed points,
+filtration pieces, Fitting ideals and exterior biduals all stay inside
+this one representation, so everything reduces to the span primitives;
+reduction modulo den is ``den.reduce``, with the reducer the span keeps.
+An ``Ideal`` is likewise a tag plus the ``Span`` of its coefficient
+vectors, so ideals over different rings never compare equal.
 
 R-modules expand R-coordinates to scalars: a free R-module of rank g has
 ambient dimension g * p^n, scalar slot g*m + i holding the coefficient
@@ -19,6 +22,7 @@ functional phi on the ambient therefore represents an R-valued one, and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -31,35 +35,30 @@ from .groupring import GroupRingElt, RingCtx, regular_rep
 class FpModule:
     """Subquotient num/den of (Z/p^n)^dim with gamma-action."""
 
-    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "_gamma_pows",
-                 "_den_reducer")
+    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "_gamma_pows")
 
     def __init__(self, ring: RingCtx, tag: str, dim: int, gamma: np.ndarray,
-                 num: np.ndarray, den: np.ndarray, check: bool = True):
+                 num: la.Span, den: la.Span, check: bool = True):
         if tag not in ("R", "R0"):
             raise ValueError("tag must be 'R' or 'R0'")
         self.ring = ring
         self.tag = tag
         self.dim = dim
         self.gamma = np.asarray(gamma, dtype=np.int64) % ring.m
-        self.num = la.howell_form(num, ring.p, ring.n)
-        self.den = la.howell_form(den, ring.p, ring.n)
+        self.num = num
+        self.den = den
         self._gamma_pows = None
-        self._den_reducer = None
         if check:
-            p, n = ring.p, ring.n
-            if not la.span_contains(self.num, self.den, p, n):
+            if not num.contains(den):
                 raise ValueError("denominator is not contained in numerator")
-            for span in (self.num, self.den):
-                if not la.span_contains(span, la.image_span(span, self.gamma, p, n), p, n):
+            for span in (num, den):
+                if not span.contains(la.image_span(span, self.gamma)):
                     raise ValueError("span is not gamma-stable")
             # gamma^(p^n) must be the identity on the module
-            if dim and self.num.shape[0]:
+            if dim and num.h.shape[0]:
                 pw = la.mat_pow_mod(self.gamma, ring.m, ring.m)
-                diff = la.image_span(
-                    self.num, (pw - np.eye(dim, dtype=np.int64)) % ring.m, p, n
-                )
-                if not la.span_contains(self.den, diff, p, n):
+                diff = la.image_span(num, (pw - np.eye(dim, dtype=np.int64)) % ring.m)
+                if not den.contains(diff):
                     raise ValueError("gamma action does not have order dividing p^n")
 
     # -- basic structure ------------------------------------------------------
@@ -85,15 +84,11 @@ class FpModule:
         return self._gamma_pows[i % self.m]
 
     def order(self) -> int:
-        return la.span_size(self.num, self.p, self.n) // la.span_size(
-            self.den, self.p, self.n
-        )
+        return self.num.size() // self.den.size()
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Canonical coset representative modulo den."""
-        if self._den_reducer is None:
-            self._den_reducer = la.CosetReducer(self.den, self.p, self.n)
-        return self._den_reducer.reduce(v)
+        return self.den.reduce(v)
 
     def is_zero_elt(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
@@ -102,25 +97,24 @@ class FpModule:
         return not self.reduce((v - w) % self.m).any()
 
     def contains_elt(self, v: np.ndarray) -> bool:
-        return la.CosetReducer(self.num, self.p, self.n).contains(v)
+        return self.num.contains(v)
 
     def generators(self) -> list[np.ndarray]:
         """Scalar generators of num (coset images generate the module)."""
-        return [self.num[i] for i in range(self.num.shape[0])]
+        return list(self.num.h)
 
     # -- derived modules -------------------------------------------------------
 
-    def submodule(self, span: np.ndarray) -> "FpModule":
-        num = la.span_sum(span, self.den, self.p, self.n)
-        if not la.span_contains(self.num, num, self.p, self.n):
+    def submodule(self, span: la.Span) -> "FpModule":
+        num = span + self.den
+        if not self.num.contains(num):
             raise ValueError("span does not lie in the module")
         return FpModule(self.ring, self.tag, self.dim, self.gamma, num, self.den,
                         check=False)
 
-    def quotient(self, span: np.ndarray) -> "FpModule":
-        den = la.span_sum(span, self.den, self.p, self.n)
-        return FpModule(self.ring, self.tag, self.dim, self.gamma, self.num, den,
-                        check=False)
+    def quotient(self, span: la.Span) -> "FpModule":
+        return FpModule(self.ring, self.tag, self.dim, self.gamma, self.num,
+                        span + self.den, check=False)
 
     def scale_matrix(self, x: GroupRingElt) -> np.ndarray:
         """Matrix of multiplication by the ring element x on the ambient."""
@@ -131,34 +125,29 @@ class FpModule:
                 out = (out + c * self.gamma_power(i)) % m
         return out
 
-    def fixed_point_span(self) -> np.ndarray:
+    def fixed_point_span(self) -> la.Span:
         """Numerator span of M^G = ker(gamma - 1) on the subquotient."""
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
-        pre = la.preimage(gm1, self.den, self.p, self.n)
-        return la.span_intersect(pre, self.num, self.p, self.n)
+        return la.span_intersect(la.preimage(gm1, self.den), self.num)
 
     def fixed_points(self) -> "FpModule":
         return FpModule(self.ring, self.tag, self.dim, self.gamma,
-                        la.span_sum(self.fixed_point_span(), self.den, self.p, self.n),
-                        self.den, check=False)
+                        self.fixed_point_span() + self.den, self.den, check=False)
 
-    def ideal_multiple_span(self, k: int) -> np.ndarray:
+    def ideal_multiple_span(self, k: int) -> la.Span:
         """Span of I^k M (plus den) inside the ambient."""
         if k <= 0:
             return self.num
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
         mat = la.mat_pow_mod(gm1, k, self.m)
-        return la.span_sum(la.image_span(self.num, mat, self.p, self.n),
-                           self.den, self.p, self.n)
+        return la.image_span(self.num, mat) + self.den
 
     def filtration_piece(self, k: int) -> "FpModule":
         """M_0^(k) = M^G intersected with I^(k-1) M, for 1 <= k <= p-1."""
         if not 1 <= k <= self.p - 1:
             raise ValueError("filtration piece defined for 1 <= k <= p-1")
         fixed = self.fixed_point_span()
-        ik = self.ideal_multiple_span(k - 1)
-        num = la.span_sum(la.span_intersect(fixed, ik, self.p, self.n),
-                          self.den, self.p, self.n)
+        num = la.span_intersect(fixed, self.ideal_multiple_span(k - 1)) + self.den
         return FpModule(self.ring, self.tag, self.dim, self.gamma, num, self.den,
                         check=False)
 
@@ -177,30 +166,24 @@ class ModuleHom:
             self.check_well_defined()
 
     def check_well_defined(self) -> None:
-        p, n = self.src.p, self.src.n
-        img_num = la.image_span(self.src.num, self.mat, p, n)
-        if not la.span_contains(self.tgt.num, img_num, p, n):
+        if not self.tgt.num.contains(la.image_span(self.src.num, self.mat)):
             raise ValueError("map does not send numerator into numerator")
-        img_den = la.image_span(self.src.den, self.mat, p, n)
-        if not la.span_contains(self.tgt.den, img_den, p, n):
+        if not self.tgt.den.contains(la.image_span(self.src.den, self.mat)):
             raise ValueError("map does not send denominator into denominator")
         # R-linearity on representatives: commutes with gamma modulo den
         comm = (self.src.gamma @ self.mat - self.mat @ self.tgt.gamma) % self.src.m
-        img = la.image_span(self.src.num, comm, p, n)
-        if not la.span_contains(self.tgt.den, img, p, n):
+        if not self.tgt.den.contains(la.image_span(self.src.num, comm)):
             raise ValueError("map does not commute with the gamma action")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.tgt.reduce((np.asarray(v, dtype=np.int64) @ self.mat) % self.src.m)
 
     def kernel(self) -> FpModule:
-        pre = la.preimage(self.mat, self.tgt.den, self.src.p, self.src.n)
-        span = la.span_intersect(pre, self.src.num, self.src.p, self.src.n)
-        return self.src.submodule(span)
+        pre = la.preimage(self.mat, self.tgt.den)
+        return self.src.submodule(la.span_intersect(pre, self.src.num))
 
     def image(self) -> FpModule:
-        img = la.image_span(self.src.num, self.mat, self.src.p, self.src.n)
-        return self.tgt.submodule(la.span_sum(img, self.tgt.den, self.src.p, self.src.n))
+        return self.tgt.submodule(la.image_span(self.src.num, self.mat))
 
     def is_surjective(self) -> bool:
         return self.image().order() == self.tgt.order()
@@ -211,17 +194,17 @@ class ModuleHom:
 
 def free_module(ring: RingCtx, rank: int) -> FpModule:
     """Free R-module R^rank in the regular-representation expansion."""
-    m = ring.m
-    dim = rank * m
+    p, n, dim = ring.p, ring.n, rank * ring.m
     gamma = np.kron(np.eye(rank, dtype=np.int64), regular_rep(ring.gamma()))
-    return FpModule(ring, "R", dim, gamma, la.identity_span(dim),
-                    la.empty_span(dim), check=False)
+    return FpModule(ring, "R", dim, gamma, la.Span.whole(dim, p, n),
+                    la.Span.zero(dim, p, n), check=False)
 
 
 def free_r0_module(ring: RingCtx, rank: int) -> FpModule:
     """Free Z/p^n-module with trivial gamma action."""
     return FpModule(ring, "R0", rank, np.eye(rank, dtype=np.int64),
-                    la.identity_span(rank), la.empty_span(rank), check=False)
+                    la.Span.whole(rank, ring.p, ring.n), la.Span.zero(rank, ring.p, ring.n),
+                    check=False)
 
 
 def from_presentation(ring: RingCtx, tag: str, generators: int,
@@ -236,12 +219,12 @@ def from_presentation(ring: RingCtx, tag: str, generators: int,
     base = free_module(ring, generators) if tag == "R" else free_r0_module(ring, generators)
     g = base.gamma if gamma is None else np.asarray(gamma, dtype=np.int64) % ring.m
     rel = np.atleast_2d(np.asarray(relations, dtype=np.int64)) if np.asarray(relations).size \
-        else la.empty_span(base.dim)
+        else np.zeros((0, base.dim), dtype=np.int64)
     if rel.shape[0] and rel.shape[1] != base.dim:
         raise ValueError("relation rows have the wrong width")
     if rel.shape[0] and tag == "R":
         rel = np.vstack([(rel @ base.gamma_power(i)) % ring.m for i in range(ring.m)])
-    return FpModule(ring, tag, base.dim, g, base.num, rel)
+    return FpModule(ring, tag, base.dim, g, base.num, la.Span(rel, ring.p, ring.n))
 
 
 def r_matrix_expand(ring: RingCtx, rows: list[list[GroupRingElt]]) -> np.ndarray:
@@ -294,9 +277,8 @@ def dual(mod: FpModule) -> FpModule:
     gamma acts by precomposition, i.e. by the transposed gamma matrix.
     For tag R the R-valued functional is recovered by ``eval_r``.
     """
-    p, n = mod.p, mod.n
-    num = la.kernel(mod.den.T, p, n)
-    den = la.kernel(mod.num.T, p, n)
+    num = la.kernel(mod.den.h.T, mod.p, mod.n)
+    den = la.kernel(mod.num.h.T, mod.p, mod.n)
     return FpModule(mod.ring, mod.tag, mod.dim, mod.gamma.T % mod.m, num, den,
                     check=False)
 
@@ -343,18 +325,17 @@ def rcoords_from_functional(ring: RingCtx, phi: np.ndarray, g: int) -> list[Grou
 
 def r_generators(mod: FpModule) -> list[np.ndarray]:
     """Greedy R-generating set for the subquotient (not minimal)."""
-    p, n = mod.p, mod.n
     span = mod.den
     gens: list[np.ndarray] = []
     for row in mod.generators():
-        if la.CosetReducer(span, p, n).contains(row):
+        if span.contains(row):
             continue
         gens.append(row)
         if mod.tag == "R":
             orbit = np.array([(row @ mod.gamma_power(i)) % mod.m for i in range(mod.m)])
         else:
             orbit = row.reshape(1, -1)
-        span = la.span_sum(span, orbit, p, n)
+        span = la.Span(np.vstack([span.h, orbit]), mod.p, mod.n)
     return gens
 
 
@@ -364,12 +345,12 @@ class Presentation:
     __slots__ = ("ring", "tag", "gens", "gmat", "relations")
 
     def __init__(self, ring: RingCtx, tag: str, gens: list[np.ndarray],
-                 gmat: np.ndarray, relations: np.ndarray):
+                 gmat: np.ndarray, relations: la.Span):
         self.ring = ring
         self.tag = tag
         self.gens = gens          # images in the ambient of M
         self.gmat = gmat          # (g*m) x dim map from free coords to ambient
-        self.relations = relations  # Howell span of syzygies in free coords
+        self.relations = relations  # span of syzygies in free coords
 
     @property
     def g(self) -> int:
@@ -378,12 +359,10 @@ class Presentation:
     def relation_rows_r(self) -> list[list[GroupRingElt]]:
         """Relation matrix as rows of R-elements (R-generators of syzygies)."""
         if self.tag == "R0":
-            return [[self.ring.scalar(int(x)) for x in row] for row in self.relations]
+            return [[self.ring.scalar(int(x)) for x in row] for row in self.relations.h]
         free = free_module(self.ring, self.g)
-        sub = FpModule(self.ring, "R", free.dim, free.gamma,
-                       la.span_sum(self.relations, la.empty_span(free.dim),
-                                   self.ring.p, self.ring.n),
-                       la.empty_span(free.dim), check=False)
+        sub = FpModule(self.ring, "R", free.dim, free.gamma, self.relations, free.den,
+                       check=False)
         return [scalar_row_to_r(self.ring, row, self.g) for row in r_generators(sub)]
 
 
@@ -391,8 +370,8 @@ def presentation(mod: FpModule) -> Presentation:
     gens = r_generators(mod)
     m = mod.m if mod.tag == "R" else 1
     if not gens:
-        return Presentation(mod.ring, mod.tag, [], la.empty_span(mod.dim),
-                            la.empty_span(0))
+        return Presentation(mod.ring, mod.tag, [], np.zeros((0, mod.dim), dtype=np.int64),
+                            la.Span.zero(0, mod.p, mod.n))
     rows = []
     for gvec in gens:
         if mod.tag == "R":
@@ -401,8 +380,7 @@ def presentation(mod: FpModule) -> Presentation:
         else:
             rows.append(gvec)
     gmat = np.array(rows, dtype=np.int64)
-    rel = la.preimage(gmat, mod.den, mod.p, mod.n)
-    return Presentation(mod.ring, mod.tag, gens, gmat, rel)
+    return Presentation(mod.ring, mod.tag, gens, gmat, la.preimage(gmat, mod.den))
 
 
 def det_r(ring: RingCtx, rows: list[list[GroupRingElt]]) -> GroupRingElt:
@@ -422,15 +400,13 @@ def det_r(ring: RingCtx, rows: list[list[GroupRingElt]]) -> GroupRingElt:
     return out
 
 
+@dataclass(frozen=True)
 class Ideal:
-    """Ideal of R (or R0) as the Howell span of its coefficient vectors."""
+    """Ideal of R (or R0) as the span of its coefficient vectors."""
 
-    __slots__ = ("ring", "tag", "span")
-
-    def __init__(self, ring: RingCtx, tag: str, span: np.ndarray):
-        self.ring = ring
-        self.tag = tag
-        self.span = la.howell_form(span, ring.p, ring.n)
+    ring: RingCtx
+    tag: str
+    span: la.Span
 
     @classmethod
     def from_elements(cls, ring: RingCtx, tag: str,
@@ -444,49 +420,35 @@ class Ideal:
                 rows.append(np.array([e.augmentation()], dtype=np.int64))
         width = ring.m if tag == "R" else 1
         if not rows:
-            return cls(ring, tag, la.empty_span(width))
-        return cls(ring, tag, np.array(rows, dtype=np.int64))
+            return cls.zero(ring, tag)
+        return cls(ring, tag, la.Span(np.array(rows, dtype=np.int64), ring.p, ring.n))
 
     @classmethod
     def zero(cls, ring: RingCtx, tag: str) -> "Ideal":
-        return cls(ring, tag, la.empty_span(ring.m if tag == "R" else 1))
+        return cls(ring, tag, la.Span.zero(ring.m if tag == "R" else 1, ring.p, ring.n))
 
     @classmethod
     def unit(cls, ring: RingCtx, tag: str) -> "Ideal":
         return cls.from_elements(ring, tag, [ring.one()])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ideal)
-            and self.tag == other.tag
-            and self.span.shape == other.span.shape
-            and bool((self.span == other.span).all())
-        )
-
-    def __hash__(self):
-        return hash((self.tag, self.span.tobytes()))
-
     def contains(self, other: "Ideal") -> bool:
-        return la.span_contains(self.span, other.span, self.ring.p, self.ring.n)
+        return self.span.contains(other.span)
 
     def is_zero(self) -> bool:
-        return self.span.shape[0] == 0
+        return self.span.h.shape[0] == 0
 
     def is_whole_ring(self) -> bool:
         width = self.ring.m if self.tag == "R" else 1
-        return la.span_size(self.span, self.ring.p, self.ring.n) == self.ring.m ** width
+        return self.span.size() == self.ring.m ** width
 
     def plus(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, self.tag,
-                     la.span_sum(self.span, other.span, self.ring.p, self.ring.n))
+        return Ideal(self.ring, self.tag, self.span + other.span)
 
     def annihilates(self, mod: FpModule) -> bool:
-        for row in self.span:
+        for row in self.span.h:
             x = (self.ring.elt(row) if self.tag == "R"
                  else self.ring.scalar(int(row[0])))
-            mat = mod.scale_matrix(x)
-            img = la.image_span(mod.num, mat, mod.p, mod.n)
-            if not la.span_contains(mod.den, img, mod.p, mod.n):
+            if not mod.den.contains(la.image_span(mod.num, mod.scale_matrix(x))):
                 return False
         return True
 
@@ -496,7 +458,7 @@ class Ideal:
         if self.is_whole_ring():
             return "Ideal(1)"
         gens = [repr(self.ring.elt(r)) if self.tag == "R" else str(int(r[0]))
-                for r in self.span]
+                for r in self.span.h]
         return "Ideal(" + ", ".join(gens) + ")"
 
 
@@ -554,8 +516,9 @@ class ExteriorAlgebra:
         subs = self.subsets(r)
         base = free_module(ring, max(len(subs), 0)) if subs else None
         if not subs:
-            out = FpModule(ring, "R", 0, np.zeros((0, 0), dtype=np.int64),
-                           la.empty_span(0), la.empty_span(0), check=False)
+            zero = la.Span.zero(0, ring.p, ring.n)
+            out = FpModule(ring, "R", 0, np.zeros((0, 0), dtype=np.int64), zero, zero,
+                           check=False)
             self._modules[r] = out
             return out
         index = {s: i for i, s in enumerate(subs)}
@@ -576,8 +539,8 @@ class ExteriorAlgebra:
                     if vec.any():
                         for i in range(m):
                             rel_scalar.append((vec @ base.gamma_power(i)) % m)
-        den = (np.array(rel_scalar, dtype=np.int64) if rel_scalar
-               else la.empty_span(base.dim))
+        den = (la.Span(np.array(rel_scalar, dtype=np.int64), ring.p, ring.n) if rel_scalar
+               else base.den)
         out = FpModule(ring, "R", base.dim, base.gamma, base.num, den, check=False)
         self._modules[r] = out
         return out

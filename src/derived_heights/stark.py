@@ -74,7 +74,7 @@ class StarkInstance:
         self.alg = ExteriorAlgebra(ring, self.a, [])
         # lambda_q as an element of X* in dual-basis R-coordinates
         self.fs = [[row[q] for row in ell_rows] for q in range(self.r)]
-        self._h: dict[tuple[int, ...], np.ndarray] = {}
+        self._h: dict[tuple[int, ...], la.Span] = {}
         self.scalar_ell = r_matrix_expand(ring, ell_rows) if self.r else None
         self.validate()
 
@@ -93,13 +93,12 @@ class StarkInstance:
         # is the pairing datum for ell; its dual exactness is the
         # self-injectivity content a core vertex relies on
         PairingData(self.ring, self.ell).validate()
-        p, n = self.ring.p, self.ring.n
         for m1 in self.vertices():
             for q in self.primes:
                 if q in m1:
                     continue
                 m2 = tuple(sorted(m1 + (q,)))
-                if not la.span_contains(self.h_span(m2), self.h_span(m1), p, n):
+                if not self.h_span(m2).contains(self.h_span(m1)):
                     raise StarkError("not-a-core-vertex: vertex lattice not monotone")
 
     def vertices(self, weight: Optional[int] = None):
@@ -110,13 +109,14 @@ class StarkInstance:
             return out
         return [tuple(c) for c in combinations(self.primes, weight)]
 
-    def h_span(self, vertex: tuple[int, ...]) -> np.ndarray:
+    def h_span(self, vertex: tuple[int, ...]) -> la.Span:
         """Numerator span of H(vertex) = ker(X -> sum of L_q, q outside)."""
         vertex = tuple(sorted(vertex))
         if vertex not in self._h:
             outside = [q for q in self.primes if q not in vertex]
             if not outside:
-                self._h[vertex] = la.identity_span(self.a * self.ring.m)
+                self._h[vertex] = la.Span.whole(self.a * self.ring.m, self.ring.p,
+                                                self.ring.n)
             else:
                 cols = r_matrix_expand(
                     self.ring, [[row[q] for q in outside] for row in self.ell]
@@ -212,22 +212,20 @@ class StarkSystem:
         """
         inst = self.inst
         ring = inst.ring
-        p, n = ring.p, ring.n
         from .modules import rcoords_from_functional
 
         for vertex in inst.vertices():
             deg = inst.chi + len(vertex)
             if deg <= 0:
                 continue
-            hspan = inst.h_span(vertex)
-            ann = la.kernel(hspan.T, p, n)
+            ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
             eps = self.eps[vertex]
             prev = inst.alg.module(deg - 1)
-            for phi in ann:
+            for phi in ann.h:
                 coords = rcoords_from_functional(ring, phi, inst.a)
                 wm = inst.alg.wedge_matrix(deg - 1, coords)
-                img = la.image_span(prev.num, wm, p, n)
-                for row in img:
+                img = la.image_span(prev.num, wm)
+                for row in img.h:
                     if int((row * eps).sum()) % ring.m:
                         return False
         return True
@@ -282,7 +280,7 @@ def verify_fitting(inst: StarkInstance, system: StarkSystem, imax: int) -> dict:
 
 
 def _ideal_strings(ideal: Ideal) -> list[list[int]]:
-    return [[int(x) for x in row] for row in ideal.span]
+    return [[int(x) for x in row] for row in ideal.span.h]
 
 
 def extend_instance(inst: StarkInstance, rng: SplitMix64) -> StarkInstance:

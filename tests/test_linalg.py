@@ -97,7 +97,8 @@ def test_howell_is_canonical_for_the_span(p, n, cols):
         # shuffle rows of b deterministically
         order = sorted(range(b.shape[0]), key=lambda i: rng.next_u64())
         b = b[order]
-        assert la.spans_equal(a, b, p, n) == (brute_span(a, p, n) == brute_span(b, p, n))
+        assert (la.Span(a, p, n) == la.Span(b, p, n)) == (
+            brute_span(a, p, n) == brute_span(b, p, n))
         if brute_span(a, p, n) == brute_span(b, p, n):
             ha, hb = la.howell_form(a, p, n), la.howell_form(b, p, n)
             assert ha.shape == hb.shape and (ha == hb).all()
@@ -109,10 +110,10 @@ def test_span_size_and_enumeration():
         m = p ** n
         for _ in range(25):
             a = rand_mat(rng, rng.below(3) + 1, cols, m)
-            h = la.howell_form(a, p, n)
+            h = la.Span(a, p, n)
             oracle = brute_span(a, p, n)
-            assert la.span_size(h, p, n) == len(oracle)
-            listed = {tuple(v) for v in la.span_elements(h, p, n)}
+            assert h.size() == len(oracle)
+            listed = {tuple(v) for v in la.span_elements(h)}
             assert listed == oracle
 
 
@@ -122,24 +123,24 @@ def test_coset_reducer_constant_on_cosets():
         m = p ** n
         for _ in range(20):
             a = rand_mat(rng, 2, cols, m)
-            h = la.howell_form(a, p, n)
-            reducer = la.CosetReducer(h, p, n)
+            h = la.Span(a, p, n)
+            reducer = h.reducer
             v = np.array([rng.below(m) for _ in range(cols)], dtype=np.int64)
             base = reducer.reduce(v)
-            for x in la.span_elements(h, p, n):
+            for x in la.span_elements(h):
                 assert (reducer.reduce((v + x) % m) == base).all()
 
 
 def test_kernel_annihilator_of_p():
     # M = [p] over Z/p^2: kernel spanned by [p]
     for p in (2, 3, 5):
-        k = la.kernel(np.array([[p]]), p, 2)
+        k = la.kernel(np.array([[p]]), p, 2).h
         assert k.shape == (1, 1) and k[0, 0] == p
 
 
 def test_kernel_of_identity_is_zero():
     k = la.kernel(np.eye(3, dtype=np.int64), 3, 2)
-    assert k.shape[0] == 0
+    assert k.h.shape[0] == 0
 
 
 def test_kernel_exhaustive_oracle_z9():
@@ -156,7 +157,7 @@ def test_kernel_exhaustive_oracle_z9():
                     v = np.array([v0, v1, v2], dtype=np.int64)
                     if not ((v @ a) % m).any():
                         oracle.add(tuple(v))
-        assert {tuple(v) for v in la.span_elements(k, p, n)} == oracle
+        assert {tuple(v) for v in la.span_elements(k)} == oracle
 
 
 def test_solve_identity_and_no_solution():
@@ -202,21 +203,21 @@ def test_preimage_and_intersect_against_enumeration():
     m = 3
     for _ in range(15):
         a = rand_mat(rng, 3, cols, m)
-        bspan = la.howell_form(rand_mat(rng, 1, cols, m), p, n)
-        target = brute_span(bspan, p, n) if bspan.shape[0] else {(0,) * cols}
-        pre = la.preimage(a, bspan, p, n)
+        bspan = la.Span(rand_mat(rng, 1, cols, m), p, n)
+        target = brute_span(bspan.h, p, n) if bspan.h.shape[0] else {(0,) * cols}
+        pre = la.preimage(a, bspan)
         oracle = {
             tuple(v)
             for v in (np.array(x) for x in np.ndindex(*(m,) * 3))
             if tuple((np.array(v) @ a) % m) in target
         }
-        assert {tuple(v) for v in la.span_elements(pre, p, n)} == oracle
-        c = la.howell_form(rand_mat(rng, 2, cols, m), p, n)
-        d = la.howell_form(rand_mat(rng, 2, cols, m), p, n)
-        inter = la.span_intersect(c, d, p, n)
-        assert {tuple(v) for v in la.span_elements(inter, p, n)} == (
-            {tuple(v) for v in la.span_elements(c, p, n)}
-            & {tuple(v) for v in la.span_elements(d, p, n)}
+        assert {tuple(v) for v in la.span_elements(pre)} == oracle
+        c = la.Span(rand_mat(rng, 2, cols, m), p, n)
+        d = la.Span(rand_mat(rng, 2, cols, m), p, n)
+        inter = la.span_intersect(c, d)
+        assert {tuple(v) for v in la.span_elements(inter)} == (
+            {tuple(v) for v in la.span_elements(c)}
+            & {tuple(v) for v in la.span_elements(d)}
         )
 
 
@@ -232,9 +233,9 @@ def test_kernel_unchanged_by_howell():
             k1 = la.kernel(a.T, p, n)
             k2 = la.kernel(h.T if h.shape[0] else np.zeros((3, 0), dtype=np.int64), p, n)
             if h.shape[0] == 0:
-                assert la.spans_equal(k1, np.eye(3, dtype=np.int64), p, n)
+                assert k1 == la.Span(np.eye(3, dtype=np.int64), p, n)
             else:
-                assert k1.shape == k2.shape and (k1 == k2).all()
+                assert k1.h.shape == k2.h.shape and (k1.h == k2.h).all()
 
 
 # -- the Howell memo ---------------------------------------------------------
@@ -305,6 +306,67 @@ def test_memo_is_a_clearable_module_attribute():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
+# -- the Span value -------------------------------------------------------------
+
+
+def test_span_h_is_read_only():
+    a = np.array([[3, 1], [0, 3]], dtype=np.int64)
+    spans = [la.Span(a, 3, 2), la.Span.zero(2, 3, 2), la.Span.whole(2, 3, 2),
+             la.kernel(a, 3, 2), la.span_intersect(la.Span(a, 3, 2), la.Span.whole(2, 3, 2)),
+             la.preimage(a, la.Span.zero(2, 3, 2)), la.image_span(la.Span(a, 3, 2), a)]
+    for span in spans:
+        assert not span.h.flags.writeable
+        with pytest.raises(ValueError):
+            span.h[...] = 0
+        with pytest.raises(AttributeError):
+            span.h = np.zeros((0, 2), dtype=np.int64)
+        with pytest.raises(AttributeError):
+            span.p = 5
+
+
+@pytest.mark.parametrize("p,n,cols", [(2, 3, 3), (3, 1, 3), (3, 2, 4), (5, 1, 2)])
+def test_span_of_arbitrary_rows_is_their_howell_form(p, n, cols):
+    m = p ** n
+    rng = SplitMix64(6100 + 10 * p + n)
+    for _ in range(40):
+        # entries outside [0, m) and repeated rows too
+        a = (rand_mat(rng, rng.below(5), cols, 3 * m) - m).reshape(-1, cols)
+        span, ref = la.Span(a, p, n), la.howell_form(a, p, n)
+        assert (span.p, span.n, span.m, span.h.shape[1]) == (p, n, m, cols)
+        assert span.h.shape == ref.shape and (span.h == ref).all()
+        assert span == la.Span(np.vstack([a, a]), p, n)
+        assert hash(span) == hash(la.Span(ref, p, n))
+
+
+def test_span_equality_and_hash_include_the_ring():
+    for cols in (0, 1, 3):
+        for make in (la.Span.zero, la.Span.whole):
+            spans = [make(cols, 3, 1), make(cols, 3, 2), make(cols, 5, 1)]
+            assert len(set(spans)) == 3
+            assert spans[0] != spans[1] and spans[0] != spans[2]
+            assert spans[0] == make(cols, 3, 1)
+    assert la.Span.zero(2, 3, 1) != la.Span.zero(3, 3, 1)
+    assert la.Span.whole(2, 3, 1) != la.Span.zero(2, 3, 1)
+
+
+def test_span_reducer_is_built_once_and_is_its_own():
+    a = la.Span(np.array([[1, 2, 0]]), 3, 1)
+    b = la.Span(np.array([[0, 1, 1]]), 3, 1)
+    assert a.reducer is a.reducer and a.reducer is not b.reducer
+    assert a.contains(np.array([2, 1, 0])) and not b.contains(np.array([2, 1, 0]))
+    assert b.contains(np.array([0, 2, 2])) and not a.contains(np.array([0, 2, 2]))
+    # a sum builds its own reducer, whatever its summands have built
+    total = a + b
+    assert total.reducer is not a.reducer and total.contains(b) and total.contains(a)
+
+
+def test_spans_over_different_rings_do_not_combine():
+    a, b = la.Span.whole(2, 3, 1), la.Span.whole(2, 3, 2)
+    for combine in (lambda: a + b, lambda: a.contains(b), lambda: la.span_intersect(a, b)):
+        with pytest.raises(ValueError, match="spans over"):
+            combine()
+
+
 # -- exact modular matrix powers -----------------------------------------------
 
 
@@ -343,7 +405,7 @@ def test_one_vector_is_the_one_row_case():
     for p, n in ((3, 2), (5, 1), (7, 2)):
         m = p ** n
         a = rand_mat(rng, 4, 6, m)
-        reducer = la.CosetReducer(la.howell_form(a, p, n), p, n)
+        reducer = la.Span(a, p, n).reducer
         solver = la.Solver(a, p, n)
         for _ in range(20):
             v = rand_mat(rng, 1, 6, m)[0]

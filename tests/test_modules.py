@@ -83,11 +83,11 @@ def test_double_dual_is_identity_subquotient():
             )
             span = np.vstack([(span @ free.gamma_power(i)) % ring.m
                               for i in range(ring.m)])
-            mod = free.quotient(span)
+            mod = free.quotient(la.Span(span, ring.p, ring.n))
             dd = md.dual(md.dual(mod))
             assert dd.order() == mod.order()
-            assert la.spans_equal(dd.num, mod.num, ring.p, ring.n)
-            assert la.spans_equal(dd.den, mod.den, ring.p, ring.n)
+            assert dd.num == mod.num
+            assert dd.den == mod.den
 
 
 def test_dual_preserves_cardinality_on_random_modules():
@@ -100,7 +100,7 @@ def test_dual_preserves_cardinality_on_random_modules():
             )
             span = np.vstack([(span @ free.gamma_power(i)) % ring.m
                               for i in range(ring.m)])
-            mod = free.quotient(span)
+            mod = free.quotient(la.Span(span, ring.p, ring.n))
             if mod.order() > 10 ** 4:
                 continue
             assert md.dual(mod).order() == mod.order()
@@ -112,11 +112,11 @@ def test_fixed_points_of_free_rank_one():
         free = md.free_module(ring, 1)
         fixed = free.fixed_points()
         assert fixed.order() == ring.m
-        norm_line = la.howell_form(
+        norm_line = la.Span(
             np.vstack([(ring.gamma(i) * ring.norm()).coeffs for i in range(ring.m)]),
             ring.p, ring.n,
         )
-        assert la.spans_equal(fixed.num, norm_line, ring.p, ring.n)
+        assert fixed.num == norm_line
 
 
 def test_fixed_points_trivial_action():
@@ -132,10 +132,10 @@ def test_fixed_points_of_aug_ideal_exhaustive_31():
     gm1 = regular_rep(R31.gamma() - R31.one())
     brute = {
         tuple(v)
-        for v in la.span_elements(aug_ideal_power(R31, 1), 3, 1)
+        for v in la.span_elements(aug_ideal_power(R31, 1))
         if not ((v @ gm1) % 3).any()
     }
-    listed = {tuple(v) for v in la.span_elements(fixed.num, 3, 1)}
+    listed = {tuple(v) for v in la.span_elements(fixed.num)}
     assert listed == brute
     assert fixed.order() == 3
 
@@ -143,7 +143,7 @@ def test_fixed_points_of_aug_ideal_exhaustive_31():
 def test_filtration_piece_cases_31():
     free = md.free_module(R31, 1)
     norm_mod = free.submodule(
-        la.howell_form(R31.norm().coeffs.reshape(1, -1), 3, 1)
+        la.Span(R31.norm().coeffs.reshape(1, -1), 3, 1)
     )
     # k = 1 is the fixed points themselves
     assert norm_mod.filtration_piece(1).order() == norm_mod.fixed_points().order()
@@ -153,7 +153,7 @@ def test_filtration_piece_cases_31():
     imod = ideal_submodule(R31, 1)
     piece = imod.filtration_piece(2)
     assert piece.order() == 3
-    assert la.spans_equal(piece.num, norm_mod.num, 3, 1)
+    assert piece.num == norm_mod.num
 
 
 def test_filtration_pieces_decrease():
@@ -166,7 +166,7 @@ def test_filtration_pieces_decrease():
             )
             span = np.vstack([(span @ free.gamma_power(i)) % ring.m
                               for i in range(ring.m)])
-            mod = free.submodule(la.howell_form(span, ring.p, ring.n))
+            mod = free.submodule(la.Span(span, ring.p, ring.n))
             orders = [mod.filtration_piece(k).order() for k in range(1, ring.p)]
             assert all(a >= b for a, b in zip(orders, orders[1:]))
 
@@ -195,6 +195,17 @@ def test_fitting_ideal_r0_diag_example():
     f1 = md.fitting_ideal(mod, 1)
     assert f1 == md.Ideal.from_elements(ring, "R0", [ring.scalar(3)])
     assert md.fitting_ideal(mod, 2).is_whole_ring()
+
+
+def test_ideals_over_different_rings_are_not_equal():
+    # the coefficient spans have the same shape and entries ([[1]], or no
+    # rows), but the rings differ, so the ideals do
+    for r1, r2 in ((RingCtx(3, 1), RingCtx(3, 2)), (RingCtx(3, 1), RingCtx(5, 1))):
+        for make in (md.Ideal.unit, md.Ideal.zero):
+            a, b = make(r1, "R0"), make(r2, "R0")
+            assert a != b and hash(a) != hash(b)
+            assert len({a, b}) == 2
+            assert a == make(r1, "R0") and hash(a) == hash(make(r1, "R0"))
 
 
 def test_fitting_invariance_under_presentation_changes():
@@ -347,11 +358,11 @@ def test_gamma_order_check_is_exact_over_z49():
     # 8 = 1 + 7 has order 7 in (Z/49)^*, which divides 49; 8^49 overflows
     # int64, so an unreduced matrix power wrongly rejected this action
     ring = RingCtx(7, 2)
-    one = np.eye(1, dtype=np.int64)
-    mod = md.FpModule(ring, "R0", 1, np.array([[8]]), one, np.zeros((0, 1), dtype=np.int64))
+    one, zero = la.Span.whole(1, 7, 2), la.Span.zero(1, 7, 2)
+    mod = md.FpModule(ring, "R0", 1, np.array([[8]]), one, zero)
     # (gamma - 1)^k = 7^k: I M = 7 Z/49 and I^2 M = 0
-    assert (mod.ideal_multiple_span(1) == np.array([[7]])).all()
-    assert mod.ideal_multiple_span(2).shape == (0, 1)
+    assert (mod.ideal_multiple_span(1).h == np.array([[7]])).all()
+    assert mod.ideal_multiple_span(2).h.shape == (0, 1)
     # 5 has order 42, so 5^49 = 19 != 1 and the action is rejected
     with pytest.raises(ValueError, match="order dividing"):
-        md.FpModule(ring, "R0", 1, np.array([[5]]), one, np.zeros((0, 1), dtype=np.int64))
+        md.FpModule(ring, "R0", 1, np.array([[5]]), one, zero)

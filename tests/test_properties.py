@@ -6,7 +6,8 @@ against a brute-force oracle that never touches the echelon code.  Empty
 matrices (no rows) are drawn too: the primitives accept them without
 guards on the caller's side.  ``span_intersect`` and ``preimage`` are
 compared with the enumerated intersection and preimage, and their output
-with its own Howell form.  The Howell form itself is also checked on
+with its own Howell form; a ``Span``'s sum, intersection, containment,
+equality and size with the enumerated sets.  The Howell form itself is also checked on
 matrices too large to enumerate, against the retired fixpoint echelon
 (``howell_oracle``).  Runs are derandomized and keep no example
 database, so the suite is reproducible.
@@ -81,7 +82,7 @@ def test_howell_form_equals_the_fixpoint_oracle(case):
 def test_solver_kernel_is_already_canonical(case):
     # Solver takes the kernel rows of the Howell form of [a | I] as they are
     p, n, a = case
-    ker = la.Solver(a, p, n).ker
+    ker = la.Solver(a, p, n).ker.h
     ref = howell_oracle.howell_form(ker, p, n)
     assert ker.shape == ref.shape and (ker == ref).all()
 
@@ -94,8 +95,9 @@ def test_howell_idempotent_and_span_size_counts_the_span(case):
     again = la.howell_form(h, p, n)
     assert again.shape == h.shape and (again == h).all()
     span = row_span(a, p ** n)
-    listed = [tuple(int(x) for x in v) for v in la.span_elements(h, p, n)]
-    assert la.span_size(h, p, n) == len(span) == len(listed)
+    hspan = la.Span(h, p, n)
+    listed = [tuple(int(x) for x in v) for v in la.span_elements(hspan)]
+    assert hspan.size() == len(span) == len(listed)
     assert set(listed) == span
 
 
@@ -104,7 +106,7 @@ def test_howell_idempotent_and_span_size_counts_the_span(case):
 def test_coset_reducer_is_constant_on_cosets_and_zero_exactly_on_the_span(case):
     p, n, a = case
     m = p ** n
-    reducer = la.CosetReducer(la.howell_form(a, p, n), p, n)
+    reducer = la.Span(a, p, n).reducer
     span = row_span(a, m)
     values = set()
     for w in ambient(m, a.shape[1]):
@@ -176,10 +178,10 @@ def test_solver_kernel_is_the_enumerated_kernel(case):
     oracle = {tuple(int(x) for x in v) for v in ambient(m, a.shape[0])
               if not ((v @ a) % m).any()}
     ker = la.Solver(a, p, n).ker
-    assert ker.shape[1] == a.shape[0]
-    assert {tuple(int(x) for x in v) for v in la.span_elements(ker, p, n)} == oracle
+    assert ker.h.shape[1] == a.shape[0]
+    assert {tuple(int(x) for x in v) for v in la.span_elements(ker)} == oracle
     same = la.kernel(a, p, n)
-    assert same.shape == ker.shape and (same == ker).all()
+    assert same.h.shape == ker.h.shape and (same.h == ker.h).all()
 
 
 @PROPERTY
@@ -188,7 +190,7 @@ def test_span_contains_is_inclusion_of_enumerated_spans(data):
     p, n, a = data.draw(matrices())
     _, _, b = data.draw(matrices(ring=(p, n), cols=a.shape[1]))
     m = p ** n
-    assert la.span_contains(a, b, p, n) == (row_span(b, m) <= row_span(a, m))
+    assert la.Span(a, p, n).contains(la.Span(b, p, n)) == (row_span(b, m) <= row_span(a, m))
 
 
 def canonical(h: np.ndarray, p: int, n: int) -> bool:
@@ -203,7 +205,7 @@ def test_span_intersect_is_the_enumerated_intersection(data):
     p, n, a = data.draw(matrices())
     _, _, b = data.draw(matrices(ring=(p, n), cols=a.shape[1]))
     m = p ** n
-    got = la.span_intersect(a, b, p, n)
+    got = la.span_intersect(la.Span(a, p, n), la.Span(b, p, n)).h
     assert got.shape[1] == a.shape[1]
     assert row_span(got, m) == row_span(a, m) & row_span(b, m)
     assert canonical(got, p, n)
@@ -218,7 +220,36 @@ def test_preimage_is_the_enumerated_preimage(data):
     target = row_span(b, m)
     oracle = {tuple(int(x) for x in v) for v in ambient(m, a.shape[0])
               if tuple(int(x) for x in (v @ a) % m) in target}
-    got = la.preimage(a, b, p, n)
+    got = la.preimage(a, la.Span(b, p, n)).h
     assert got.shape[1] == a.shape[0]
     assert row_span(got, m) == oracle
     assert canonical(got, p, n)
+
+
+def enumerated_sum(span: set, rows: np.ndarray, m: int) -> set[tuple[int, ...]]:
+    """span + the row span of rows, closing under one row at a time."""
+    out = set(span)
+    for r in rows:
+        out = {tuple(int(x) for x in (np.array(v) + c * r) % m) for v in out for c in range(m)}
+    return out
+
+
+@PROPERTY
+@given(st.data())
+def test_span_algebra_is_the_enumerated_set_algebra(data):
+    p, n, a = data.draw(matrices())
+    _, _, b = data.draw(matrices(ring=(p, n), cols=a.shape[1]))
+    m = p ** n
+    sa, sb = la.Span(a, p, n), la.Span(b, p, n)
+    ea, eb = row_span(a, m), row_span(b, m)
+    total = sa + sb
+    assert row_span(total.h, m) == enumerated_sum(ea, b, m)
+    assert canonical(total.h, p, n) and total == la.Span(np.vstack([a, b]), p, n)
+    assert row_span(la.span_intersect(sa, sb).h, m) == ea & eb
+    assert sa.contains(sb) == (eb <= ea)
+    assert (sa == sb) == (ea == eb) and (sa + sb == sa) == (eb <= ea)
+    assert sa.size() == len(ea) and sb.size() == len(eb) and total.size() == len(
+        row_span(total.h, m))
+    # the same span from other generators is equal, with the same hash
+    same = la.Span(np.vstack([a[::-1], b[:0]]), p, n)
+    assert same == sa and hash(same) == hash(sa)

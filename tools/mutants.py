@@ -1,0 +1,212 @@
+"""Mutation check: every planted fault must make a named fast test fail.
+
+    python3 tools/mutants.py            # run every mutant
+    python3 tools/mutants.py NAME ...   # run the named mutants
+    python3 tools/mutants.py --list     # list the mutants
+
+Each mutant is one (file, old, new) text patch against the source tree and
+the tests that must catch it.  For each mutant the script copies ``src/``,
+``tests/`` and ``pyproject.toml`` into a fresh temporary directory,
+replaces the one occurrence of ``old`` by ``new`` (a stale patch, whose
+``old`` no longer occurs exactly once, is an error) and runs the named
+tests with pytest.  A mutant is killed when pytest reports a failure or
+an error.  The named tests are first run once on an unpatched copy and
+must pass there.  Not part of tier-1: it takes a few minutes.
+
+Exit status 0 means every mutant was killed, 1 that one survived and 2
+that the list is stale or the unpatched tests fail.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+LA = "src/derived_heights/linalg.py"
+CX = "src/derived_heights/complexes.py"
+GR = "src/derived_heights/groupring.py"
+T_LA = "tests/test_linalg.py::"
+T_PR = "tests/test_properties.py::"
+T_CX = "tests/test_complexes.py::"
+
+INTERSECT_PREIMAGE = (T_PR + "test_span_intersect_is_the_enumerated_intersection",
+                      T_PR + "test_preimage_is_the_enumerated_preimage")
+SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
+                T_LA + "test_span_of_arbitrary_rows_is_their_howell_form",
+                T_LA + "test_span_reducer_is_built_once_and_is_its_own")
+
+MUTANTS = (
+    # -- Zassenhaus intersection and preimage ----------------------------------
+    Mutant("tail-takes-left-block", LA,
+           "return h[int(h[:, :cols].any(axis=1).sum()):, cols:]",
+           "return h[int(h[:, :cols].any(axis=1).sum()):, :cols]", INTERSECT_PREIMAGE),
+    Mutant("tail-drops-first-row", LA,
+           "return h[int(h[:, :cols].any(axis=1).sum()):, cols:]",
+           "return h[int(h[:, :cols].any(axis=1).sum()) + 1:, cols:]", INTERSECT_PREIMAGE),
+    Mutant("intersect-right-block-zero", LA,
+           "return _zassenhaus(a.h, a.h, b)",
+           "return _zassenhaus(a.h, 0 * a.h, b)", INTERSECT_PREIMAGE),
+    Mutant("preimage-twice-identity", LA,
+           "return _zassenhaus(a, np.eye(a.shape[0], dtype=np.int64), b)",
+           "return _zassenhaus(a, 2 * np.eye(a.shape[0], dtype=np.int64), b)",
+           INTERSECT_PREIMAGE),
+    # -- the batched Bockstein-square check and the per-complex memo -------------
+    Mutant("relate-drops-last-generator", CX,
+           "gens = psi.src.num.h", "gens = psi.src.num.h[:-1]",
+           (T_CX + "test_verify_relate_fails_when_one_generator_breaks_the_square",)),
+    Mutant("relate-checks-first-row-only", CX,
+           "return not beta.tgt.reduce(diff).any()",
+           "return not beta.tgt.reduce(diff[:1]).any()",
+           (T_CX + "test_verify_relate_fails_when_one_generator_breaks_the_square",)),
+    Mutant("memo-key-without-arguments", CX,
+           "key = (name, *args)", "key = (name,)",
+           (T_CX + "test_memo_matches_a_fresh_complex_per_call",)),
+    Mutant("memo-key-without-method", CX,
+           "key = (name, *args)", "key = tuple(args)",
+           (T_CX + "test_memo_matches_a_fresh_complex_per_call",)),
+    Mutant("differential-writable", CX,
+           "self._d.setflags(write=False)", "pass",
+           (T_CX + "test_differential_is_read_only",)),
+    # -- the batched accumulations ---------------------------------------------------
+    Mutant("reducer-bound-unchecked", LA,
+           "self.pivots = _pivots_of(h)\n        check_accumulation(len(self.pivots), self.m)",
+           "self.pivots = _pivots_of(h)",
+           (T_LA + "test_batched_accumulation_bound_is_asserted",)),
+    Mutant("bound-without-squares", LA,
+           "terms * (m - 1) ** 2 + m < 1 << 63", "terms * (m - 1) + m < 1 << 63",
+           (T_LA + "test_batched_accumulation_bound_is_asserted",)),
+    Mutant("graded-scalars-from-first-row", GR,
+           "return v[:, 0] % ring.m", "return v[:1, 0].repeat(len(v)) % ring.m",
+           ("tests/test_groupring.py::test_graded_scalars_of_a_batch",)),
+    Mutant("one-row-reduce-not-reshaped", LA,
+           "return (out % m).reshape(v.shape)", "return out % m",
+           (T_LA + "test_one_vector_is_the_one_row_case",)),
+    # -- the Span value -----------------------------------------------------------------
+    Mutant("span-equality-by-shape", LA,
+           "self.h.shape == other.h.shape\n                and bool((self.h == other.h).all()))",
+           "self.h.shape == other.h.shape)",
+           SPAN_ALGEBRA + (T_LA + "test_span_equality_and_hash_include_the_ring",)),
+    Mutant("span-equality-ignores-ring", LA,
+           "return ((self.p, self.n) == (other.p, other.n) and self.h.shape",
+           "return (self.h.shape",
+           (T_LA + "test_span_equality_and_hash_include_the_ring",
+            "tests/test_modules.py::test_ideals_over_different_rings_are_not_equal")),
+    Mutant("sum-skips-canonicalization", LA,
+           "return Span(np.vstack([self.h, other.h]), self.p, self.n)",
+           "return Span._of_howell(np.vstack([self.h, other.h]), self.p, self.n)",
+           SPAN_ALGEBRA),
+    Mutant("sum-keeps-summand-reducer", LA,
+           "return Span(np.vstack([self.h, other.h]), self.p, self.n)",
+           "out = Span(np.vstack([self.h, other.h]), self.p, self.n)\n"
+           "        object.__setattr__(out, '_reducer', self._reducer)\n"
+           "        return out",
+           SPAN_ALGEBRA),
+    Mutant("sum-with-zero-returns-zero", LA,
+           "if not other.h.shape[0]:\n            return self",
+           "if not other.h.shape[0]:\n            return other",
+           SPAN_ALGEBRA),
+    Mutant("size-ignores-pivot-valuation", LA,
+           "return prod(self.m // pv for _, _, pv in _pivots_of(self.h))",
+           "return self.m ** len(_pivots_of(self.h))",
+           SPAN_ALGEBRA),
+    Mutant("contains-ignores-ring", LA,
+           "_same_ring(self, other)\n            other = other.h",
+           "other = other.h",
+           (T_LA + "test_spans_over_different_rings_do_not_combine",)),
+    Mutant("span-rows-writable", LA,
+           "h.setflags(write=False)\n        for name", "for name",
+           (T_LA + "test_span_h_is_read_only",)),
+    Mutant("span-attributes-writable", LA,
+           'raise AttributeError("a Span is immutable")',
+           "object.__setattr__(self, name, value)",
+           (T_LA + "test_span_h_is_read_only",)),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_tests(tree: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=TIMEOUT_S, check=False)
+
+
+def apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the patch text occurs {text.count(mutant.old)} "
+                         f"times in {mutant.path}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    ap.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = ap.parse_args(argv)
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.path}")
+        return 0
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "unpatched"
+        copy_tree(base)
+        tests = sorted({t for m in chosen for t in m.tests})
+        done = run_tests(base, tests)
+        if done.returncode != 0:
+            print(done.stdout[-2000:], file=sys.stderr)
+            print("the named tests fail without any mutant", file=sys.stderr)
+            return 2
+        survivors = []
+        for i, mutant in enumerate(chosen):
+            tree = Path(tmp) / f"m{i}"
+            copy_tree(tree)
+            try:
+                apply(tree, mutant)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            done = run_tests(tree, mutant.tests)
+            killed = done.returncode in (1, 2)  # tests failed, or errored on collection
+            summary = (done.stdout.strip().splitlines() or ["(no output)"])[-1]
+            print(f"{'killed  ' if killed else 'SURVIVED'} {mutant.name}: {summary}")
+            if not killed:
+                survivors.append(mutant.name)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
