@@ -368,7 +368,7 @@ class PairingData:
         if z is None:
             raise AssertionError("lift-not-found: no page representative above s")
         a = z[:, :am]
-        if not psi.src.contains_elt(a):
+        if not psi.src.num.contains(a):
             raise AssertionError("page representative escaped H^1(C/I^k C)")
         w = psi.apply(a)
         den = psi.tgt.den.h

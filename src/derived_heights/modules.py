@@ -96,9 +96,6 @@ class FpModule:
     def eq_elts(self, v: np.ndarray, w: np.ndarray) -> bool:
         return not self.reduce((v - w) % self.m).any()
 
-    def contains_elt(self, v: np.ndarray) -> bool:
-        return self.num.contains(v)
-
     def generators(self) -> list[np.ndarray]:
         """Scalar generators of num (coset images generate the module)."""
         return list(self.num.h)
