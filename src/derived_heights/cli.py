@@ -255,7 +255,7 @@ def _trial_structure(_ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     p = STRUCTURE_PRIMES[rng.below(len(STRUCTURE_PRIMES))]
     rows = rng.below(5) + 1
     cols = rng.below(5) + 1
-    mat = [[rng.below(101) - 50 for _ in range(cols)] for _ in range(rows)]
+    mat = rng.below_many(101, rows * cols).reshape(rows, cols) - 50
     cx = IntComplex.make(p, mat)
     rep = verify_recovery(cx)
     return [{"name": "recovery", "pass": rep["pass"]}], int_complex_to_json(cx)

@@ -30,17 +30,23 @@ value tables, one k at a time:
     against the filtration pieces, on the datum and on its dual;
   * each element gets its lifts (two independent draws, cached per
     element) from one ``Solver`` call on the matrix of all targets;
-  * a table is one contraction of the lifted functionals against the
-    lifted arguments over the regular representation, reduced mod
+  * a table is one matrix product of the lifted functionals against the
+    regular representations of the lifted arguments, reduced mod
     I^(k+1) over the whole batch, one pivot at a time;
   * the audit, equality, symmetry (against the transposed table of the
     dual datum) and generator-independence flags compare whole tables.
+
+What depends on no datum is built once and shared by all: the free
+modules, the derivative-operator lift solvers and the norm solver.  The
+kernels, filtration pieces, complex and the solvers involving ell stay
+per datum; the dual datum derives its own, for the symmetry flag.
 
 ``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -110,7 +116,7 @@ class PairingValue:
 
 
 def random_unit(ring: RingCtx, rng: SplitMix64) -> GroupRingElt:
-    coeffs = np.array([rng.below(ring.m) for _ in range(ring.m)], dtype=np.int64)
+    coeffs = rng.below_many(ring.m, ring.m)
     e = ring.elt(coeffs)
     if not e.is_unit():
         fix = coeffs.copy()
@@ -134,7 +140,7 @@ def random_ell_matrix(ring: RingCtx, a: int, b: int, rng: SplitMix64):
             if roll < 40:
                 row.append(random_unit(ring, rng))
             elif roll < 80:
-                rnd = ring.elt(np.array([rng.below(ring.m) for _ in range(ring.m)]))
+                rnd = ring.elt(rng.below_many(ring.m, ring.m))
                 row.append(gm1 * rnd)
             else:
                 row.append(ring.scalar(rng.below(ring.m)) * ring.norm())
@@ -196,18 +202,22 @@ class PairingData:
             self._complex = TwoTermComplex(self.x, self.y, self.d)
         return self._complex
 
+    @cached_property
+    def _submodules(self) -> dict[str, FpModule]:
+        """S in X and T in Y, built once."""
+        return {"s": self.x.submodule(self.s_span), "t": self.y.submodule(self.t_span)}
+
     def s_module(self) -> FpModule:
-        return self.x.submodule(self.s_span)
+        return self._submodules["s"]
 
     def t_module(self) -> FpModule:
-        return self.y.submodule(self.t_span)
+        return self._submodules["t"]
 
     def piece_span(self, side: str, k: int) -> la.Span:
         """Numerator span of S_0^(k) (side 's') or T_0^(k) (side 't'), built once."""
         key = (side, k)
         if key not in self._pieces:
-            mod = self.s_module() if side == "s" else self.t_module()
-            self._pieces[key] = mod.filtration_piece(k).num
+            self._pieces[key] = self._submodules[side].filtration_piece(k).num
         return self._pieces[key]
 
     def eval_bilinear(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
@@ -221,21 +231,25 @@ class PairingData:
         wv and yv hold one vector per row (a 1-D argument is one row); the
         result has shape (rows of wv, rows of yv, m), entry [s, t] being
         the coefficient vector of w_s(y_t) in R.  The products w_j y_j are
-        cyclic convolutions, contracted one shift i at a time: the
-        gamma^i coefficients of every w against every y rotated by i.
-        Intermediates stay the size of the result, and the sum is reduced
-        once, which is exact while b * m * (m - 1)^2 < 2^63.
+        cyclic convolutions, so the table is one matrix product of the w
+        rows against the gathered operand Y[(j, i), (t, c)] = y_t[j, c - i]
+        of shape (b*m) x (T*m).  The operand is built in blocks of t rows,
+        each no larger than the result (one row at the least), and the sum
+        is reduced once, which is exact while b * m * (m - 1)^2 < 2^63.
         """
         b, m = self.b, self.ring.m
         assert b * m * (m - 1) ** 2 < 1 << 63, "pairing contraction would overflow int64"
-        wm = np.atleast_2d(np.asarray(wv, dtype=np.int64)).reshape(-1, b, m)
+        wm = np.atleast_2d(np.asarray(wv, dtype=np.int64)).reshape(-1, b * m)
         ym = np.atleast_2d(np.asarray(yv, dtype=np.int64)).reshape(-1, b, m)
-        total = np.zeros((wm.shape[0], ym.shape[0] * m), dtype=np.int64)
-        for i in range(m):
-            # rolled[j, (t, c)] = y_t[j, c - i]
-            rolled = np.roll(ym, i, axis=2).transpose(1, 0, 2).reshape(b, -1)
-            total += wm[:, :, i] @ rolled
-        return (total % m).reshape(wm.shape[0], ym.shape[0], m)
+        rows, cols = wm.shape[0], ym.shape[0]
+        shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [i, c] = c - i
+        step = max(1, rows * cols // (b * m))
+        total = np.empty((rows, cols * m), dtype=np.int64)
+        for t0 in range(0, cols, step):
+            # the operand's columns (t, c) for this block of t rows
+            block = ym[t0:t0 + step, :, shift].transpose(1, 2, 0, 3).reshape(b * m, -1)
+            total[:, t0 * m:(t0 + step) * m] = wm @ block
+        return (total % m).reshape(rows, cols, m)
 
     # -- validation ----------------------------------------------------------------
 
@@ -329,11 +343,7 @@ class PairingData:
         if coeffs is None:
             raise AssertionError("lift-not-found: element not divisible inside the kernel")
         tilde = (coeffs @ ker) % m
-        lift_solver = self._solver(
-            ("lift", side, k, gen_exp),
-            lambda: free.scale_matrix(derivative_op(ring, k - 1, gen_exp)),
-        )
-        x = lift_solver.random_solution(tilde, rng)
+        x = _lift_solver(ring, free.dim // m, k, gen_exp).random_solution(tilde, rng)
         if x is None:
             raise AssertionError("lift-not-found: derivative equation unsolvable")
         return x
@@ -383,7 +393,7 @@ class PairingData:
 
     def _norm_preimages(self, t_rows: np.ndarray, rng: SplitMix64) -> np.ndarray:
         """Two independent norm preimages in Y of each t."""
-        solver = self._solver(("norm", "y"), lambda: self.y.scale_matrix(self.ring.norm()))
+        solver = _norm_solver(self.ring, self.b)
 
         def draw(rows, _):
             ys = solver.random_solution(rows, rng)
@@ -514,21 +524,36 @@ class PairingData:
             # classes first costs more than the rows it saves
             scalars = graded_scalars(ring, k, bd.reshape(-1, ring.m))
             scalars = scalars.reshape(bd.shape[:2]).tolist()
-            s_lists, t_lists = s_rows.tolist(), t_rows.tolist()
+            # each table becomes nested lists once, not once per record
+            bd_l, boc_l, eq_l, sym_l, gam_l, s_lists, t_lists = (
+                a.tolist() for a in (bd, boc, equal, symmetric, gamma_ok, s_rows, t_rows))
             for i, s in enumerate(s_lists):
                 for j, t in enumerate(t_lists):
                     records.append({
                         "k": k,
                         "s": list(s),
                         "t": list(t),
-                        "bd": bd[i, j].tolist(),
-                        "boc": boc[i, j].tolist(),
+                        "bd": bd_l[i][j],
+                        "boc": boc_l[i][j],
                         "scalar": scalars[i][j],
-                        "equal": bool(equal[i, j]),
-                        "symmetric": bool(symmetric[i, j]),
-                        "gamma_independent": bool(gamma_ok[i, j]),
+                        "equal": eq_l[i][j],
+                        "symmetric": sym_l[i][j],
+                        "gamma_independent": gam_l[i][j],
                     })
         return {"pass": ok, "records": records}
+
+
+@lru_cache(maxsize=128)
+def _lift_solver(ring: RingCtx, rank: int, k: int, gen_exp: int) -> la.Solver:
+    """Solver of x D^(k-1) = s~ on R^rank, D for the generator gamma^gen_exp."""
+    d = derivative_op(ring, k - 1, gen_exp)
+    return la.Solver(free_module(ring, rank).scale_matrix(d), ring.p, ring.n)
+
+
+@lru_cache(maxsize=128)
+def _norm_solver(ring: RingCtx, rank: int) -> la.Solver:
+    """Solver of y N = t on R^rank, N the norm element."""
+    return la.Solver(free_module(ring, rank).scale_matrix(ring.norm()), ring.p, ring.n)
 
 
 def _rows(v: np.ndarray) -> np.ndarray:

@@ -448,7 +448,7 @@ class Solver:
     def random_solution(self, b: np.ndarray, rng) -> Optional[np.ndarray]:
         """``solve`` plus a uniformly random kernel element per target row.
 
-        Draws are made per target row, then per kernel row, so a 2-D b
+        Draws are one block, per target row, then per kernel row, so a 2-D b
         consumes the stream exactly as solving its rows one by one does.
         """
         v = self.solve(b)
@@ -456,7 +456,6 @@ class Solver:
             return None
         rows = np.atleast_2d(v)  # a view: v is updated in place
         shape = (rows.shape[0], self.ker.h.shape[0])
-        coeffs = np.array([rng.below(self.m) for _ in range(shape[0] * shape[1])],
-                          dtype=np.int64).reshape(shape)
+        coeffs = rng.below_many(self.m, shape[0] * shape[1]).reshape(shape)
         rows[:] = (rows + coeffs @ self.ker.h) % self.m
         return v

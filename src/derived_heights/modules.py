@@ -23,6 +23,7 @@ functional phi on the ambient therefore represents an R-valued one, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -35,7 +36,7 @@ from .groupring import GroupRingElt, RingCtx, regular_rep
 class FpModule:
     """Subquotient num/den of (Z/p^n)^dim with gamma-action."""
 
-    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "_gamma_pows")
+    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "_gamma_pows", "_fixed")
 
     def __init__(self, ring: RingCtx, tag: str, dim: int, gamma: np.ndarray,
                  num: la.Span, den: la.Span, check: bool = True):
@@ -45,9 +46,11 @@ class FpModule:
         self.tag = tag
         self.dim = dim
         self.gamma = np.asarray(gamma, dtype=np.int64) % ring.m
+        self.gamma.setflags(write=False)
         self.num = num
         self.den = den
         self._gamma_pows = None
+        self._fixed: Optional[la.Span] = None
         if check:
             if not num.contains(den):
                 raise ValueError("denominator is not contained in numerator")
@@ -80,6 +83,8 @@ class FpModule:
             pows = [np.eye(self.dim, dtype=np.int64)]
             for _ in range(self.m - 1):
                 pows.append((pows[-1] @ self.gamma) % self.m)
+            for pw in pows:
+                pw.setflags(write=False)
             self._gamma_pows = pows
         return self._gamma_pows[i % self.m]
 
@@ -123,9 +128,11 @@ class FpModule:
         return out
 
     def fixed_point_span(self) -> la.Span:
-        """Numerator span of M^G = ker(gamma - 1) on the subquotient."""
-        gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
-        return la.span_intersect(la.preimage(gm1, self.den), self.num)
+        """Numerator span of M^G = ker(gamma - 1) on the subquotient, built once."""
+        if self._fixed is None:
+            gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
+            self._fixed = la.span_intersect(la.preimage(gm1, self.den), self.num)
+        return self._fixed
 
     def fixed_points(self) -> "FpModule":
         return FpModule(self.ring, self.tag, self.dim, self.gamma,
@@ -152,13 +159,14 @@ class FpModule:
 class ModuleHom:
     """Map between subquotients given by an ambient matrix."""
 
-    __slots__ = ("src", "tgt", "mat")
+    __slots__ = ("src", "tgt", "mat", "_image")
 
     def __init__(self, src: FpModule, tgt: FpModule, mat: np.ndarray,
                  check: bool = True):
         self.src = src
         self.tgt = tgt
         self.mat = np.asarray(mat, dtype=np.int64) % src.m
+        self._image: Optional[FpModule] = None
         if check:
             self.check_well_defined()
 
@@ -180,7 +188,9 @@ class ModuleHom:
         return self.src.submodule(la.span_intersect(pre, self.src.num))
 
     def image(self) -> FpModule:
-        return self.tgt.submodule(la.image_span(self.src.num, self.mat))
+        if self._image is None:  # built once per map
+            self._image = self.tgt.submodule(la.image_span(self.src.num, self.mat))
+        return self._image
 
     def is_surjective(self) -> bool:
         return self.image().order() == self.tgt.order()
@@ -189,8 +199,9 @@ class ModuleHom:
 # -- constructors --------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def free_module(ring: RingCtx, rank: int) -> FpModule:
-    """Free R-module R^rank in the regular-representation expansion."""
+    """Free R-module R^rank in the regular-representation expansion (shared, read-only)."""
     p, n, dim = ring.p, ring.n, rank * ring.m
     gamma = np.kron(np.eye(rank, dtype=np.int64), regular_rep(ring.gamma()))
     return FpModule(ring, "R", dim, gamma, la.Span.whole(dim, p, n),
@@ -255,12 +266,9 @@ def r_rows_from_scalar(ring: RingCtx, mat: np.ndarray) -> list[list[GroupRingElt
     a, b = mat.shape[0] // m, mat.shape[1] // m
     rows = [[ring.elt(mat[i * m, j * m:(j + 1) * m]) for j in range(b)]
             for i in range(a)]
-    if (r_matrix_expand(ring, rows) != mat).any():
-        lhs = r_matrix_expand(ring, rows)
-        bad = np.argwhere(lhs != mat)[0]
-        raise ValueError(
-            f"matrix is not R-linear at scalar entry ({int(bad[0])}, {int(bad[1])})"
-        )
+    bad = np.argwhere(r_matrix_expand(ring, rows) != mat)
+    if bad.size:
+        raise ValueError(f"matrix is not R-linear at scalar entry {tuple(bad[0].tolist())}")
     return rows
 
 
@@ -339,14 +347,13 @@ def r_generators(mod: FpModule) -> list[np.ndarray]:
 class Presentation:
     """R-presentation of a subquotient: free module onto M with syzygies."""
 
-    __slots__ = ("ring", "tag", "gens", "gmat", "relations")
+    __slots__ = ("ring", "tag", "gens", "relations")
 
     def __init__(self, ring: RingCtx, tag: str, gens: list[np.ndarray],
-                 gmat: np.ndarray, relations: la.Span):
+                 relations: la.Span):
         self.ring = ring
         self.tag = tag
         self.gens = gens          # images in the ambient of M
-        self.gmat = gmat          # (g*m) x dim map from free coords to ambient
         self.relations = relations  # span of syzygies in free coords
 
     @property
@@ -365,10 +372,8 @@ class Presentation:
 
 def presentation(mod: FpModule) -> Presentation:
     gens = r_generators(mod)
-    m = mod.m if mod.tag == "R" else 1
     if not gens:
-        return Presentation(mod.ring, mod.tag, [], np.zeros((0, mod.dim), dtype=np.int64),
-                            la.Span.zero(0, mod.p, mod.n))
+        return Presentation(mod.ring, mod.tag, [], la.Span.zero(0, mod.p, mod.n))
     rows = []
     for gvec in gens:
         if mod.tag == "R":
@@ -377,7 +382,7 @@ def presentation(mod: FpModule) -> Presentation:
         else:
             rows.append(gvec)
     gmat = np.array(rows, dtype=np.int64)
-    return Presentation(mod.ring, mod.tag, gens, gmat, la.preimage(gmat, mod.den))
+    return Presentation(mod.ring, mod.tag, gens, la.preimage(gmat, mod.den))
 
 
 def det_r(ring: RingCtx, rows: list[list[GroupRingElt]]) -> GroupRingElt:
@@ -415,7 +420,6 @@ class Ideal:
                     rows.append((ring.gamma(i) * e).coeffs)
             else:
                 rows.append(np.array([e.augmentation()], dtype=np.int64))
-        width = ring.m if tag == "R" else 1
         if not rows:
             return cls.zero(ring, tag)
         return cls(ring, tag, la.Span(np.array(rows, dtype=np.int64), ring.p, ring.n))
@@ -511,13 +515,7 @@ class ExteriorAlgebra:
             return self._modules[r]
         ring = self.ring
         subs = self.subsets(r)
-        base = free_module(ring, max(len(subs), 0)) if subs else None
-        if not subs:
-            zero = la.Span.zero(0, ring.p, ring.n)
-            out = FpModule(ring, "R", 0, np.zeros((0, 0), dtype=np.int64), zero, zero,
-                           check=False)
-            self._modules[r] = out
-            return out
+        base = free_module(ring, len(subs))  # the zero module when r > g
         index = {s: i for i, s in enumerate(subs)}
         m = ring.m
         rel_scalar = []

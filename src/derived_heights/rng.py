@@ -16,11 +16,18 @@ Algorithm (all arithmetic mod 2**64):
 irrelevant (n is always far below 2**64) and the plain reduction keeps
 the stream trivial to reproduce elsewhere.
 
+``below_many(n, count)`` is ``count`` calls of ``below(n)`` as one block
+of wrapping numpy uint64 arithmetic: draw j = 1..count from state s is the
+output mix of s + j * gamma, and the state ends at s + count * gamma
+(Steele, Lea & Flood, "Fast splittable pseudorandom number generators", 2014).
+
 Per-trial streams are addressed statelessly: trial ``i`` of seed ``s``
 uses a fresh generator seeded with ``mix64(s XOR mix64(i))``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -56,6 +63,17 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
+
+    def below_many(self, n: int, count: int) -> np.ndarray:
+        """``count`` successive draws of ``below(n)`` as one int64 array."""
+        if n <= 0:
+            raise ValueError("below_many() needs a positive bound")
+        assert n < 1 << 63, "below_many() casts its draws to int64"
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self.state)
+        self.state = (self.state + count * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return ((z ^ (z >> np.uint64(31))) % np.uint64(n)).astype(np.int64)
 
 
 def trial_rng(seed: int, offset: int) -> SplitMix64:

@@ -292,7 +292,7 @@ def extend_instance(inst: StarkInstance, rng: SplitMix64) -> StarkInstance:
     ring = inst.ring
     rows = []
     for i in range(inst.a):
-        extra = ring.elt(np.array([rng.below(ring.m) for _ in range(ring.m)]))
+        extra = ring.elt(rng.below_many(ring.m, ring.m))
         rows.append(list(inst.ell[i]) + [extra])
     new_row = [ring.zero()] * inst.r + [random_unit(ring, rng)]
     rows.append(new_row)

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from derived_heights import linalg as la
-from derived_heights.groupring import RingCtx, convolve, graded_classes_equal
+from derived_heights.groupring import RingCtx, convolve, derivative_op, graded_classes_equal
 from derived_heights.heights import (
     MembershipError,
     PairingData,
     PairingError,
+    _lift_solver,
+    _norm_solver,
     random_pairing_data,
 )
+from derived_heights.modules import free_module
 from derived_heights.rng import SplitMix64, trial_rng
 
 R31 = RingCtx(3, 1)
@@ -89,6 +92,60 @@ def test_value_table_matches_pairwise_convolutions():
                         part = slice(slot * m, (slot + 1) * m)
                         ref = (ref + convolve(w[i, part], y[j, part], m)) % m
                     assert (table[i, j] == ref).all()
+
+
+
+def test_value_table_equals_the_per_shift_loop():
+    # the one-product contraction against the m rolled products it
+    # replaced; with fewer w rows than b * m the t rows are split into
+    # blocks, the last one short (41 rows in blocks of 20 at (3,1), b = 2)
+    gen = np.random.default_rng(8)
+    for ring in RINGS + [RingCtx(7, 2)]:
+        m = ring.m
+        for b, rows, cols in ((1, 1, 1), (2, 3, 41), (3, 40, 6), (1, 2, 75)):
+            data = PairingData(ring, [[ring.one()] * b])
+            w = gen.integers(0, m, (rows, b * m))
+            y = gen.integers(0, m, (cols, b * m))
+            wm, ym = w.reshape(-1, b, m), y.reshape(-1, b, m)
+            ref = np.zeros((rows, cols * m), dtype=np.int64)
+            for i in range(m):
+                rolled = np.roll(ym, i, axis=2).transpose(1, 0, 2).reshape(b, -1)
+                ref += wm[:, :, i] @ rolled
+            assert (data.eval_functional(w, y) == (ref % m).reshape(rows, cols, m)).all()
+
+
+def test_shared_solvers_draw_like_fresh_ones():
+    # gen_exp 1 is asked for before 2 under the same (p, n, rank, k)
+    gen = np.random.default_rng(9)
+    for ring in RINGS:
+        p, n, m = ring.p, ring.n, ring.m
+        for rank in (1, 2):
+            free = free_module(ring, rank)
+            pairs = [(_norm_solver(ring, rank), free.scale_matrix(ring.norm()))]
+            for k in range(1, p):
+                for g in (1, 2):
+                    pairs.append((_lift_solver(ring, rank, k, g),
+                                  free.scale_matrix(derivative_op(ring, k - 1, g))))
+            for shared, a in pairs:
+                fresh = la.Solver(a, p, n)
+                targets = (gen.integers(0, m, (4, a.shape[0])) @ a) % m
+                got = shared.random_solution(targets, SplitMix64(k))
+                want = fresh.random_solution(targets, SplitMix64(k))
+                assert got is not None and (got == want).all()
+
+
+def test_lift_chains_solve_the_equations_of_their_generator():
+    # x D_u^(k-1) (g^u - 1)^(k-1) = s for the chain drawn for gamma^u
+    rng = SplitMix64(12)
+    for ring in RINGS:
+        data = mult_data(ring, ring.zero())  # S = X = R
+        s_rows = np.array(data.piece_span("s", ring.p - 1).h)
+        for k in range(2, ring.p):
+            for u in (1, 2):
+                d_u = data.x.scale_matrix(derivative_op(ring, k - 1, u))
+                g_u = data.x.scale_matrix((ring.gamma(u) - ring.one()) ** (k - 1))
+                for xs in data._lift_chains("s", k, u, s_rows, rng):
+                    assert ((xs @ d_u @ g_u) % ring.m == s_rows).all()
 
 
 def test_worked_example_k1():

@@ -140,6 +140,42 @@ def test_fixed_points_of_aug_ideal_exhaustive_31():
     assert fixed.order() == 3
 
 
+
+def test_shared_free_module_is_read_only():
+    free = md.free_module(R31, 2)
+    assert md.free_module(R31, 2) is free
+    with pytest.raises(ValueError):
+        free.gamma[0, 0] = 1
+    with pytest.raises(ValueError):
+        free.gamma_power(1)[0, 0] = 1
+
+
+def test_kept_fixed_point_span_is_a_fresh_computation():
+    # M = R^2 / I R^2: gamma acts trivially, so M^G is all of M, while
+    # ker(gamma - 1) on the ambient alone is only N R^2
+    for ring in RINGS:
+        free = md.free_module(ring, 2)
+        mod = free.quotient(la.image_span(free.num, free.scale_matrix(ring.gamma() - ring.one())))
+        assert mod.den.h.shape[0]
+        gm1 = (mod.gamma - np.eye(mod.dim, dtype=np.int64)) % ring.m
+        fresh = la.span_intersect(la.preimage(gm1, mod.den), mod.num)
+        assert mod.fixed_point_span() == fresh == mod.num
+        assert mod.fixed_point_span() is mod.fixed_point_span()
+        assert free.fixed_point_span().size() == ring.m ** 2
+
+
+def test_kept_image_is_a_fresh_image():
+    for ring in RINGS:
+        free = md.free_module(ring, 2)
+        mat = free.scale_matrix(ring.gamma() - ring.one())
+        hom = md.ModuleHom(free, free, mat)
+        kept = hom.image()
+        assert hom.image() is kept
+        fresh = md.ModuleHom(free, free, mat).image()
+        assert (kept.num, kept.den) == (fresh.num, fresh.den)
+        assert kept.order() == ring.m ** (2 * (ring.m - 1))  # I R^2, |R/I| = p^n
+
+
 def test_filtration_piece_cases_31():
     free = md.free_module(R31, 1)
     norm_mod = free.submodule(
@@ -245,7 +281,7 @@ def test_exterior_bidual_free_ranks():
     ring = R31
     for d in (1, 2, 3):
         free = md.free_module(ring, d)
-        for r in range(d + 1):
+        for r in range(d + 2):  # r = d + 1 > g: the zero module
             bidual, _ = md.exterior_bidual(free, r)
             from math import comb
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import howell_oracle
@@ -253,3 +254,34 @@ def test_span_algebra_is_the_enumerated_set_algebra(data):
     # the same span from other generators is equal, with the same hash
     same = la.Span(np.vstack([a[::-1], b[:0]]), p, n)
     assert same == sa and hash(same) == hash(sa)
+
+
+# -- block draws ----------------------------------------------------------------
+
+
+@PROPERTY
+@given(st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64 - 2 ** 12, 2 ** 64 - 1)),
+       st.one_of(st.integers(1, 200), st.integers(1, 2 ** 63 - 1)),
+       st.integers(0, 40))
+@example(seed=2 ** 64 - 1, n=7, count=0)
+@example(seed=2 ** 64 - 1, n=7, count=3)
+@example(seed=2 ** 64 - 0x9E3779B97F4A7C15, n=2 ** 63 - 1, count=5)
+def test_block_draws_are_the_scalar_draws(seed, n, count):
+    # below_many(n, c) is c calls of below(n): same values, same state after
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    draws = block.below_many(n, count)
+    assert draws.dtype == np.int64 and draws.shape == (count,)
+    assert draws.tolist() == [scalar.below(n) for _ in range(count)]
+    assert block.state == scalar.state
+
+
+def test_block_draws_take_the_bounds_of_below():
+    rng = SplitMix64(3)
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            rng.below_many(bad, 2)
+        with pytest.raises(ValueError):
+            rng.below(bad)
+    with pytest.raises(AssertionError):  # the draws are cast to int64
+        rng.below_many(2 ** 63, 1)
+    assert rng.state == 3

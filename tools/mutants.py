@@ -43,9 +43,14 @@ class Mutant(NamedTuple):
 LA = "src/derived_heights/linalg.py"
 CX = "src/derived_heights/complexes.py"
 GR = "src/derived_heights/groupring.py"
+RNG = "src/derived_heights/rng.py"
+HT = "src/derived_heights/heights.py"
+MD = "src/derived_heights/modules.py"
 T_LA = "tests/test_linalg.py::"
 T_PR = "tests/test_properties.py::"
 T_CX = "tests/test_complexes.py::"
+T_HT = "tests/test_heights.py::"
+T_MD = "tests/test_modules.py::"
 
 INTERSECT_PREIMAGE = (T_PR + "test_span_intersect_is_the_enumerated_intersection",
                       T_PR + "test_preimage_is_the_enumerated_preimage")
@@ -138,6 +143,31 @@ MUTANTS = (
            'raise AttributeError("a Span is immutable")',
            "object.__setattr__(self, name, value)",
            (T_LA + "test_span_h_is_read_only",)),
+    # -- block draws and the datum-independent pairing set-up ---------------------
+    Mutant("block-advances-state-one-short", RNG,
+           "self.state = (self.state + count * _GAMMA) & _MASK",
+           "self.state = (self.state + (count - 1) * _GAMMA) & _MASK",
+           (T_PR + "test_block_draws_are_the_scalar_draws",)),
+    Mutant("block-starts-at-zero", RNG,
+           "np.arange(1, count + 1, dtype=np.uint64)", "np.arange(0, count, dtype=np.uint64)",
+           (T_PR + "test_block_draws_are_the_scalar_draws",)),
+    Mutant("lift-solver-keyed-without-generator", HT,
+           "_lift_solver(ring, free.dim // m, k, gen_exp)",
+           "_lift_solver(ring, free.dim // m, k, 1)",
+           (T_HT + "test_lift_chains_solve_the_equations_of_their_generator",)),
+    Mutant("shared-lift-solver-ignores-generator", HT,
+           "d = derivative_op(ring, k - 1, gen_exp)", "d = derivative_op(ring, k - 1, 1)",
+           (T_HT + "test_shared_solvers_draw_like_fresh_ones",)),
+    Mutant("module-gamma-writable", MD,
+           "self.gamma.setflags(write=False)", "pass",
+           (T_MD + "test_shared_free_module_is_read_only",)),
+    Mutant("fixed-point-span-ignores-den", MD,
+           "la.preimage(gm1, self.den), self.num)",
+           "la.preimage(gm1, la.Span.zero(self.dim, self.p, self.n)), self.num)",
+           (T_MD + "test_kept_fixed_point_span_is_a_fresh_computation",)),
+    Mutant("contraction-block-drops-last-row", HT,
+           "for t0 in range(0, cols, step):", "for t0 in range(0, cols - 1, step):",
+           (T_HT + "test_value_table_equals_the_per_shift_loop",)),
 )
 
 
