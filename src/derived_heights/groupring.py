@@ -27,14 +27,6 @@ from . import linalg as la
 
 
 @lru_cache(maxsize=None)
-def _conv_index(m: int) -> np.ndarray:
-    """K[i, j] = (i + j) mod m, the cyclic-convolution target indices."""
-    idx = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=None)
 def _rep_index(m: int) -> np.ndarray:
     """R[i, j] = (j - i) mod m: regular_rep(x) = x.coeffs[R]."""
     idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
@@ -43,10 +35,8 @@ def _rep_index(m: int) -> np.ndarray:
 
 
 def convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Cyclic convolution of coefficient vectors mod m."""
-    out = np.zeros(m, dtype=np.int64)
-    np.add.at(out, _conv_index(m), np.outer(a, b))
-    return out % m
+    """Cyclic convolution of coefficient vectors mod m: a times the regular rep of b."""
+    return la.mul_mod(a, np.asarray(b, dtype=np.int64)[_rep_index(m)], m)
 
 
 class RingCtx:

@@ -25,7 +25,10 @@ Conventions used throughout the package:
     whatever the selection
   * ``Span(rows, p, n)`` canonicalizes arbitrary rows; a primitive whose
     result is already a Howell form (a Zassenhaus tail, a solver's
-    kernel) wraps it without a second Howell form.  Sum, containment,
+    kernel) wraps it without a second Howell form.  Only spans that are
+    kept are canonicalized: containment and annihilation are decided on
+    generating rows (``span.contains(rows)``), since a span contains the
+    span of some rows exactly when it contains each row.  Sum, containment,
     equality and size are ``Span`` members; intersection, preimage,
     image and enumeration take ``Span`` arguments and read (p, n) off
     them.  The zero span has shape (0, cols), and every primitive
@@ -57,8 +60,8 @@ number of array operations and no per-entry Python work.
 Arithmetic is on int64 arrays, reduced mod p^n after every product.
 A product of two reduced matrices sums terms below (p^n)^2, so it is
 exact while the inner dimension times (p^n - 1)^2 stays below 2^63;
-matrix powers go through ``mat_pow_mod``, never through an unreduced
-power.
+``mul_mod`` asserts that, and matrix powers go through ``mat_pow_mod``,
+never through an unreduced power.
 """
 
 from __future__ import annotations
@@ -70,22 +73,27 @@ from typing import Iterator, Optional
 import numpy as np
 
 
-def mat_pow_mod(a: np.ndarray, e: int, m: int) -> np.ndarray:
-    """a^e mod m for a square matrix, by square-and-multiply.
+def mul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(a @ b) mod m, exact: both factors are reduced first.
 
-    Reduces after every product, so each product sums terms below m^2;
-    that is exact while dim * (m - 1)^2 < 2^63.
+    Each entry then sums terms below m^2, which fits int64 while
+    inner * (m - 1)^2 < 2^63; that is asserted.
     """
+    a, b = np.asarray(a, dtype=np.int64) % m, np.asarray(b, dtype=np.int64) % m
+    assert a.shape[-1] * (m - 1) ** 2 < 1 << 63, "matrix product would overflow int64"
+    return a @ b % m
+
+
+def mat_pow_mod(a: np.ndarray, e: int, m: int) -> np.ndarray:
+    """a^e mod m for a square matrix, by square-and-multiply (``mul_mod``)."""
     a = np.asarray(a, dtype=np.int64) % m
-    dim = a.shape[0]
-    assert dim * (m - 1) ** 2 < 1 << 63, "matrix product would overflow int64"
-    out = np.eye(dim, dtype=np.int64)
+    out = np.eye(a.shape[0], dtype=np.int64)
     while e:
         if e & 1:
-            out = (out @ a) % m
+            out = mul_mod(out, a, m)
         e >>= 1
         if e:
-            a = (a @ a) % m
+            a = mul_mod(a, a, m)
     return out
 
 
@@ -354,7 +362,7 @@ def image_span(span: Span, a: np.ndarray) -> Span:
     """The span {v @ a : v in span}."""
     if span.h.shape[0] == 0:
         return Span.zero(a.shape[1], span.p, span.n)
-    return Span((span.h @ a) % span.m, span.p, span.n)
+    return Span(mul_mod(span.h, a, span.m), span.p, span.n)
 
 
 def check_accumulation(terms: int, m: int) -> None:

@@ -7,6 +7,8 @@ gamma-stable.  Free modules, submodules, quotients, duals, fixed points,
 filtration pieces, Fitting ideals and exterior biduals all stay inside
 this one representation, so everything reduces to the span primitives;
 reduction modulo den is ``den.reduce``, with the reducer the span keeps.
+Containment and annihilation are decided on generating rows (a map is
+checked on ``num.h @ mat``); only spans that are kept are canonicalized.
 An ``Ideal`` is likewise a tag plus the ``Span`` of its coefficient
 vectors, so ideals over different rings never compare equal.
 
@@ -55,13 +57,12 @@ class FpModule:
             if not num.contains(den):
                 raise ValueError("denominator is not contained in numerator")
             for span in (num, den):
-                if not span.contains(la.image_span(span, self.gamma)):
+                if not span.contains(la.mul_mod(span.h, self.gamma, ring.m)):
                     raise ValueError("span is not gamma-stable")
             # gamma^(p^n) must be the identity on the module
             if dim and num.h.shape[0]:
                 pw = la.mat_pow_mod(self.gamma, ring.m, ring.m)
-                diff = la.image_span(num, (pw - np.eye(dim, dtype=np.int64)) % ring.m)
-                if not den.contains(diff):
+                if not den.contains(la.mul_mod(num.h, pw - np.eye(dim, dtype=np.int64), ring.m)):
                     raise ValueError("gamma action does not have order dividing p^n")
 
     # -- basic structure ------------------------------------------------------
@@ -171,13 +172,14 @@ class ModuleHom:
             self.check_well_defined()
 
     def check_well_defined(self) -> None:
-        if not self.tgt.num.contains(la.image_span(self.src.num, self.mat)):
+        src, tgt, mat, m = self.src, self.tgt, self.mat, self.src.m
+        if not tgt.num.contains(la.mul_mod(src.num.h, mat, m)):
             raise ValueError("map does not send numerator into numerator")
-        if not self.tgt.den.contains(la.image_span(self.src.den, self.mat)):
+        if not tgt.den.contains(la.mul_mod(src.den.h, mat, m)):
             raise ValueError("map does not send denominator into denominator")
         # R-linearity on representatives: commutes with gamma modulo den
-        comm = (self.src.gamma @ self.mat - self.mat @ self.tgt.gamma) % self.src.m
-        if not self.tgt.den.contains(la.image_span(self.src.num, comm)):
+        comm = la.mul_mod(src.gamma, mat, m) - la.mul_mod(mat, tgt.gamma, m)
+        if not tgt.den.contains(la.mul_mod(src.num.h, comm, m)):
             raise ValueError("map does not commute with the gamma action")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -413,16 +415,12 @@ class Ideal:
     @classmethod
     def from_elements(cls, ring: RingCtx, tag: str,
                       elems: Iterable[GroupRingElt]) -> "Ideal":
-        rows = []
-        for e in elems:
-            if tag == "R":
-                for i in range(ring.m):
-                    rows.append((ring.gamma(i) * e).coeffs)
-            else:
-                rows.append(np.array([e.augmentation()], dtype=np.int64))
+        # row i of regular_rep(e) is gamma^i * e
+        rows = [regular_rep(e) if tag == "R" else np.array([[e.augmentation()]], dtype=np.int64)
+                for e in elems]
         if not rows:
             return cls.zero(ring, tag)
-        return cls(ring, tag, la.Span(np.array(rows, dtype=np.int64), ring.p, ring.n))
+        return cls(ring, tag, la.Span(np.vstack(rows), ring.p, ring.n))
 
     @classmethod
     def zero(cls, ring: RingCtx, tag: str) -> "Ideal":
@@ -449,7 +447,7 @@ class Ideal:
         for row in self.span.h:
             x = (self.ring.elt(row) if self.tag == "R"
                  else self.ring.scalar(int(row[0])))
-            if not mod.den.contains(la.image_span(mod.num, mod.scale_matrix(x))):
+            if not mod.den.contains(la.mul_mod(mod.num.h, mod.scale_matrix(x), mod.m)):
                 return False
         return True
 

@@ -219,15 +219,13 @@ class StarkSystem:
             if deg <= 0:
                 continue
             ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
-            eps = self.eps[vertex]
             prev = inst.alg.module(deg - 1)
             for phi in ann.h:
-                coords = rcoords_from_functional(ring, phi, inst.a)
-                wm = inst.alg.wedge_matrix(deg - 1, coords)
-                img = la.image_span(prev.num, wm)
-                for row in img.h:
-                    if int((row * eps).sum()) % ring.m:
-                        return False
+                # eps kills phi ^ (lower forms) iff it kills phi ^ (their generators),
+                # i.e. (prev.num.h @ wm) @ eps, taken as prev.num.h @ (wm @ eps)
+                wm = inst.alg.wedge_matrix(deg - 1, rcoords_from_functional(ring, phi, inst.a))
+                if la.mul_mod(prev.num.h, la.mul_mod(wm, self.eps[vertex], ring.m), ring.m).any():
+                    return False
         return True
 
     def image_ideal(self, vertex: tuple[int, ...]) -> Ideal:

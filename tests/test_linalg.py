@@ -415,3 +415,17 @@ def test_one_vector_is_the_one_row_case():
             x = solver.solve(b)
             assert x.shape == (4,) and (x == solver.solve(b[None])[0]).all()
             assert ((x @ a) % m == b).all()
+
+
+def test_modular_product_bound_is_asserted_at_its_boundary():
+    # at m = 2^31 + 1 one product (m - 1)^2 = 2^62 fits int64 and two do not
+    m = 2 ** 31 + 1
+    assert la.mul_mod([[m - 1]], [[-1]], m).tolist() == [[1]]
+    assert la.mul_mod([[m - 1]], [[m - 1]], m).tolist() == [[1]]
+    with pytest.raises(AssertionError, match="overflow"):
+        la.mul_mod(np.full((1, 2), m - 1), np.full((2, 1), m - 1), m)
+    # one below it two products fit: 2 * (2^31 - 1)^2 < 2^63
+    assert la.mul_mod(np.full((1, 2), m - 2), np.full((2, 1), m - 2), m - 1).tolist() == [[2]]
+    # factors are reduced before the product, so unreduced input is exact
+    big = np.array([[2 ** 62, -(2 ** 62)]], dtype=np.int64)
+    assert la.mul_mod(big, big.T, 49).tolist() == [[2 * (2 ** 62 % 49) ** 2 % 49]]

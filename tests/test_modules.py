@@ -402,3 +402,55 @@ def test_gamma_order_check_is_exact_over_z49():
     # 5 has order 42, so 5^49 = 19 != 1 and the action is rejected
     with pytest.raises(ValueError, match="order dividing"):
         md.FpModule(ring, "R0", 1, np.array([[5]]), one, zero)
+
+
+# -- checks decided on generating rows -------------------------------------------
+
+
+def test_map_checks_reject_each_broken_condition():
+    for ring in RINGS:
+        m = ring.m
+        free = md.free_module(ring, 1)
+        # kills gamma^0 and keeps the other coordinates: only a later row fails
+        drop_first = np.diag([0] + [1] * (m - 1))
+        with pytest.raises(ValueError, match="numerator into numerator"):
+            md.ModuleHom(free, ideal_submodule(ring, 1), drop_first)
+        with pytest.raises(ValueError, match="denominator into denominator"):
+            md.ModuleHom(aug_quotient(ring), free, np.eye(m, dtype=np.int64))
+        with pytest.raises(ValueError, match="commute with the gamma action"):
+            md.ModuleHom(free, free, drop_first)
+        md.ModuleHom(aug_quotient(ring), aug_quotient(ring), regular_rep(ring.gamma()))
+
+
+def test_span_that_is_not_gamma_stable_is_rejected():
+    for ring in RINGS:
+        free = md.free_module(ring, 1)
+        line = la.Span(np.eye(ring.m, dtype=np.int64)[:1], ring.p, ring.n)
+        with pytest.raises(ValueError, match="not gamma-stable"):
+            md.FpModule(ring, "R", free.dim, free.gamma, line, free.den)
+        with pytest.raises(ValueError, match="not gamma-stable"):
+            md.FpModule(ring, "R", free.dim, free.gamma, free.num, line)
+
+
+def test_ideal_that_does_not_annihilate_is_caught():
+    for ring in RINGS:
+        aug = md.Ideal.from_elements(ring, "R", [ring.gamma() - ring.one()])
+        assert aug.annihilates(aug_quotient(ring))
+        assert not md.Ideal.unit(ring, "R").annihilates(aug_quotient(ring))
+        free = md.free_module(ring, 1)
+        assert not aug.annihilates(free.quotient(aug_ideal_power(ring, 2)))
+    r32 = RingCtx(3, 2)
+    z9 = md.free_r0_module(r32, 1)
+    assert not md.Ideal.from_elements(r32, "R0", [r32.scalar(3)]).annihilates(z9)
+    assert md.Ideal.from_elements(r32, "R0", [r32.scalar(9)]).annihilates(z9)
+
+
+def test_ideal_of_elements_is_spanned_by_their_gamma_multiples():
+    # gamma^i * e row by row, against the regular representation's rows
+    rng = SplitMix64(89)
+    for ring in RINGS + [RingCtx(7, 2)]:
+        for _ in range(10):
+            elems = [ring.elt(rng.below_many(ring.m, ring.m)) for _ in range(2)]
+            rows = [(ring.gamma(i) * e).coeffs for e in elems for i in range(ring.m)]
+            ideal = md.Ideal.from_elements(ring, "R", elems)
+            assert ideal.span == la.Span(np.array(rows), ring.p, ring.n)

@@ -9,8 +9,10 @@ compared with the enumerated intersection and preimage, and their output
 with its own Howell form; a ``Span``'s sum, intersection, containment,
 equality and size with the enumerated sets.  The Howell form itself is also checked on
 matrices too large to enumerate, against the retired fixpoint echelon
-(``howell_oracle``).  Runs are derandomized and keep no example
-database, so the suite is reproducible.
+(``howell_oracle``).  Group-ring multiplication (``convolve``) is
+checked against the double-loop definition of cyclic convolution.
+Runs are derandomized and keep no example database, so the suite is
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 import howell_oracle
 from derived_heights import linalg as la
+from derived_heights.groupring import convolve
 from derived_heights.rng import SplitMix64
 
 RINGS = [(3, 1), (3, 2), (5, 1), (2, 3)]
@@ -285,3 +288,20 @@ def test_block_draws_take_the_bounds_of_below():
     with pytest.raises(AssertionError):  # the draws are cast to int64
         rng.below_many(2 ** 63, 1)
     assert rng.state == 3
+
+
+@PROPERTY
+@given(st.data())
+def test_convolve_is_the_double_loop_convolution(data):
+    # unreduced and negative coefficients, up to the whole int64 range
+    p, n = data.draw(st.sampled_from([(3, 1), (3, 2), (5, 1), (7, 2)]))
+    m = p ** n
+    coeffs = st.lists(st.one_of(st.integers(-m, 2 * m), st.integers(-2 ** 63, 2 ** 63 - 1)),
+                      min_size=m, max_size=m)
+    a, b = data.draw(coeffs), data.draw(coeffs)
+    expect = [0] * m
+    for i in range(m):
+        for j in range(m):
+            expect[(i + j) % m] += a[i] * b[j]
+    out = convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), m)
+    assert out.tolist() == [x % m for x in expect]

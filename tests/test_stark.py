@@ -12,6 +12,7 @@ from derived_heights.rng import SplitMix64
 from derived_heights.stark import (
     StarkError,
     StarkInstance,
+    StarkSystem,
     extend_instance,
     merge_sign,
     random_instance,
@@ -214,3 +215,57 @@ def test_vertex_extension_preserves_everything():
         for i in range(inst.a + 1):
             assert inst.w_star_fitting(i) == ext.w_star_fitting(i)
             assert sys_old.ideal(i) == sys_new.ideal(i)
+
+
+def _bidual_checks(inst, vertex):
+    """Per annihilator functional of H(vertex), the rows eps must kill."""
+    from derived_heights.modules import rcoords_from_functional
+
+    ring = inst.ring
+    deg = inst.chi + len(vertex)
+    ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
+    prev = inst.alg.module(deg - 1)
+    return [prev.num.h @ inst.alg.wedge_matrix(deg - 1, rcoords_from_functional(ring, phi, inst.a))
+            % ring.m for phi in ann.h]
+
+
+def test_functional_outside_the_bidual_is_caught():
+    # a random functional at the last vertex that has annihilator functionals
+    rng = SplitMix64(167)
+    caught = 0
+    for ring in RINGS:
+        for _ in range(4):
+            inst = random_instance(ring, rng, chi_choices=(1,))
+            system = inst.stark_system(_unit(ring, rng))
+            assert system.check_kills_wedge_kernel()
+            vertex = [v for v in inst.vertices() if _bidual_checks(inst, v)][-1]
+            eps = dict(system.eps)
+            eps[vertex] = rng.below_many(ring.m, eps[vertex].size)
+            kills = not any(((rows @ eps[vertex]) % ring.m).any()
+                            for rows in _bidual_checks(inst, vertex))
+            assert StarkSystem(inst, eps, system.scalar).check_kills_wedge_kernel() == kills
+            caught += not kills
+    assert caught >= 10
+
+
+def test_functional_killed_by_the_first_annihilator_only_is_caught():
+    rng = SplitMix64(173)
+    caught = 0
+    for ring in RINGS:
+        for _ in range(4):
+            inst = random_instance(ring, rng, chi_choices=(1,))
+            system = inst.stark_system(_unit(ring, rng))
+            for vertex in inst.vertices():
+                checks = _bidual_checks(inst, vertex)
+                if len(checks) < 2:
+                    continue
+                # functionals killed by the first check but not by all of them
+                first = la.kernel(checks[0].T, ring.p, ring.n)
+                bad = [e for e in first.h if any(((c @ e) % ring.m).any() for c in checks)]
+                if not bad:
+                    continue
+                eps = dict(system.eps)
+                eps[vertex] = bad[0]
+                assert not StarkSystem(inst, eps, system.scalar).check_kills_wedge_kernel()
+                caught += 1
+    assert caught

@@ -46,11 +46,17 @@ GR = "src/derived_heights/groupring.py"
 RNG = "src/derived_heights/rng.py"
 HT = "src/derived_heights/heights.py"
 MD = "src/derived_heights/modules.py"
+ST = "src/derived_heights/stark.py"
 T_LA = "tests/test_linalg.py::"
 T_PR = "tests/test_properties.py::"
 T_CX = "tests/test_complexes.py::"
 T_HT = "tests/test_heights.py::"
 T_MD = "tests/test_modules.py::"
+T_ST = "tests/test_stark.py::"
+MAP_CHECKS = (T_MD + "test_map_checks_reject_each_broken_condition",)
+WEDGE_KERNEL = (T_ST + "test_functional_outside_the_bidual_is_caught",
+                T_ST + "test_functional_killed_by_the_first_annihilator_only_is_caught")
+WEDGE_TEST = "self.eps[vertex], ring.m), ring.m).any():\n                    return False"
 
 INTERSECT_PREIMAGE = (T_PR + "test_span_intersect_is_the_enumerated_intersection",
                       T_PR + "test_preimage_is_the_enumerated_preimage")
@@ -168,6 +174,42 @@ MUTANTS = (
     Mutant("contraction-block-drops-last-row", HT,
            "for t0 in range(0, cols, step):", "for t0 in range(0, cols - 1, step):",
            (T_HT + "test_value_table_equals_the_per_shift_loop",)),
+    # -- checks decided on generating rows, and the guarded modular product -------
+    Mutant("map-numerator-first-row-only", MD,
+           "tgt.num.contains(la.mul_mod(src.num.h, mat, m))",
+           "tgt.num.contains(la.mul_mod(src.num.h[:1], mat, m))", MAP_CHECKS),
+    Mutant("map-denominator-checked-on-numerator", MD,
+           "tgt.den.contains(la.mul_mod(src.den.h, mat, m))",
+           "tgt.den.contains(la.mul_mod(src.num.h, mat, m))", MAP_CHECKS),
+    Mutant("map-commutation-on-denominator", MD,
+           "tgt.den.contains(la.mul_mod(src.num.h, comm, m))",
+           "tgt.den.contains(la.mul_mod(src.den.h, comm, m))", MAP_CHECKS),
+    Mutant("gamma-stability-of-numerator-only", MD,
+           "for span in (num, den):", "for span in (num,):",
+           (T_MD + "test_span_that_is_not_gamma_stable_is_rejected",)),
+    Mutant("annihilation-tested-against-numerator", MD,
+           "if not mod.den.contains(la.mul_mod(mod.num.h",
+           "if not mod.num.contains(la.mul_mod(mod.num.h",
+           (T_MD + "test_ideal_that_does_not_annihilate_is_caught",)),
+    Mutant("ideal-rows-transposed", MD,
+           'regular_rep(e) if tag == "R"', 'regular_rep(e).T if tag == "R"',
+           (T_MD + "test_ideal_of_elements_is_spanned_by_their_gamma_multiples",)),
+    Mutant("wedge-kernel-first-functional-per-vertex", ST,
+           WEDGE_TEST, WEDGE_TEST + "\n                break", WEDGE_KERNEL),
+    Mutant("wedge-kernel-returns-after-first-functional", ST,
+           WEDGE_TEST, WEDGE_TEST + "\n                return True", WEDGE_KERNEL),
+    Mutant("convolve-correlates", GR,
+           "np.asarray(b, dtype=np.int64)[_rep_index(m)]",
+           "np.asarray(b, dtype=np.int64)[_rep_index(m).T]",
+           (T_PR + "test_convolve_is_the_double_loop_convolution",)),
+    Mutant("product-bound-without-squares", LA,
+           "a.shape[-1] * (m - 1) ** 2 < 1 << 63", "a.shape[-1] * (m - 1) < 1 << 63",
+           (T_LA + "test_modular_product_bound_is_asserted_at_its_boundary",)),
+    Mutant("product-factors-unreduced", LA,
+           "a, b = np.asarray(a, dtype=np.int64) % m, np.asarray(b, dtype=np.int64) % m",
+           "a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)",
+           (T_LA + "test_modular_product_bound_is_asserted_at_its_boundary",
+            T_PR + "test_convolve_is_the_double_loop_convolution")),
 )
 
 
