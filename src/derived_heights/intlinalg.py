@@ -1,10 +1,14 @@
-"""Exact integer-matrix algebra: echelon, kernels, Smith normal form.
+"""Exact integer-matrix algebra: echelon, F_p left kernels, Smith form.
 
-Arbitrary-precision Python ints throughout, so Smith reduction cannot
-overflow.  Matrices are lists of row lists; desk scale is at most 8x8.
-The Smith form is the independent ground-truth oracle for the structure
-recovery of cokernels over Z localized at p; the tau-profile route never
-calls into it.
+Arbitrary-precision Python ints throughout, so nothing can overflow.
+Matrices are lists of row lists; desk scale is at most 8x8.  The tau
+route of ``recovery`` uses only ``int_echelon`` (a Z-basis of a row
+lattice) and ``fp_left_kernel`` (rank and left kernel over F_p, from one
+elimination): it descends from im d through the lattices
+im d cap p^k Z^b without ever diagonalizing.  The Smith form
+(``smith_form_int`` through ``minor_gcd`` and ``_det``) is the
+independent ground-truth oracle for that structure recovery; the tau
+route calls none of the three.
 """
 
 from __future__ import annotations
@@ -55,58 +59,31 @@ def int_echelon(a) -> list[list[int]]:
     return placed
 
 
-def int_kernel(a) -> list[list[int]]:
-    """Basis of {v : v @ a == 0} over Z (rows of the result)."""
-    a = _copy(a)
+def fp_left_kernel(a, p: int) -> tuple[int, list[list[int]]]:
+    """Rank of the matrix over F_p, and a basis of its left kernel.
+
+    One elimination of [a mod p | I]: once the left block is in echelon
+    form, the rows below the rank have a zero left block, and their right
+    blocks are independent vectors c with c @ a == 0 mod p.
+    """
     r = len(a)
-    if r == 0:
-        return []
-    aug = [row + [1 if i == j else 0 for j in range(r)] for i, row in enumerate(a)]
-    c = len(a[0])
-    ech = int_echelon(aug)
-    return [row[c:] for row in ech if not any(row[:c])]
-
-
-def int_span_intersect(b1, b2) -> list[list[int]]:
-    """Basis of rowspan(b1) intersected with rowspan(b2)."""
-    b1, b2 = _copy(b1), _copy(b2)
-    if not b1 or not b2:
-        return []
-    k = int_kernel(b1 + b2)
-    out = []
-    for comb in k:
-        v = [0] * len(b1[0])
-        for ci, row in zip(comb[: len(b1)], b1):
-            for j, x in enumerate(row):
-                v[j] += ci * x
-        if any(v):
-            out.append(v)
-    return int_echelon(out)
-
-
-def fp_rank(a, p: int) -> int:
-    """Rank of the matrix over F_p."""
-    rows = [[x % p for x in row] for row in _copy(a)]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
+    cols = len(a[0]) if r else 0
+    rows = [[x % p for x in row] + [int(i == j) for j in range(r)]
+            for i, row in enumerate(a)]
     rank = 0
     for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        piv = next((i for i in range(rank, r) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        prow = rows[rank]
+        inv = pow(prow[col], -1, p)
+        for i in range(rank + 1, r):
+            f = rows[i][col] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
         rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return rank, [row[cols:] for row in rows[rank:]]
 
 
 def smith_form_int(a) -> tuple[list[int], int]:

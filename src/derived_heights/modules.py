@@ -89,6 +89,15 @@ class FpModule:
             self._gamma_pows = pows
         return self._gamma_pows[i % self.m]
 
+    def gamma_orbit(self, rows: np.ndarray) -> np.ndarray:
+        """Rows v, v gamma, ..., v gamma^(m-1) of each row v, row by row."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % self.m
+        out = np.empty((rows.shape[0], self.m, self.dim), dtype=np.int64)
+        for i in range(self.m):
+            out[:, i] = rows
+            rows = la.mul_mod(rows, self.gamma, self.m)
+        return out.reshape(-1, self.dim)
+
     def order(self) -> int:
         return self.num.size() // self.den.size()
 
@@ -233,7 +242,7 @@ def from_presentation(ring: RingCtx, tag: str, generators: int,
     if rel.shape[0] and rel.shape[1] != base.dim:
         raise ValueError("relation rows have the wrong width")
     if rel.shape[0] and tag == "R":
-        rel = np.vstack([(rel @ base.gamma_power(i)) % ring.m for i in range(ring.m)])
+        rel = base.gamma_orbit(rel)
     return FpModule(ring, tag, base.dim, g, base.num, la.Span(rel, ring.p, ring.n))
 
 
@@ -290,10 +299,6 @@ def dual(mod: FpModule) -> FpModule:
                     check=False)
 
 
-def eval_scalar(phi: np.ndarray, v: np.ndarray, m: int) -> int:
-    return int((np.asarray(phi, dtype=np.int64) * np.asarray(v, dtype=np.int64)).sum() % m)
-
-
 def eval_r(mod: FpModule, phi: np.ndarray, v: np.ndarray) -> GroupRingElt:
     """R-valued evaluation of a dual element phi at v (tag R modules).
 
@@ -301,11 +306,8 @@ def eval_r(mod: FpModule, phi: np.ndarray, v: np.ndarray) -> GroupRingElt:
     identification of Hom_{R0}(M, R0) with Hom_R(M, R).
     """
     m = mod.m
-    coeffs = np.zeros(m, dtype=np.int64)
-    for j in range(m):
-        w = (v @ mod.gamma_power((m - j) % m)) % m
-        coeffs[j] = eval_scalar(phi, w, m)
-    return mod.ring.elt(coeffs)
+    values = la.mul_mod(mod.gamma_orbit(v), phi, m)
+    return mod.ring.elt(values[-np.arange(m) % m])
 
 
 def functional_from_rcoords(ring: RingCtx, coords: list[GroupRingElt]) -> np.ndarray:
@@ -339,7 +341,7 @@ def r_generators(mod: FpModule) -> list[np.ndarray]:
             continue
         gens.append(row)
         if mod.tag == "R":
-            orbit = np.array([(row @ mod.gamma_power(i)) % mod.m for i in range(mod.m)])
+            orbit = mod.gamma_orbit(row)
         else:
             orbit = row.reshape(1, -1)
         span = la.Span(np.vstack([span.h, orbit]), mod.p, mod.n)
@@ -376,14 +378,9 @@ def presentation(mod: FpModule) -> Presentation:
     gens = r_generators(mod)
     if not gens:
         return Presentation(mod.ring, mod.tag, [], la.Span.zero(0, mod.p, mod.n))
-    rows = []
-    for gvec in gens:
-        if mod.tag == "R":
-            for i in range(mod.m):
-                rows.append((gvec @ mod.gamma_power(i)) % mod.m)
-        else:
-            rows.append(gvec)
-    gmat = np.array(rows, dtype=np.int64)
+    gmat = np.array(gens, dtype=np.int64)
+    if mod.tag == "R":
+        gmat = mod.gamma_orbit(gmat)
     return Presentation(mod.ring, mod.tag, gens, la.preimage(gmat, mod.den))
 
 
@@ -530,9 +527,8 @@ class ExteriorAlgebra:
                             vec[tgt * m:(tgt + 1) * m] + sgn * row[l].coeffs
                         ) % m
                     if vec.any():
-                        for i in range(m):
-                            rel_scalar.append((vec @ base.gamma_power(i)) % m)
-        den = (la.Span(np.array(rel_scalar, dtype=np.int64), ring.p, ring.n) if rel_scalar
+                        rel_scalar.append(vec)
+        den = (la.Span(base.gamma_orbit(np.array(rel_scalar)), ring.p, ring.n) if rel_scalar
                else base.den)
         out = FpModule(ring, "R", base.dim, base.gamma, base.num, den, check=False)
         self._modules[r] = out

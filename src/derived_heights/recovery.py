@@ -4,19 +4,29 @@ For an integer two-term complex [Z^a -> Z^b] viewed over the discrete
 valuation ring Z_(p) with maximal ideal (p), the stable corner of the
 filtration spectral sequence has
 
-    tau_k = dim_{F_p} of  p^k Z^b / (p^{k+1} Z^b + p^k Z^b cap im d),
+    tau_k = dim_{F_p} of  p^k Z^b / (p^{k+1} Z^b + p^k Z^b cap im d).
 
-computed below by exact lattice arithmetic (intersection, then F_p rank)
-without ever diagonalizing.  The profile is non-increasing and
-eventually constant; the stable value is the free rank of coker d and
-the successive drops are the multiplicities of Z/p^i summands.  A Smith
-normal form over Z provides the independent oracle.
+It is computed by one lattice descent, without ever diagonalizing.  With
+B_k a Z-basis (``int_echelon`` rows) of L_k = im d cap p^k Z^b, starting
+from B_0 = int_echelon(d), one F_p elimination of red_k = B_k / p^k mod p
+gives its rank, so tau_k = b - rank, and its left kernel K_k; then
+L_{k+1} = {c B_k : c mod p in K_k} is spanned by p B_k and lifts of K_k
+times B_k.  Stability lemma: once K_k is empty, L_{k+1} = p L_k, so
+red_k never changes again and every later tau equals tau_k; the rest of
+the profile is filled in without arithmetic.
+
+The profile is non-increasing and eventually constant; the stable value
+is the free rank of coker d and the successive drops are the
+multiplicities of Z/p^i summands.  A Smith normal form over Z provides
+the independent oracle; the descent calls none of its code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from math import comb
+from typing import Iterator
 
 from . import intlinalg as il
 
@@ -86,14 +96,25 @@ class TauProfile:
         self.k0 = max(k0, 1)
 
 
-def tau_value(cx: IntComplex, k: int) -> int:
-    """Single tau_k by exact lattice arithmetic (no Smith form)."""
+def _descent(cx: IntComplex) -> Iterator[int]:
+    """tau_0, tau_1, ... without end, by the lattice descent above."""
     p, b = cx.p, cx.cols
-    pk = p ** k
-    scaled = [[pk if i == j else 0 for j in range(b)] for i in range(b)]
-    inter = il.int_span_intersect(scaled, [list(r) for r in cx.d])
-    reduced = [[(x // pk) % p for x in row] for row in inter]
-    return b - il.fp_rank(reduced, p)
+    basis = il.int_echelon(cx.d)
+    pk = 1
+    while True:
+        rank, ker = il.fp_left_kernel([[x // pk for x in row] for row in basis], p)
+        if not ker:
+            yield from repeat(b - rank)
+        yield b - rank
+        lifts = [[sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(b)]
+                 for coeffs in ker]
+        basis = il.int_echelon([[p * x for x in row] for row in basis] + lifts)
+        pk *= p
+
+
+def tau_value(cx: IntComplex, k: int) -> int:
+    """Single tau_k: the descent run to k (no Smith form)."""
+    return next(islice(_descent(cx), k, None))
 
 
 def tau_sequence(cx: IntComplex, kmax: int | None = None) -> TauProfile:
@@ -102,15 +123,18 @@ def tau_sequence(cx: IntComplex, kmax: int | None = None) -> TauProfile:
     Defaults kmax to 1 + the longest entry bit-length and doubles while
     the tail is not certified; certification is either a zero tail
     (monotonicity pins everything after) or exceeding the p-valuation
-    bound on elementary divisors.
+    bound on elementary divisors.  One descent serves every kmax, so no
+    tau is computed twice.
     """
     p = cx.p
     entries = [abs(x) for row in cx.d for x in row]
     if kmax is None:
         kmax = 1 + max(entries).bit_length()
     vbound = il.valuation_bound([list(r) for r in cx.d], p)
+    descent = _descent(cx)
+    taus: list[int] = []
     while True:
-        taus = [tau_value(cx, k) for k in range(kmax + 1)]
+        taus += islice(descent, kmax + 1 - len(taus))
         if taus[-1] == 0 or kmax >= vbound:
             return TauProfile(p, taus)
         kmax *= 2

@@ -1,18 +1,26 @@
-"""Structure recovery against the Smith-form oracle."""
+"""Structure recovery against the Smith-form oracle, and the lattice
+descent against the per-k intersection route (``tau_oracle``)."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tau_oracle
+from derived_heights import intlinalg as il
 from derived_heights.recovery import (
     IntComplex,
     TauProfile,
     recover_structure,
     snf_oracle,
     tau_sequence,
+    tau_value,
     verify_recovery,
 )
 from derived_heights.rng import SplitMix64
+
+PRIMES = (2, 3, 5, 7)
 
 
 def rand_matrix(rng, rows, cols, bound=50):
@@ -114,3 +122,97 @@ def test_profile_rejects_nonsense():
         IntComplex.make(4, [[1]])
     with pytest.raises(ValueError):
         IntComplex.make(3, [[1, 2], [3]])
+
+
+def _oracle_taus(p, d, count):
+    return [tau_oracle.tau_value(p, d, k) for k in range(count)]
+
+
+def _default_kmax(d):
+    return 1 + max(abs(x) for row in d for x in row).bit_length()
+
+
+def _descent_cases(rng, p):
+    """Zero, rank-deficient, p^3-divisible and wide (free part) matrices."""
+    def draw(rows, cols, bound=20, scale=1):
+        return [[scale * (rng.below(2 * bound + 1) - bound) for _ in range(cols)]
+                for _ in range(rows)]
+
+    yield "zero", [[0] * 3 for _ in range(2)]
+    yield "zero-column", [[0]]
+    for _ in range(3):
+        a = draw(2, 4)
+        c = rng.below(5) - 2
+        yield "rank-deficient", a + [[x + c * y for x, y in zip(*a)]]
+        yield "p3-multiples", draw(3, 3, 6, p ** 3)
+        yield "p-powers", [[p ** rng.below(5) * (rng.below(3) - 1) for _ in range(3)]
+                           for _ in range(3)]
+        yield "wide", draw(2, 4, 30)
+
+
+def test_descent_matches_the_per_k_intersections():
+    rng = SplitMix64(211)
+    seen = set()
+    doubled = 0
+    for p in PRIMES:
+        for kind, d in _descent_cases(rng, p):
+            cx = IntComplex.make(p, d)
+            taus = tau_sequence(cx).taus
+            assert taus == _oracle_taus(p, d, len(taus)), (p, kind, d)
+            assert recover_structure(tau_sequence(cx)) == snf_oracle(cx), (p, kind, d)
+            doubled += len(taus) - 1 > _default_kmax(d)
+            seen.add(kind)
+    assert seen == {"zero", "zero-column", "rank-deficient", "p3-multiples", "p-powers",
+                    "wide"}
+    # inputs with a free cokernel part are certified only after kmax doubles
+    assert doubled >= 12
+
+
+@st.composite
+def int_complexes(draw):
+    """(p, d): 1..4 x 1..4 integer matrices with entries 0 or +-p^j * small."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.builds(lambda j, c: c * p ** j, st.integers(0, 4), st.integers(-3, 3))
+    d = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    return p, d
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(int_complexes())
+def test_descent_tau_is_the_oracle_tau_at_every_k(case):
+    p, d = case
+    taus = tau_sequence(IntComplex.make(p, d)).taus
+    assert taus == _oracle_taus(p, d, len(taus))
+
+
+def _wide_matrix_near_2_40():
+    """9 x 10 at p = 2 with entries near 2^40: Z/2^(4i) for i = 1..8, plus Z."""
+    rng = SplitMix64(40)
+    return [[(1 << 40) + ((rng.below(7) - 3) << (4 * i)) for _ in range(10)]
+            for i in range(9)]
+
+
+def test_profile_is_constant_after_the_descent_stabilizes():
+    d = _wide_matrix_near_2_40()
+    cx = IntComplex.make(2, d)
+    taus = tau_sequence(cx).taus
+    assert len(taus) > 600 and taus[32:] == [1] * (len(taus) - 32)
+    for k in [*range(13), 31, 32, 33, 40, 100]:
+        oracle = tau_oracle.tau_value(2, d, k)
+        assert taus[k] == tau_value(cx, k) == oracle, k
+
+
+def test_descent_calls_no_smith_code(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the tau route reached the Smith oracle")
+
+    for name in ("smith_form_int", "minor_gcd", "_det"):
+        monkeypatch.setattr(il, name, refuse)
+    for p in PRIMES:
+        assert tau_sequence(IntComplex.make(p, [[p, p], [0, p * p]])).taus[:3] == [2, 1, 0]
+    taus = tau_sequence(IntComplex.make(2, _wide_matrix_near_2_40())).taus
+    assert taus[:5] == [9, 9, 9, 9, 8] and taus[-1] == 1
+    with pytest.raises(AssertionError):
+        snf_oracle(IntComplex.make(3, [[3]]))

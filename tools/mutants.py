@@ -47,17 +47,23 @@ RNG = "src/derived_heights/rng.py"
 HT = "src/derived_heights/heights.py"
 MD = "src/derived_heights/modules.py"
 ST = "src/derived_heights/stark.py"
+RC = "src/derived_heights/recovery.py"
+IL = "src/derived_heights/intlinalg.py"
 T_LA = "tests/test_linalg.py::"
 T_PR = "tests/test_properties.py::"
 T_CX = "tests/test_complexes.py::"
 T_HT = "tests/test_heights.py::"
 T_MD = "tests/test_modules.py::"
 T_ST = "tests/test_stark.py::"
+T_RC = "tests/test_recovery.py::"
 MAP_CHECKS = (T_MD + "test_map_checks_reject_each_broken_condition",)
 WEDGE_KERNEL = (T_ST + "test_functional_outside_the_bidual_is_caught",
                 T_ST + "test_functional_killed_by_the_first_annihilator_only_is_caught")
 WEDGE_TEST = "self.eps[vertex], ring.m), ring.m).any():\n                    return False"
 
+DESCENT = (T_RC + "test_descent_matches_the_per_k_intersections",
+           T_RC + "test_descent_tau_is_the_oracle_tau_at_every_k",
+           T_RC + "test_profile_is_constant_after_the_descent_stabilizes")
 INTERSECT_PREIMAGE = (T_PR + "test_span_intersect_is_the_enumerated_intersection",
                       T_PR + "test_preimage_is_the_enumerated_preimage")
 SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
@@ -210,6 +216,24 @@ MUTANTS = (
            "a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)",
            (T_LA + "test_modular_product_bound_is_asserted_at_its_boundary",
             T_PR + "test_convolve_is_the_double_loop_convolution")),
+    # -- the lattice descent of the tau profile ------------------------------------
+    Mutant("descent-drops-p-multiples", RC,
+           "il.int_echelon([[p * x for x in row] for row in basis] + lifts)",
+           "il.int_echelon(lifts)", DESCENT),
+    Mutant("stability-on-one-dim-kernel", RC,
+           "if not ker:", "if len(ker) <= 1:", DESCENT),
+    Mutant("reduction-divides-by-next-power", RC,
+           "[[x // pk for x in row] for row in basis]",
+           "[[x // (pk * p) for x in row] for row in basis]", DESCENT),
+    Mutant("descent-lifts-first-kernel-vector", RC,
+           "for coeffs in ker]", "for coeffs in ker[:1]]", DESCENT),
+    Mutant("descent-consults-smith-oracle", RC,
+           "basis = il.int_echelon(cx.d)",
+           "basis = il.int_echelon(cx.d)\n    il.smith_form_int(cx.d)",
+           (T_RC + "test_descent_calls_no_smith_code",)),
+    Mutant("left-kernel-skips-next-row", IL,
+           "for i in range(rank + 1, r):", "for i in range(rank + 2, r):",
+           ("tests/test_intlinalg.py::test_fp_left_kernel_is_rank_and_left_kernel",) + DESCENT),
 )
 
 
