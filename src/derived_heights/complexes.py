@@ -85,6 +85,11 @@ class TwoTermComplex:
     def ideal_span2(self, i: int) -> la.Span:
         return self.c2.ideal_multiple_span(max(i, 0))
 
+    @_derived
+    def d_preimage(self, j: int) -> la.Span:
+        """{a : da in I^j C2}, shared by ``h1_mod_ik`` and ``z_span`` (j = i + k)."""
+        return la.preimage(self.d, self.ideal_span2(j))
+
     # -- cohomology ------------------------------------------------------------
 
     def h1(self) -> FpModule:
@@ -97,8 +102,7 @@ class TwoTermComplex:
     @_derived
     def h1_mod_ik(self, k: int) -> FpModule:
         """H^1(C / I^k C) as the subquotient {a : da in I^k C2} / I^k C1."""
-        pre = la.preimage(self.d, self.ideal_span2(k))
-        num = la.span_intersect(self.c1.num, pre) + self.c1.den
+        num = la.span_intersect(self.c1.num, self.d_preimage(k)) + self.c1.den
         return FpModule(self.ring, self.c1.tag, self.c1.dim, self.c1.gamma,
                         num, self.ideal_span1(k), check=False)
 
@@ -110,7 +114,7 @@ class TwoTermComplex:
     @_derived
     def h2_ik_step(self, k: int) -> FpModule:
         """H^2(I^k C / I^{k+1} C) = I^k C^2 / (I^{k+1} C^2 + d(I^k C^1))."""
-        den = self.ideal_span2(k + 1) + la.image_span(self.ideal_span1(k), self.d)
+        den = la.image_span(self.ideal_span1(k), self.d, self.ideal_span2(k + 1))
         return FpModule(self.ring, self.c2.tag, self.c2.dim, self.c2.gamma,
                         self.ideal_span2(k), den, check=False)
 
@@ -131,8 +135,7 @@ class TwoTermComplex:
         if degree == 2:
             return self.ideal_span2(i)
         if degree == 1:
-            pre = la.preimage(self.d, self.ideal_span2(i + k))
-            return la.span_intersect(self.ideal_span1(i), pre) + self.c1.den
+            return la.span_intersect(self.ideal_span1(i), self.d_preimage(i + k)) + self.c1.den
         raise ValueError("two-term complexes live in degrees 1 and 2")
 
     @_derived

@@ -222,7 +222,7 @@ class PairingData:
 
     def eval_bilinear(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         """Table of ell(x)(y) in R: push every x through ell, then pair."""
-        w = (np.atleast_2d(np.asarray(xv, dtype=np.int64)) @ self.d) % self.ring.m
+        w = la.mul_mod(np.atleast_2d(xv), self.d, self.ring.m)
         return self.eval_functional(w, yv)
 
     def eval_functional(self, wv: np.ndarray, yv: np.ndarray) -> np.ndarray:
@@ -234,11 +234,10 @@ class PairingData:
         cyclic convolutions, so the table is one matrix product of the w
         rows against the gathered operand Y[(j, i), (t, c)] = y_t[j, c - i]
         of shape (b*m) x (T*m).  The operand is built in blocks of t rows,
-        each no larger than the result (one row at the least), and the sum
-        is reduced once, which is exact while b * m * (m - 1)^2 < 2^63.
+        each no larger than the result (one row at the least), and each
+        block is one ``mul_mod``, exact while b * m * (m - 1)^2 < 2^63.
         """
         b, m = self.b, self.ring.m
-        assert b * m * (m - 1) ** 2 < 1 << 63, "pairing contraction would overflow int64"
         wm = np.atleast_2d(np.asarray(wv, dtype=np.int64)).reshape(-1, b * m)
         ym = np.atleast_2d(np.asarray(yv, dtype=np.int64)).reshape(-1, b, m)
         rows, cols = wm.shape[0], ym.shape[0]
@@ -248,8 +247,8 @@ class PairingData:
         for t0 in range(0, cols, step):
             # the operand's columns (t, c) for this block of t rows
             block = ym[t0:t0 + step, :, shift].transpose(1, 2, 0, 3).reshape(b * m, -1)
-            total[:, t0 * m:(t0 + step) * m] = wm @ block
-        return (total % m).reshape(rows, cols, m)
+            total[:, t0 * m:(t0 + step) * m] = la.mul_mod(wm, block, m)
+        return total.reshape(rows, cols, m)
 
     # -- validation ----------------------------------------------------------------
 
@@ -337,12 +336,12 @@ class PairingData:
         g = ring.gamma(gen_exp)
         tilde_solver = self._solver(
             ("tilde", side, k, gen_exp),
-            lambda: (ker @ free.scale_matrix((g - ring.one()) ** (k - 1))) % m,
+            lambda: la.mul_mod(ker, free.scale_matrix((g - ring.one()) ** (k - 1)), m),
         )
         coeffs = tilde_solver.random_solution(target, rng)
         if coeffs is None:
             raise AssertionError("lift-not-found: element not divisible inside the kernel")
-        tilde = (coeffs @ ker) % m
+        tilde = la.mul_mod(coeffs, ker, m)
         x = _lift_solver(ring, free.dim // m, k, gen_exp).random_solution(tilde, rng)
         if x is None:
             raise AssertionError("lift-not-found: derivative equation unsolvable")

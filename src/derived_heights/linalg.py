@@ -34,17 +34,24 @@ Conventions used throughout the package:
     them.  The zero span has shape (0, cols), and every primitive
     accepts and returns it with the right width
   * ``Solver.solve``, ``Solver.random_solution`` and
-    ``CosetReducer.reduce`` take a matrix of vectors, one per row, in one
-    pass over the pivots; a vector is the one-row case, with no branch
+    ``CosetReducer.reduce`` take a matrix of vectors, one per row; a
+    vector is the one-row case, with no branch.  A pivot 1 has a column
+    that is zero in every other row of a Howell form, so its quotient is
+    the vector's own entry there: the pivots are split once, at
+    construction, and every unit pivot is taken in one ``mul_mod``
+    product; only the non-unit pivots are walked in order (none at n = 1).
+    The result is the same as a walk over every pivot
   * ``span_intersect`` and ``preimage`` are one Howell form each, of
     [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus): its rows that vanish
     on the left block are already the canonical answer (Storjohann,
-    "Algorithms for Matrix Canonical Forms", 2000)
+    "Algorithms for Matrix Canonical Forms", 2000).  An intersection with
+    the whole ambient (a square Howell form with unit diagonal) is the
+    other span, with no Howell form
   * ``howell_form`` is memoized by value (the reduced entries, shape, p
-    and n) in a bounded LRU, because the same spans are canonicalized
-    over and over.  Its results are shared between callers and
-    read-only: writing into one raises, so a caller that needs to
-    modify a span copies it first.
+    and n) in an LRU bounded by entries and by bytes, because the same
+    spans are canonicalized over and over.  Its results are shared
+    between callers and read-only: writing into one raises, so a caller
+    that needs to modify a span copies it first.
 
 The Howell form is computed in one pass over the columns, in the manner
 of Storjohann and Mulders ("Fast algorithms for linear algebra modulo
@@ -66,6 +73,7 @@ never through an unreduced power.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from math import prod
 from typing import Iterator, Optional
@@ -97,10 +105,53 @@ def mat_pow_mod(a: np.ndarray, e: int, m: int) -> np.ndarray:
     return out
 
 
-# Spans kept by the Howell memo; a constant, not a setting.  On the
-# spectral benchmark 256 entries give most of the speed-up of 4096 (11.8
-# against 13.6 trials/s) for +1 MB of peak memory instead of +26 MB.
+# Bounds of the Howell memo; constants, not settings.  On the spectral
+# benchmark 256 entries give most of the speed-up of 4096 (11.8 against
+# 13.6 trials/s) for +1 MB of peak memory instead of +26 MB.  The byte
+# bound (input key plus Howell form) binds only on wide rings: the three
+# benchmark workloads hold at most 2 MB (entries of 1-3 KB at the median),
+# while a (7,2) relate/coker entry holds 359 KB at the median and up to
+# 1.3 MB, and 256 of them made a 174 MB peak.
 HOWELL_MEMO_SIZE = 256
+HOWELL_MEMO_BYTES = 8 << 20
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _lru_by_bytes(fn):
+    """Memoize fn(a, p, n) by the value of a, least recently used first out.
+
+    Bounded by ``HOWELL_MEMO_SIZE`` entries and by ``HOWELL_MEMO_BYTES``
+    held (key plus result).  Results are read-only; ``cache_info`` and
+    ``cache_clear`` work as they do on an ``lru_cache``.
+    """
+    entries: OrderedDict = OrderedDict()
+    stats = {"bytes": 0, "hits": 0, "misses": 0}
+
+    def memo(a: np.ndarray, p: int, n: int) -> np.ndarray:
+        key = (a.tobytes(), a.shape, p, n)
+        out = entries.get(key)
+        if out is not None:
+            stats["hits"] += 1
+            entries.move_to_end(key)
+            return out
+        stats["misses"] += 1
+        out = entries[key] = fn(a, p, n)
+        out.setflags(write=False)
+        stats["bytes"] += len(key[0]) + out.nbytes
+        while len(entries) > HOWELL_MEMO_SIZE or stats["bytes"] > HOWELL_MEMO_BYTES:
+            old, dropped = entries.popitem(last=False)
+            stats["bytes"] -= len(old[0]) + dropped.nbytes
+        return out
+
+    def cache_clear() -> None:
+        entries.clear()
+        stats.update(bytes=0, hits=0, misses=0)
+
+    memo.cache_info = lambda: CacheInfo(stats["hits"], stats["misses"], HOWELL_MEMO_SIZE,
+                                        len(entries))
+    memo.cache_clear = cache_clear
+    return memo
 
 
 def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -109,15 +160,7 @@ def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
     Memoized by value; the result is shared with every other caller that
     asks for the same span, so it cannot be written to.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % (p ** n)
-    return _howell_memo(a.tobytes(), a.shape, p, n)
-
-
-@lru_cache(maxsize=HOWELL_MEMO_SIZE)
-def _howell_memo(key: bytes, shape: tuple[int, ...], p: int, n: int) -> np.ndarray:
-    h = _howell_form(np.frombuffer(key, dtype=np.int64).reshape(shape), p, n)
-    h.setflags(write=False)
-    return h
+    return _howell_memo(np.atleast_2d(np.asarray(a, dtype=np.int64)) % (p ** n), p, n)
 
 
 @lru_cache(maxsize=16)
@@ -188,6 +231,9 @@ def _howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
                 w[j + k] = ann
                 k += 1
     return w[:j].copy()
+
+
+_howell_memo = _lru_by_bytes(_howell_form)
 
 
 def _pivots_of(h: np.ndarray) -> list[tuple[int, int, int]]:
@@ -355,14 +401,31 @@ def span_intersect(a: Span, b: Span) -> Span:
     x @ a = -(y @ b), which is every element of the intersection.
     """
     _same_ring(a, b)
+    if _is_whole(a):
+        return b
+    if _is_whole(b):
+        return a
     return _zassenhaus(a.h, a.h, b)
 
 
-def image_span(span: Span, a: np.ndarray) -> Span:
-    """The span {v @ a : v in span}."""
-    if span.h.shape[0] == 0:
-        return Span.zero(a.shape[1], span.p, span.n)
-    return Span(mul_mod(span.h, a, span.m), span.p, span.n)
+def _is_whole(span: Span) -> bool:
+    """True iff the span is its whole ambient: a square Howell form with unit diagonal.
+
+    Its pivots then lie on the diagonal, and entries above a pivot 1 are 0.
+    """
+    h = span.h
+    return h.shape[0] == h.shape[1] and bool((h.diagonal() == 1).all())
+
+
+def image_span(span: Span, a: np.ndarray, plus: Optional[Span] = None) -> Span:
+    """The span {v @ a : v in span}, plus the span ``plus`` in the same Howell form."""
+    rows = mul_mod(span.h, a, span.m)
+    if plus is not None:
+        _same_ring(span, plus)
+        rows = np.vstack([rows, plus.h])
+    if not rows.shape[0]:
+        return Span.zero(rows.shape[1], span.p, span.n)
+    return Span(rows, span.p, span.n)
 
 
 def check_accumulation(terms: int, m: int) -> None:
@@ -374,27 +437,44 @@ def check_accumulation(terms: int, m: int) -> None:
     assert terms * (m - 1) ** 2 + m < 1 << 63, "batched reduction would overflow int64"
 
 
+def _split_units(h: np.ndarray, pivots: list[tuple[int, int, int]]):
+    """(columns, rows of h) of the unit pivots, and the other pivots in order.
+
+    In a Howell form the column of a pivot 1 is zero in every other row:
+    the rows below are zero left of their pivots, and the entries above
+    are reduced below 1.  So no other pivot's row changes that entry, and
+    the quotient there is the vector's own entry, whatever the order.
+    """
+    unit = [pv == 1 for _, _, pv in pivots]
+    rows, cols = (np.array([piv[k] for piv, u in zip(pivots, unit) if u], dtype=np.int64)
+                  for k in (0, 1))
+    return cols, h[rows], [piv for piv, u in zip(pivots, unit) if not u]
+
+
 class CosetReducer:
     """Canonical coset reduction against one fixed Howell form (``Span.reducer``).
 
     Constant on cosets: the entry at each pivot column ends up in
     [0, p^v), so ``reduce(v)`` is zero exactly when v lies in the span.
-    The rows of a 2-D argument are reduced in one pass over the pivots; a
-    1-D argument is the one-row case.
+    The rows of a 2-D argument are reduced together: one product against
+    all the unit pivots' rows, then a walk over the other pivots (there
+    are none at n = 1).  A 1-D argument is the one-row case.
     """
 
-    __slots__ = ("p", "n", "m", "h", "pivots")
+    __slots__ = ("p", "n", "m", "h", "unit_cols", "unit_rows", "pivots")
 
     def __init__(self, h: np.ndarray, p: int, n: int):
         self.p, self.n, self.m = p, n, p ** n
         self.h = h
-        self.pivots = _pivots_of(h)
-        check_accumulation(len(self.pivots), self.m)
+        pivots = _pivots_of(h)
+        check_accumulation(len(pivots), self.m)
+        self.unit_cols, self.unit_rows, self.pivots = _split_units(h, pivots)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         m = self.m
         v = np.asarray(v, dtype=np.int64)
         out = np.atleast_2d(v) % m
+        out = out - mul_mod(out[:, self.unit_cols], self.unit_rows, m)
         for i, col, pv in self.pivots:
             # entries stay congruent mod m, so the quotients are read off
             # the reduced pivot column and the rows are reduced once, at the end
@@ -411,13 +491,16 @@ class CosetReducer:
 class Solver:
     """Repeated solving of v @ a == b for one fixed a.
 
-    Factors the Howell form of [a | I] once; each solve is then a single
-    reduction pass, for one target or a whole matrix of them.  Used by the
-    pairing tables, which lift every element of a filtration piece against
-    the same handful of matrices in one call.
+    Factors the Howell form of [a | I] once; each solve is then one
+    coset reduction against its a-part pivots, for one target or a whole
+    matrix of them, as in ``CosetReducer``: the right block of the rows
+    taken off b adds up to the solution.  Used by the pairing tables,
+    which lift every element of a filtration piece against the same
+    handful of matrices in one call.
     """
 
-    __slots__ = ("p", "n", "m", "rows", "cols", "h", "pivots", "ker")
+    __slots__ = ("p", "n", "m", "rows", "cols", "h", "unit_cols", "unit_rows", "pivots",
+                 "ker")
 
     def __init__(self, a: np.ndarray, p: int, n: int):
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
@@ -427,21 +510,24 @@ class Solver:
         self.h = howell_form(aug, p, n)
         # rows with a pivot in the a-part come first; the rest are the kernel
         self.ker = Span._of_howell(_vanishing_tail(self.h, self.cols), p, n)
-        self.pivots = _pivots_of(self.h[: self.h.shape[0] - self.ker.h.shape[0], : self.cols])
-        check_accumulation(len(self.pivots), self.m)
+        pivots = _pivots_of(self.h[: self.h.shape[0] - self.ker.h.shape[0], : self.cols])
+        check_accumulation(len(pivots), self.m)
+        self.unit_cols, self.unit_rows, self.pivots = _split_units(self.h, pivots)
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """A solution v of v @ a == b, or None if there is none.
 
         For a 2-D b (one target per row) this solves the matrix equation
-        V @ a == b in one pass over the pivots: row i of V solves row i
-        of b, and the result is None if any row has no solution.  A 1-D b
-        is the one-row case and gives a 1-D v.
+        V @ a == b in one reduction: row i of V solves row i of b, and the
+        result is None if any row has no solution.  A 1-D b is the one-row
+        case and gives a 1-D v.
         """
-        m = self.m
+        m, cols = self.m, self.cols
         b = np.asarray(b, dtype=np.int64)
         resid = np.atleast_2d(b) % m
-        x = np.zeros((resid.shape[0], self.rows), dtype=np.int64)
+        taken = mul_mod(resid[:, self.unit_cols], self.unit_rows, m)
+        resid = resid - taken[:, :cols]
+        x = taken[:, cols:]
         for i, col, pv in self.pivots:
             # entries stay congruent mod m; reduced once, at the end
             e = resid[:, col] % m
@@ -449,8 +535,8 @@ class Solver:
                 return None
             q = e // pv
             if q.any():
-                resid -= q[:, None] * self.h[i, : self.cols]
-                x += q[:, None] * self.h[i, self.cols:]
+                resid -= q[:, None] * self.h[i, :cols]
+                x += q[:, None] * self.h[i, cols:]
         return None if (resid % m).any() else (x % m).reshape(b.shape[:-1] + (self.rows,))
 
     def random_solution(self, b: np.ndarray, rng) -> Optional[np.ndarray]:
@@ -465,5 +551,5 @@ class Solver:
         rows = np.atleast_2d(v)  # a view: v is updated in place
         shape = (rows.shape[0], self.ker.h.shape[0])
         coeffs = rng.below_many(self.m, shape[0] * shape[1]).reshape(shape)
-        rows[:] = (rows + coeffs @ self.ker.h) % self.m
+        rows[:] = (rows + mul_mod(coeffs, self.ker.h, self.m)) % self.m
         return v

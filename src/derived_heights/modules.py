@@ -15,6 +15,11 @@ vectors, so ideals over different rings never compare equal.
 R-modules expand R-coordinates to scalars: a free R-module of rank g has
 ambient dimension g * p^n, scalar slot g*m + i holding the coefficient
 of gamma^i, and gamma acts blockwise by the regular representation.
+``free_module`` alone sets ``free_rank`` = g on the module it builds (no
+test on gamma sets it, since submodules and quotients share that gamma);
+such a module takes its scale matrices as kron(I_g, regular_rep(x)) and
+I^k M as g diagonal copies of the Howell form of I^k, with no dense gamma
+power and no Howell form of its own.
 
 Duality: Hom_R(M, R) is computed through its identification with
 Hom_{R0}(M, R0) (f maps to sum_sigma f(sigma .) sigma^{-1}); a scalar
@@ -32,13 +37,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import linalg as la
-from .groupring import GroupRingElt, RingCtx, regular_rep
+from .groupring import GroupRingElt, RingCtx, aug_ideal_power, regular_rep
 
 
 class FpModule:
     """Subquotient num/den of (Z/p^n)^dim with gamma-action."""
 
-    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "_gamma_pows", "_fixed")
+    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "free_rank", "_gamma_pows",
+                 "_fixed")
 
     def __init__(self, ring: RingCtx, tag: str, dim: int, gamma: np.ndarray,
                  num: la.Span, den: la.Span, check: bool = True):
@@ -51,6 +57,7 @@ class FpModule:
         self.gamma.setflags(write=False)
         self.num = num
         self.den = den
+        self.free_rank: Optional[int] = None  # set by free_module alone
         self._gamma_pows = None
         self._fixed: Optional[la.Span] = None
         if check:
@@ -83,7 +90,7 @@ class FpModule:
         if self._gamma_pows is None:
             pows = [np.eye(self.dim, dtype=np.int64)]
             for _ in range(self.m - 1):
-                pows.append((pows[-1] @ self.gamma) % self.m)
+                pows.append(la.mul_mod(pows[-1], self.gamma, self.m))
             for pw in pows:
                 pw.setflags(write=False)
             self._gamma_pows = pows
@@ -118,7 +125,10 @@ class FpModule:
     # -- derived modules -------------------------------------------------------
 
     def submodule(self, span: la.Span) -> "FpModule":
-        num = span + self.den
+        return self._over_den(span + self.den)
+
+    def _over_den(self, num: la.Span) -> "FpModule":
+        """The submodule num/den, for a span num that already contains den."""
         if not self.num.contains(num):
             raise ValueError("span does not lie in the module")
         return FpModule(self.ring, self.tag, self.dim, self.gamma, num, self.den,
@@ -130,6 +140,8 @@ class FpModule:
 
     def scale_matrix(self, x: GroupRingElt) -> np.ndarray:
         """Matrix of multiplication by the ring element x on the ambient."""
+        if self.free_rank is not None:
+            return np.kron(np.eye(self.free_rank, dtype=np.int64), regular_rep(x))
         m = self.m
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for i, c in enumerate(x.coeffs):
@@ -152,6 +164,10 @@ class FpModule:
         """Span of I^k M (plus den) inside the ambient."""
         if k <= 0:
             return self.num
+        if self.free_rank is not None:  # r diagonal copies of I^k, a Howell form
+            block = aug_ideal_power(self.ring, k).h
+            return la.Span._of_howell(np.kron(np.eye(self.free_rank, dtype=np.int64), block),
+                                      self.p, self.n)
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
         mat = la.mat_pow_mod(gm1, k, self.m)
         return la.image_span(self.num, mat) + self.den
@@ -192,15 +208,15 @@ class ModuleHom:
             raise ValueError("map does not commute with the gamma action")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.tgt.reduce((np.asarray(v, dtype=np.int64) @ self.mat) % self.src.m)
+        return self.tgt.reduce(la.mul_mod(v, self.mat, self.src.m))
 
     def kernel(self) -> FpModule:
         pre = la.preimage(self.mat, self.tgt.den)
         return self.src.submodule(la.span_intersect(pre, self.src.num))
 
     def image(self) -> FpModule:
-        if self._image is None:  # built once per map
-            self._image = self.tgt.submodule(la.image_span(self.src.num, self.mat))
+        if self._image is None:  # built once per map; image and den in one Howell form
+            self._image = self.tgt._over_den(la.image_span(self.src.num, self.mat, self.tgt.den))
         return self._image
 
     def is_surjective(self) -> bool:
@@ -215,8 +231,10 @@ def free_module(ring: RingCtx, rank: int) -> FpModule:
     """Free R-module R^rank in the regular-representation expansion (shared, read-only)."""
     p, n, dim = ring.p, ring.n, rank * ring.m
     gamma = np.kron(np.eye(rank, dtype=np.int64), regular_rep(ring.gamma()))
-    return FpModule(ring, "R", dim, gamma, la.Span.whole(dim, p, n),
+    free = FpModule(ring, "R", dim, gamma, la.Span.whole(dim, p, n),
                     la.Span.zero(dim, p, n), check=False)
+    free.free_rank = rank
+    return free
 
 
 def free_r0_module(ring: RingCtx, rank: int) -> FpModule:
@@ -563,7 +581,7 @@ class ExteriorAlgebra:
                  f_coords: list[GroupRingElt]) -> np.ndarray:
         """Functional on degree r+1 contracted by f: (eps . f)(w) = eps(f ^ w)."""
         wm = self.wedge_matrix(r_plus_1 - 1, f_coords)
-        return (wm @ np.asarray(eps, dtype=np.int64)) % self.ring.m
+        return la.mul_mod(wm, eps, self.ring.m)
 
 
 def exterior_bidual(mod: FpModule, r: int) -> tuple[FpModule, ExteriorAlgebra]:

@@ -137,7 +137,7 @@ def tau_sequence(cx: IntComplex, kmax: int | None = None) -> TauProfile:
         taus += islice(descent, kmax + 1 - len(taus))
         if taus[-1] == 0 or kmax >= vbound:
             return TauProfile(p, taus)
-        kmax *= 2
+        kmax = 2 * max(kmax, 1)  # from kmax = 0 plain doubling never moves
 
 
 def recover_structure(profile: TauProfile) -> tuple[int, dict[int, int]]:

@@ -6,6 +6,9 @@ by sheer enumeration; it never touches the echelon code paths.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -429,3 +432,20 @@ def test_modular_product_bound_is_asserted_at_its_boundary():
     # factors are reduced before the product, so unreduced input is exact
     big = np.array([[2 ** 62, -(2 ** 62)]], dtype=np.int64)
     assert la.mul_mod(big, big.T, 49).tolist() == [[2 * (2 ** 62 % 49) ** 2 % 49]]
+
+
+def test_every_matrix_product_in_src_goes_through_mul_mod():
+    # a raw @ wraps int64 silently; mul_mod is the one product that asserts
+    # its bound, so no other function of the package may multiply matrices
+    found = []
+    for path in sorted(Path(la.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "linalg.py":
+            (fn,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "mul_mod"]
+            allowed = {id(node) for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult) and id(node) not in allowed]
+    assert found == []

@@ -3,6 +3,8 @@ descent against the per-k intersection route (``tau_oracle``)."""
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,3 +218,20 @@ def test_descent_calls_no_smith_code(monkeypatch):
     assert taus[:5] == [9, 9, 9, 9, 8] and taus[-1] == 1
     with pytest.raises(AssertionError):
         snf_oracle(IntComplex.make(3, [[3]]))
+
+
+def test_profile_from_kmax_zero_returns():
+    # tau_0 = 1 > 0 here, so the tail is not certified at kmax = 0 and the
+    # doubling must move kmax off 0; an alarm turns a hang into a failure
+    def hang(*_args):
+        raise TimeoutError("tau_sequence(kmax=0) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        taus = tau_sequence(IntComplex.make(3, [[3]]), kmax=0).taus
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert taus == [1, 0, 0]
+    assert tau_sequence(IntComplex.make(3, [[1]]), kmax=0).taus == [0]

@@ -70,6 +70,10 @@ SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
                 T_LA + "test_span_of_arbitrary_rows_is_their_howell_form",
                 T_LA + "test_span_reducer_is_built_once_and_is_its_own")
 
+T_UP = "tests/test_unit_pivots.py::"
+UNIT_PIVOTS = (T_UP + "test_reduce_and_solve_match_the_sequential_walk",
+               T_UP + "test_reduce_and_solve_match_the_sequential_walk_on_drawn_matrices")
+
 MUTANTS = (
     # -- Zassenhaus intersection and preimage ----------------------------------
     Mutant("tail-takes-left-block", LA,
@@ -104,9 +108,10 @@ MUTANTS = (
            (T_CX + "test_differential_is_read_only",)),
     # -- the batched accumulations ---------------------------------------------------
     Mutant("reducer-bound-unchecked", LA,
-           "self.pivots = _pivots_of(h)\n        check_accumulation(len(self.pivots), self.m)",
-           "self.pivots = _pivots_of(h)",
-           (T_LA + "test_batched_accumulation_bound_is_asserted",)),
+           "pivots = _pivots_of(h)\n        check_accumulation(len(pivots), self.m)",
+           "pivots = _pivots_of(h)",
+           (T_LA + "test_batched_accumulation_bound_is_asserted",
+            T_UP + "test_unit_pivots_leave_the_walk_and_the_bound_counts_all")),
     Mutant("bound-without-squares", LA,
            "terms * (m - 1) ** 2 + m < 1 << 63", "terms * (m - 1) + m < 1 << 63",
            (T_LA + "test_batched_accumulation_bound_is_asserted",)),
@@ -116,6 +121,32 @@ MUTANTS = (
     Mutant("one-row-reduce-not-reshaped", LA,
            "return (out % m).reshape(v.shape)", "return out % m",
            (T_LA + "test_one_vector_is_the_one_row_case",)),
+    # -- the unit pivots in one product, and free modules by their blocks ------------
+    Mutant("unit-product-skips-a-row", LA,
+           "return cols, h[rows], [piv", "return cols[1:], h[rows[1:]], [piv", UNIT_PIVOTS),
+    Mutant("non-unit-pivot-in-unit-product", LA,
+           "unit = [pv == 1 for _, _, pv in pivots]", "unit = [pv <= 3 for _, _, pv in pivots]",
+           UNIT_PIVOTS),
+    Mutant("free-flag-from-gamma", MD,
+           "self.free_rank: Optional[int] = None  # set by free_module alone",
+           "free = np.kron(np.eye(dim // ring.m, dtype=np.int64), regular_rep(ring.gamma()))\n"
+           "        self.free_rank = dim // ring.m if np.array_equal(self.gamma, free) else None",
+           (T_UP + "test_free_flag_is_not_read_off_gamma",)),
+    Mutant("whole-span-by-shape", LA,
+           "return h.shape[0] == h.shape[1] and bool((h.diagonal() == 1).all())",
+           "return h.shape[0] == h.shape[1]",
+           (T_UP + "test_intersection_with_the_whole_ambient_is_the_other_span",)),
+    Mutant("free-ideal-span-one-block", MD,
+           "np.kron(np.eye(self.free_rank, dtype=np.int64), block)",
+           "np.kron(np.eye(1, dtype=np.int64), block)",
+           (T_UP + "test_free_block_forms_match_the_generic_route",)),
+    Mutant("raw-product-in-src", MD,
+           "return self.tgt.reduce(la.mul_mod(v, self.mat, self.src.m))",
+           "return self.tgt.reduce(np.asarray(v, dtype=np.int64) @ self.mat % self.src.m)",
+           (T_LA + "test_every_matrix_product_in_src_goes_through_mul_mod",)),
+    Mutant("tau-doubling-from-zero", RC,
+           "kmax = 2 * max(kmax, 1)", "kmax *= 2",
+           (T_RC + "test_profile_from_kmax_zero_returns",)),
     # -- the Span value -----------------------------------------------------------------
     Mutant("span-equality-by-shape", LA,
            "self.h.shape == other.h.shape\n                and bool((self.h == other.h).all()))",
