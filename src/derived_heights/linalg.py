@@ -437,18 +437,23 @@ def check_accumulation(terms: int, m: int) -> None:
     assert terms * (m - 1) ** 2 + m < 1 << 63, "batched reduction would overflow int64"
 
 
-def _split_units(h: np.ndarray, pivots: list[tuple[int, int, int]]):
-    """(columns, rows of h) of the unit pivots, and the other pivots in order.
+def _split_pivots(h: np.ndarray, width: int):
+    """The pivots of the rows of h, found on its first ``width`` columns, split by unit.
 
-    In a Howell form the column of a pivot 1 is zero in every other row:
-    the rows below are zero left of their pivots, and the entries above
-    are reduced below 1.  So no other pivot's row changes that entry, and
-    the quotient there is the vector's own entry, whatever the order.
+    Returns the unit pivots' columns and rows of h, and the other pivots
+    as (row, column, entry), in order.  In a Howell form the column of a
+    pivot 1 is zero in every other row: the rows below are zero left of
+    their pivots, and the entries above are reduced below 1.  So no other
+    pivot's row changes that entry, and the quotient there is the
+    vector's own entry, whatever the order.
     """
-    unit = [pv == 1 for _, _, pv in pivots]
-    rows, cols = (np.array([piv[k] for piv, u in zip(pivots, unit) if u], dtype=np.int64)
-                  for k in (0, 1))
-    return cols, h[rows], [piv for piv, u in zip(pivots, unit) if not u]
+    rows = np.arange(h.shape[0])
+    cols = (h[:, :width] != 0).argmax(axis=1) if rows.size else rows
+    entries = h[rows, cols]
+    unit = entries == 1
+    other = ~unit
+    return cols[unit], h[unit], list(zip(rows[other].tolist(), cols[other].tolist(),
+                                         entries[other].tolist()))
 
 
 class CosetReducer:
@@ -466,9 +471,8 @@ class CosetReducer:
     def __init__(self, h: np.ndarray, p: int, n: int):
         self.p, self.n, self.m = p, n, p ** n
         self.h = h
-        pivots = _pivots_of(h)
-        check_accumulation(len(pivots), self.m)
-        self.unit_cols, self.unit_rows, self.pivots = _split_units(h, pivots)
+        check_accumulation(h.shape[0], self.m)  # one pivot per row
+        self.unit_cols, self.unit_rows, self.pivots = _split_pivots(h, h.shape[1])
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         m = self.m
@@ -510,9 +514,9 @@ class Solver:
         self.h = howell_form(aug, p, n)
         # rows with a pivot in the a-part come first; the rest are the kernel
         self.ker = Span._of_howell(_vanishing_tail(self.h, self.cols), p, n)
-        pivots = _pivots_of(self.h[: self.h.shape[0] - self.ker.h.shape[0], : self.cols])
-        check_accumulation(len(pivots), self.m)
-        self.unit_cols, self.unit_rows, self.pivots = _split_units(self.h, pivots)
+        top = self.h.shape[0] - self.ker.h.shape[0]
+        check_accumulation(top, self.m)  # one a-part pivot per row above the kernel
+        self.unit_cols, self.unit_rows, self.pivots = _split_pivots(self.h[:top], self.cols)
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """A solution v of v @ a == b, or None if there is none.

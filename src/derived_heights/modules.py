@@ -141,7 +141,7 @@ class FpModule:
     def scale_matrix(self, x: GroupRingElt) -> np.ndarray:
         """Matrix of multiplication by the ring element x on the ambient."""
         if self.free_rank is not None:
-            return np.kron(np.eye(self.free_rank, dtype=np.int64), regular_rep(x))
+            return _diagonal_copies(self.free_rank, regular_rep(x))
         m = self.m
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for i, c in enumerate(x.coeffs):
@@ -166,8 +166,7 @@ class FpModule:
             return self.num
         if self.free_rank is not None:  # r diagonal copies of I^k, a Howell form
             block = aug_ideal_power(self.ring, k).h
-            return la.Span._of_howell(np.kron(np.eye(self.free_rank, dtype=np.int64), block),
-                                      self.p, self.n)
+            return la.Span._of_howell(_diagonal_copies(self.free_rank, block), self.p, self.n)
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
         mat = la.mat_pow_mod(gm1, k, self.m)
         return la.image_span(self.num, mat) + self.den
@@ -226,11 +225,20 @@ class ModuleHom:
 # -- constructors --------------------------------------------------------------
 
 
+def _diagonal_copies(r: int, block: np.ndarray) -> np.ndarray:
+    """kron(I_r, block): r copies of block down the diagonal."""
+    rows, cols = block.shape
+    out = np.zeros((r * rows, r * cols), dtype=np.int64)
+    for i in range(r):
+        out[i * rows:(i + 1) * rows, i * cols:(i + 1) * cols] = block
+    return out
+
+
 @lru_cache(maxsize=32)
 def free_module(ring: RingCtx, rank: int) -> FpModule:
     """Free R-module R^rank in the regular-representation expansion (shared, read-only)."""
     p, n, dim = ring.p, ring.n, rank * ring.m
-    gamma = np.kron(np.eye(rank, dtype=np.int64), regular_rep(ring.gamma()))
+    gamma = _diagonal_copies(rank, regular_rep(ring.gamma()))
     free = FpModule(ring, "R", dim, gamma, la.Span.whole(dim, p, n),
                     la.Span.zero(dim, p, n), check=False)
     free.free_rank = rank
