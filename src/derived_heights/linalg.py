@@ -123,7 +123,9 @@ def _lru_by_bytes(fn):
 
     Bounded by ``HOWELL_MEMO_SIZE`` entries and by ``HOWELL_MEMO_BYTES``
     held (key plus result).  Results are read-only; ``cache_info`` and
-    ``cache_clear`` work as they do on an ``lru_cache``.
+    ``cache_clear`` work as they do on an ``lru_cache``.  A closure, not a
+    class: callers that empty every cache of a module call ``cache_clear``
+    on each module attribute that has one, and a class's is unbound.
     """
     entries: OrderedDict = OrderedDict()
     stats = {"bytes": 0, "hits": 0, "misses": 0}
