@@ -56,13 +56,17 @@ Conventions used throughout the package:
 The Howell form is computed in one pass over the columns, in the manner
 of Storjohann and Mulders ("Fast algorithms for linear algebra modulo
 N", 1998): at each column the active row of least p-valuation v becomes
-the pivot, one outer-product update clears the column from every other
-row (and reduces the rows already placed), and for v > 0 the
+the pivot, one in-place outer-product update clears the column from the
+active rows and from the rows already placed, and for v > 0 the
 annihilator row p^(n-v) * pivot row rejoins the active rows, which
-gives the Howell property without a second pass.  Valuations, inverses
-of unit parts and the powers of p come from per-(p, n) lookup tables
-(``_tables``, one entry per residue), so a pivot step makes a fixed
-number of array operations and no per-entry Python work.
+gives the Howell property without a second pass.  Reduction is
+deferred: between steps the entries are only congruent mod p^n, the
+pivot column is reduced as it is read and the placed rows once, at the
+end.  An entry takes at most one update per column, so it stays below
+p^n + cols * (p^n - 1)^2, and ``check_accumulation`` asserts that this
+bound times a unit inverse (a pivot row is scaled unreduced) fits int64.
+Valuations, inverses of unit parts and the powers of p come from
+per-(p, n) lookup tables (``_tables``, one entry per residue).
 
 Arithmetic is on int64 arrays, reduced mod p^n after every product.
 A product of two reduced matrices sums terms below (p^n)^2, so it is
@@ -75,7 +79,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
-from math import prod
+from itertools import product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -184,105 +188,96 @@ def _tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return val, inv, pw
 
 
+# Above this many entries a Howell step updates only the rows with a
+# nonzero multiplier: the wide block matrices of (7,2), 2-8% nonzero, took
+# three times as long with every row updated; below it the gather costs more.
+HOWELL_GATHER_ENTRIES = 4096
+
+
 def _howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
     """Unique Howell canonical form of the row span of ``a``, unmemoized.
 
-    One pass over the columns.  Rows ``w[:j]`` are placed (pivots in
-    increasing columns) and rows ``w[j:j + k]`` are active.  At column c
-    the active row of least valuation v becomes the pivot, normalized to
-    p^v; one outer-product update clears column c from the active rows
-    and reduces the placed rows' entries there into [0, p^v).  If v > 0,
+    One pass over the columns, with deferred reduction (module docstring).
+    Rows ``w[:j]`` are placed (pivots in increasing columns) and rows
+    ``w[j:j + k]`` are active.  At column c the active row of least
+    valuation v becomes the pivot, normalized to p^v; one in-place
+    outer-product update clears column c from the active rows and takes
+    the placed rows' entries there into [0, p^v) mod p^n.  If v > 0,
     p^(n-v) * pivot row joins the active rows: it is in the span, zero at
     column c, and with the other active rows it spans every element of
     the span vanishing on columns <= c, which gives the Howell property.
+    A column zero on every active row is skipped with the run after it.
     """
     m = p ** n
-    val, inv, pw = _tables(p, n)
     a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % m
     a = a[a.any(axis=1)]
     k, cols = a.shape
+    check_accumulation(cols * m, m)  # deferred entries times a unit inverse
+    val, inv, pw = _tables(p, n)
     # at most one annihilator row joins per pivot, and there is at most
     # one pivot per column
     w = np.zeros((k + cols, cols), dtype=np.int64)
     w[:k] = a
-    j = 0
-    for c in range(cols):
-        if not k:
-            break
-        vc = val[w[j:j + k, c]]
+    j = c = 0
+    while k and c < cols:
+        col = w[:j + k, c] % m
+        vc = val[col[j:]]
         i = int(vc.argmin())
         v = int(vc[i])
         if v == n:
+            live = (w[j:j + k, c + 1:] % m).max(axis=0).nonzero()[0]
+            if not live.size:
+                break
+            c += 1 + int(live[0])
             continue
         i += j
-        row = w[i] * inv[w[i, c]] % m
-        w[i] = w[j]
-        w[j] = row
-        q = w[:j + k, c] // pw[v]
-        q[j] = 0
-        # only rows with a nonzero multiplier change (few, in the sparse
-        # block matrices of the group-ring layer), and only from column c
-        # on, since the pivot row is zero left of it
-        nz = np.flatnonzero(q)
-        w[nz, c:] = (w[nz, c:] - np.multiply.outer(q[nz], row[c:])) % m
-        j += 1
-        k -= 1
+        row = w[i] * inv[col[i]] % m
+        if i != j:
+            w[i], col[i] = w[j], col[j]
+        w[j], col[j] = row, 0
+        q, blk = col // pw[v] if v else col, w[:j + k, c:]
+        if blk.size > HOWELL_GATHER_ENTRIES:
+            nz = q.nonzero()[0]
+            blk[nz] -= np.multiply.outer(q[nz], row[c:])
+        else:
+            blk -= np.multiply.outer(q, row[c:])
+        j, k, c = j + 1, k - 1, c + 1
         if v:
             ann = row * pw[n - v] % m
             if ann.any():
                 w[j + k] = ann
                 k += 1
-    return w[:j].copy()
+    return w[:j] % m
 
 
 _howell_memo = _lru_by_bytes(_howell_form)
 
 
-def _pivots_of(h: np.ndarray) -> list[tuple[int, int, int]]:
-    """(row, column, entry) of each row's leading entry.
-
-    For rows of a Howell form the entry is the pivot p^v itself.
-    """
-    if not h.size:  # argmax refuses a (0, 0) array
-        return []
-    cols = (h != 0).argmax(axis=1)
+def _pivot_entries(h: np.ndarray) -> np.ndarray:
+    """Each row's leading entry: in a Howell form, its pivot p^v."""
     rows = np.arange(h.shape[0])
-    return list(zip(rows.tolist(), cols.tolist(), h[rows, cols].tolist()))
+    return h[rows, (h != 0).argmax(axis=1)] if h.size else rows
 
 
 def span_elements(span: "Span") -> Iterator[np.ndarray]:
-    """Iterate every element of the span exactly once."""
+    """Every element of the span exactly once: row i of the Howell form takes
+    the coefficients 0 .. m/pivot - 1, the last row's fastest."""
     m, h = span.m, span.h
-    cols = h.shape[1]
-    ranges = [m // pv for _, _, pv in _pivots_of(h)]
-    idx = [0] * len(ranges)
-    while True:
-        acc = np.zeros(cols, dtype=np.int64)
-        for c, r in zip(idx, h):
-            if c:
-                acc = (acc + c * r) % m
-        yield acc
-        k = len(idx) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < ranges[k]:
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
+    ranges = (m // _pivot_entries(h)).tolist()
+    coeffs = np.array(list(product(*map(range, ranges))), dtype=np.int64)
+    return iter(mul_mod(coeffs, h, m))
 
 
 class Span:
     """A row span over Z/p^n: its Howell form ``h`` and its ring (p, n).
 
     Immutable and hashable.  ``h`` is read-only, equality and hash are by
-    (p, n, h), and the coset reducer against the span is built on first
-    use and kept, so a span is reduced against many times for the price
-    of one set of pivots.
+    (p, n, h), and the coset reducer against the span and its size are
+    computed on first use and kept, so a span is reduced against and
+    sized many times for the price of one set of pivots.
     """
 
-    __slots__ = ("h", "p", "n", "_reducer")
+    __slots__ = ("h", "p", "n", "_reducer", "_size")
 
     def __init__(self, rows: np.ndarray, p: int, n: int):
         """The span of arbitrary rows (a 1-D argument is one row)."""
@@ -305,7 +300,7 @@ class Span:
 
     def _set(self, h: np.ndarray, p: int, n: int) -> None:
         h.setflags(write=False)
-        for name, value in (("h", h), ("p", p), ("n", n), ("_reducer", None)):
+        for name, value in zip(self.__slots__, (h, p, n, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -354,8 +349,11 @@ class Span:
         return self.reducer.contains(other)
 
     def size(self) -> int:
-        """Number of elements of the span (a power of p)."""
-        return prod(self.m // pv for _, _, pv in _pivots_of(self.h))
+        """Number of elements of the span: p^(n * rows - the sum of the pivot valuations)."""
+        if self._size is None:
+            v = int(_tables(self.p, self.n)[0][_pivot_entries(self.h)].sum())
+            object.__setattr__(self, "_size", self.p ** (self.n * len(self.h) - v))
+        return self._size
 
 
 def _same_ring(a: Span, b: Span) -> None:
@@ -433,8 +431,8 @@ def image_span(span: Span, a: np.ndarray, plus: Optional[Span] = None) -> Span:
 def check_accumulation(terms: int, m: int) -> None:
     """Assert that a residue plus ``terms`` products of residues mod m fits int64.
 
-    The batched loops of ``CosetReducer.reduce`` and ``Solver.solve`` add
-    one product per pivot to a reduced entry and reduce once, at the end.
+    The batched loops of ``CosetReducer.reduce`` and ``Solver.solve`` add one
+    product per pivot, and ``_howell_form`` one per column, then reduce once.
     """
     assert terms * (m - 1) ** 2 + m < 1 << 63, "batched reduction would overflow int64"
 

@@ -274,6 +274,60 @@ def test_howell_matches_the_fixpoint_oracle_at_benchmark_shapes(rows, cols):
     assert h.shape == ref.shape and (h == ref).all()
 
 
+def _structured_inputs(p, n, rng):
+    """Inputs that drive each branch of the Howell kernel's pivot step.
+
+    Runs of zero columns at the start, in the middle and at the end (so
+    the kernel skips runs, and stops early); rows already in echelon order
+    (so no swap happens); rows whose first nonzero entry lies below other
+    rows (so one does); non-unit pivots whose annihilator rows rejoin; and
+    one large sparse input, whose steps update only the rows they change.
+    """
+    m = p ** n
+    cases = []
+    for rows, cols in ((4, 12), (7, 12), (12, 16)):
+        a = rand_mat(rng, rows, cols, m)
+        a[:, [0, 1, 5, 6, 7, cols - 2, cols - 1]] = 0
+        # when n > 1, odd rows get non-unit entries left of units: their
+        # pivots have valuation 1 and nonzero annihilator rows
+        a[1::2, :cols // 2] = p * a[1::2, :cols // 2] % m
+        cases.append(a)
+        cases.append(a[::-1].copy())  # the pivot row is not first: a swap
+    # echelon order, no swap: row r has a unit at column 2r and zeros at
+    # odd columns, so each odd column is a zero run between two pivots
+    ech = rand_mat(rng, 5, 12, m)
+    ech[:, 1::2] = 0
+    for r in range(5):
+        ech[r, :2 * r] = 0
+        ech[r, 2 * r] = p * rng.below(m // p) + 1
+    cases.append(ech)
+    big = rand_mat(rng, 70, 70, m)
+    big[rand_mat(rng, 70, 70, 20) != 0] = 0  # about 5% nonzero
+    cases.append(big)
+    return cases
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (2, 3)])
+def test_howell_kernel_matches_the_oracle_on_structured_inputs(p, n):
+    rng = SplitMix64(5300 + 10 * p + n)
+    for a in _structured_inputs(p, n, rng):
+        h = la._howell_form(a, p, n)
+        ref = howell_oracle.howell_form(a, p, n)
+        assert h.shape == ref.shape and (h == ref).all()
+
+
+def test_howell_kernel_bound_is_asserted(monkeypatch):
+    # deferred entries stay below m + cols * (m - 1)^2 and a pivot row is
+    # scaled by a unit inverse before it is reduced; near m = 2^62 even one
+    # column is too many, and the assertion comes before any table is built
+    with pytest.raises(AssertionError, match="overflow"):
+        la._howell_form(np.array([[1, 0]], dtype=np.int64), 2 ** 31 - 1, 2)
+    seen = []
+    monkeypatch.setattr(la, "check_accumulation", lambda terms, m: seen.append((terms, m)))
+    la._howell_form(np.ones((3, 5), dtype=np.int64), 3, 2)
+    assert seen == [(5 * 9, 9)]
+
+
 def test_memoized_howell_is_read_only():
     a = np.array([[3, 1], [0, 3]], dtype=np.int64)
     for h in (la.howell_form(a, 3, 2), la.howell_form(np.zeros((0, 2)), 3, 2)):

@@ -70,6 +70,8 @@ SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
                 T_LA + "test_span_of_arbitrary_rows_is_their_howell_form",
                 T_LA + "test_span_reducer_is_built_once_and_is_its_own")
 
+HOWELL_KERNEL = (T_LA + "test_howell_kernel_matches_the_oracle_on_structured_inputs",)
+
 T_UP = "tests/test_unit_pivots.py::"
 UNIT_PIVOTS = (T_UP + "test_reduce_and_solve_match_the_sequential_walk",
                T_UP + "test_reduce_and_solve_match_the_sequential_walk_on_drawn_matrices")
@@ -145,6 +147,17 @@ MUTANTS = (
     Mutant("tau-doubling-from-zero", RC,
            "kmax = 2 * max(kmax, 1)", "kmax *= 2",
            (T_RC + "test_profile_from_kmax_zero_returns",)),
+    # -- the Howell kernel's pivot step, with deferred reduction ---------------------
+    Mutant("howell-final-reduction-dropped", LA,
+           "return w[:j] % m", "return w[:j]", HOWELL_KERNEL),
+    Mutant("howell-zero-run-jump-one-too-far", LA,
+           "c += 1 + int(live[0])", "c += 2 + int(live[0])", HOWELL_KERNEL),
+    Mutant("howell-bound-unchecked", LA,
+           "check_accumulation(cols * m, m)  # deferred entries times a unit inverse", "pass",
+           (T_LA + "test_howell_kernel_bound_is_asserted",)),
+    Mutant("howell-swap-skipped", LA,
+           "if i != j:\n            w[i], col[i] = w[j], col[j]",
+           "if i == j:\n            w[i], col[i] = w[j], col[j]", HOWELL_KERNEL),
     # -- the Span value -----------------------------------------------------------------
     Mutant("span-equality-by-shape", LA,
            "self.h.shape == other.h.shape\n                and bool((self.h == other.h).all()))",
@@ -170,8 +183,7 @@ MUTANTS = (
            "if not other.h.shape[0]:\n            return other",
            SPAN_ALGEBRA),
     Mutant("size-ignores-pivot-valuation", LA,
-           "return prod(self.m // pv for _, _, pv in _pivots_of(self.h))",
-           "return self.m ** len(_pivots_of(self.h))",
+           "self.p ** (self.n * len(self.h) - v)", "self.p ** (self.n * len(self.h))",
            SPAN_ALGEBRA),
     Mutant("contains-ignores-ring", LA,
            "_same_ring(self, other)\n            other = other.h",
