@@ -26,7 +26,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .groupring import RingCtx
@@ -70,22 +70,12 @@ class FuzzConfig:
     time_budget: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "rings": [list(r) for r in self.rings],
-            "suites": list(self.suites),
-            "max_rank": self.max_rank,
-            "max_card": self.max_card,
-            "time_budget": self.time_budget,
-        }
+        return {**asdict(self), "rings": [list(r) for r in self.rings]}
 
 
 def _report(command: str, config: dict, records: list, extra: dict | None = None) -> dict:
     checks = sum(len(r.get("checks", [])) for r in records)
-    failures = sum(
-        1 for r in records for c in r.get("checks", []) if not c["pass"]
-    )
+    failures = sum(not c["pass"] for r in records for c in r.get("checks", []))
     out = {
         "tool": "derived-heights",
         "version": __version__,
@@ -193,14 +183,11 @@ def _trial_compari(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     except PairingError as exc:
         checks.append({"name": "validate", "pass": False, "details": str(exc)})
         return checks, payload
-    rep = data.compare(ring.p - 1, rng=rng, max_card=config.max_card)
-    equal = all(r["equal"] for r in rep["records"])
-    sym = all(r["symmetric"] for r in rep["records"])
-    gamma = all(r["gamma_independent"] for r in rep["records"])
-    n = len(rep["records"])
-    checks.append({"name": "compari", "pass": equal, "details": {"evaluations": n}})
-    checks.append({"name": "symmetry", "pass": sym})
-    checks.append({"name": "gamma_independence", "pass": gamma})
+    recs = data.compare(ring.p - 1, rng=rng, max_card=config.max_card)["records"]
+    checks += [{"name": "compari", "pass": all(r["equal"] for r in recs),
+                "details": {"evaluations": len(recs)}},
+               {"name": "symmetry", "pass": all(r["symmetric"] for r in recs)},
+               {"name": "gamma_independence", "pass": all(r["gamma_independent"] for r in recs)}]
     return checks, payload
 
 
@@ -327,16 +314,9 @@ def cmd_fuzz(args) -> dict:
             RingCtx(p, n)
         except ValueError as exc:
             raise InputError(f"$.rings[{i}]", str(exc)) from exc
-    config = FuzzConfig(
-        seed=args.seed,
-        trials=args.trials,
-        rings=args.rings,
-        suites=suites,
-        max_rank=args.max_rank,
-        max_card=args.max_card,
-        time_budget=args.time_budget,
-    )
-    return run_fuzz(config)
+    return run_fuzz(FuzzConfig(seed=args.seed, trials=args.trials, rings=args.rings,
+                               suites=suites, max_rank=args.max_rank, max_card=args.max_card,
+                               time_budget=args.time_budget))
 
 
 # -- entry point -----------------------------------------------------------------

@@ -31,8 +31,9 @@ value tables, one k at a time:
   * each element gets its lifts (two independent draws, cached per
     element) from one ``Solver`` call on the matrix of all targets;
   * a table is one matrix product of the lifted functionals against the
-    regular representations of the lifted arguments, reduced mod
-    I^(k+1) over the whole batch, one pivot at a time;
+    regular representations of the lifted arguments, projected into Q^k
+    by [phi | Psi]: phi reads the scalar (it exists as Q^k is free of rank
+    one and Z/p^n self-injective), Psi vanishes exactly on I^k;
   * the audit, equality, symmetry (against the transposed table of the
     dual datum) and generator-independence flags compare whole tables.
 
@@ -59,7 +60,6 @@ from .groupring import (
     aug_ideal_power,
     derivative_op,
     graded_scalar,
-    graded_scalars,
     regular_rep,
 )
 from .modules import FpModule, free_module, r_matrix_expand, r_rows_from_scalar
@@ -75,15 +75,10 @@ class MembershipError(ValueError):
 
 
 def graded_classes(ring: RingCtx, k: int, raw: np.ndarray) -> np.ndarray:
-    """Classes in Q^k of values in I^k: canonical representatives mod I^(k+1).
-
-    raw holds one value per row of its last axis (any leading shape); the
-    whole batch is checked and reduced in one pass over the pivots.
-    """
-    flat = raw.reshape(-1, ring.m)
-    if aug_ideal_power(ring, k).reduce(flat).any():
+    """Classes in Q^k of values in I^k (one per row): canonical representatives mod I^(k+1)."""
+    if not aug_ideal_power(ring, k).contains(raw):
         raise AssertionError("pairing value escaped I^k")
-    return aug_ideal_power(ring, k + 1).reduce(flat).reshape(raw.shape)
+    return aug_ideal_power(ring, k + 1).reduce(raw)
 
 
 class PairingValue:
@@ -92,9 +87,7 @@ class PairingValue:
     __slots__ = ("ring", "k", "raw", "rep")
 
     def __init__(self, ring: RingCtx, k: int, raw: GroupRingElt):
-        self.ring = ring
-        self.k = k
-        self.raw = raw
+        self.ring, self.k, self.raw = ring, k, raw
         self.rep = ring.elt(graded_classes(ring, k, raw.coeffs))
 
     def scalar(self) -> int:
@@ -225,7 +218,8 @@ class PairingData:
         w = la.mul_mod(np.atleast_2d(xv), self.d, self.ring.m)
         return self.eval_functional(w, yv)
 
-    def eval_functional(self, wv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    def eval_functional(self, wv: np.ndarray, yv: np.ndarray,
+                        proj: Optional[np.ndarray] = None) -> np.ndarray:
         """Table of w(y) = sum_j w_j y_j for w in Y* (dual-basis coordinates).
 
         wv and yv hold one vector per row (a 1-D argument is one row); the
@@ -235,20 +229,24 @@ class PairingData:
         rows against the gathered operand Y[(j, i), (t, c)] = y_t[j, c - i]
         of shape (b*m) x (T*m).  The operand is built in blocks of t rows,
         each no larger than the result (one row at the least), and each
-        block is one ``mul_mod``, exact while b * m * (m - 1)^2 < 2^63.
+        block is one ``mul_mod``, exact while b * m * (m - 1)^2 < 2^63.  An
+        m x q proj is folded into each block first: the table holds value @ proj.
         """
         b, m = self.b, self.ring.m
+        q = m if proj is None else proj.shape[1]
         wm = np.atleast_2d(np.asarray(wv, dtype=np.int64)).reshape(-1, b * m)
         ym = np.atleast_2d(np.asarray(yv, dtype=np.int64)).reshape(-1, b, m)
         rows, cols = wm.shape[0], ym.shape[0]
         shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [i, c] = c - i
         step = max(1, rows * cols // (b * m))
-        total = np.empty((rows, cols * m), dtype=np.int64)
+        total = np.empty((rows, cols * q), dtype=np.int64)
         for t0 in range(0, cols, step):
             # the operand's columns (t, c) for this block of t rows
-            block = ym[t0:t0 + step, :, shift].transpose(1, 2, 0, 3).reshape(b * m, -1)
-            total[:, t0 * m:(t0 + step) * m] = la.mul_mod(wm, block, m)
-        return total.reshape(rows, cols, m)
+            block = ym[t0:t0 + step, :, shift].transpose(1, 2, 0, 3)
+            if proj is not None:
+                block = la.mul_mod(block, proj, m)
+            total[:, t0 * q:(t0 + step) * q] = la.mul_mod(wm, block.reshape(b * m, -1), m)
+        return total.reshape(rows, cols, q)
 
     # -- validation ----------------------------------------------------------------
 
@@ -413,37 +411,40 @@ class PairingData:
         if not self.piece_span("t", k).contains(t_rows):
             raise MembershipError("t is not in T_0^(k)")
 
+    def _audited(self, k: int, ws: np.ndarray, ys: np.ndarray, audit: bool, fault: str):
+        """Scalars in Q^k of w_s(y_t) from the first draws, audited on the second."""
+        proj = _graded_projection(self.ring, k)[0]
+        tables = [self.eval_functional(w, y, proj) for w, y in zip(ws[:1 + audit], ys)]
+        if any(t[:, :, 1:].any() for t in tables):
+            raise AssertionError("pairing value escaped I^k")
+        scalars = [t[:, :, 0] for t in tables]
+        if audit and (scalars[1] != scalars[0]).any():
+            raise AssertionError(fault)
+        return scalars[0], (ws[0], ys[0])
+
     def _bd_table(self, k: int, s_rows: np.ndarray, t_rows: np.ndarray,
                   rng: SplitMix64, gen_exp: int = 1, audit: bool = True):
-        """Derivative-lift values ell(x_s)(y_t) for every (s, t): (raw, classes).
+        """Derivative-lift scalars of ell(x_s)(y_t) for every (s, t), and (ell(x_s), y_t).
 
         The audit recomputes the table from the second, independently
-        drawn chain of every element and requires the same classes.
+        drawn chain of every element.
         """
         xs = self._lift_chains("s", k, gen_exp, s_rows, rng)
         ys = self._lift_chains("t", k, gen_exp, t_rows, rng)
-        raw = self.eval_bilinear(xs[0], ys[0])
-        classes = graded_classes(self.ring, k, raw)
-        if audit and (graded_classes(self.ring, k, self.eval_bilinear(xs[1], ys[1]))
-                      != classes).any():
-            raise AssertionError("derivative-lift pairing depended on lift choices")
-        return raw, classes
+        ws = la.mul_mod(xs[:1 + audit], self.d, self.ring.m)
+        return self._audited(k, ws, ys, audit, "derivative-lift pairing depended on lift choices")
 
     def _boc_table(self, k: int, s_rows: np.ndarray, t_rows: np.ndarray,
                    rng: SplitMix64, audit: bool = True):
-        """Bockstein values for every (s, t): (raw, classes).
+        """Bockstein scalars for every (s, t), and the functionals and norm preimages.
 
         The audit recomputes from an independent representative, a
         boundary-perturbed functional and a different norm preimage.
         """
         ws = self._boc_functionals(k, s_rows, rng)
         ys = self._norm_preimages(t_rows, rng)
-        raw = self.eval_functional(ws[0], ys[0])
-        classes = graded_classes(self.ring, k, raw)
-        if audit and (graded_classes(self.ring, k, self.eval_functional(ws[1], ys[1]))
-                      != classes).any():
-            raise AssertionError("Bockstein pairing depended on representative choices")
-        return raw, classes
+        return self._audited(k, ws, ys, audit,
+                             "Bockstein pairing depended on representative choices")
 
     def bd_pairing(self, k: int, s: np.ndarray, t: np.ndarray,
                    rng: Optional[SplitMix64] = None, gen_exp: int = 1,
@@ -457,8 +458,8 @@ class PairingData:
         """
         s_rows, t_rows = _rows(s), _rows(t)
         self._check_membership(k, s_rows, t_rows)
-        raw, _ = self._bd_table(k, s_rows, t_rows, rng or SplitMix64(0), gen_exp, audit)
-        return PairingValue(self.ring, k, self.ring.elt(raw[0, 0]))
+        _, first = self._bd_table(k, s_rows, t_rows, rng or SplitMix64(0), gen_exp, audit)
+        return PairingValue(self.ring, k, self.ring.elt(self.eval_functional(*first)[0, 0]))
 
     def boc_pairing(self, k: int, s: np.ndarray, t: np.ndarray,
                     rng: Optional[SplitMix64] = None,
@@ -473,8 +474,8 @@ class PairingData:
         """
         s_rows, t_rows = _rows(s), _rows(t)
         self._check_membership(k, s_rows, t_rows)
-        raw, _ = self._boc_table(k, s_rows, t_rows, rng or SplitMix64(0), audit)
-        return PairingValue(self.ring, k, self.ring.elt(raw[0, 0]))
+        _, first = self._boc_table(k, s_rows, t_rows, rng or SplitMix64(0), audit)
+        return PairingValue(self.ring, k, self.ring.elt(self.eval_functional(*first)[0, 0]))
 
     # -- comparison driver ---------------------------------------------------------------
 
@@ -505,27 +506,20 @@ class PairingData:
                 t_rows = np.array([v for v in la.span_elements(t_span) if v.any()])
             else:
                 s_rows, t_rows = np.array(s_span.h), np.array(t_span.h)
-            u = units[rng.below(len(units))] if units else 1
+            u = units[rng.below(len(units))]  # never empty: p is odd, so 2 is a unit
             self._check_membership(k, s_rows, t_rows)
             dual._check_membership(k, t_rows, s_rows)
-            _, bd = self._bd_table(k, s_rows, t_rows, rng, audit=audit)
-            _, boc = self._boc_table(k, s_rows, t_rows, rng, audit=audit)
-            _, sym = dual._bd_table(k, t_rows, s_rows, rng, audit=False)
-            equal = (bd == boc).all(axis=2)
-            symmetric = (sym.transpose(1, 0, 2) == bd).all(axis=2)
-            if units:
-                _, alt = self._bd_table(k, s_rows, t_rows, rng, gen_exp=u, audit=False)
-                gamma_ok = (alt == bd).all(axis=2)
-            else:
-                gamma_ok = np.ones(equal.shape, dtype=bool)
+            bd, _ = self._bd_table(k, s_rows, t_rows, rng, audit=audit)
+            boc, _ = self._boc_table(k, s_rows, t_rows, rng, audit=audit)
+            sym, _ = dual._bd_table(k, t_rows, s_rows, rng, audit=False)
+            equal, symmetric = bd == boc, sym.T == bd
+            gamma_ok = self._bd_table(k, s_rows, t_rows, rng, gen_exp=u, audit=False)[0] == bd
             ok = ok and bool(equal.all() and symmetric.all() and gamma_ok.all())
-            # one batched solve over the whole table; deduplicating the
-            # classes first costs more than the rows it saves
-            scalars = graded_scalars(ring, k, bd.reshape(-1, ring.m))
-            scalars = scalars.reshape(bd.shape[:2]).tolist()
+            reps = _graded_projection(ring, k)[1]
             # each table becomes nested lists once, not once per record
-            bd_l, boc_l, eq_l, sym_l, gam_l, s_lists, t_lists = (
-                a.tolist() for a in (bd, boc, equal, symmetric, gamma_ok, s_rows, t_rows))
+            bd_l, boc_l, scalars, eq_l, sym_l, gam_l, s_lists, t_lists = (
+                a.tolist() for a in (reps[bd], reps[boc], bd, equal, symmetric, gamma_ok,
+                                     s_rows, t_rows))
             for i, s in enumerate(s_lists):
                 for j, t in enumerate(t_lists):
                     records.append({
@@ -540,6 +534,28 @@ class PairingData:
                         "gamma_independent": gam_l[i][j],
                     })
         return {"pass": ok, "records": records}
+
+
+@lru_cache(maxsize=None)
+def _graded_projection(ring: RingCtx, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, reps) reading R into Q^k, 1 <= k <= p-1: P = [phi | Psi], reps[c] the
+    canonical representative of c (gamma-1)^k mod I^(k+1).
+
+    phi((gamma-1)^k) = 1 and phi(I^(k+1)) = 0, so x in I^k is phi(x) (gamma-1)^k
+    mod I^(k+1); x lies in I^k exactly when x Psi = 0 (double annihilator).
+    """
+    gm1k = ((ring.gamma() - ring.one()) ** k).coeffs
+    ik1 = aug_ideal_power(ring, k + 1)
+    top = np.vstack([gm1k, ik1.h])
+    phi = la.Solver(top.T, ring.p, ring.n).solve(np.eye(1, top.shape[0], dtype=np.int64)[0])
+    if phi is None:
+        raise AssertionError("no functional reads Q^k; graded piece broken")
+    psi = la.kernel(aug_ideal_power(ring, k).h.T, ring.p, ring.n).h
+    proj = np.column_stack([phi, psi.T])
+    reps = ik1.reduce(np.outer(np.arange(ring.m), gm1k))
+    for table in (proj, reps):
+        table.setflags(write=False)
+    return proj, reps
 
 
 @lru_cache(maxsize=128)

@@ -9,13 +9,22 @@ import numpy as np
 import pytest
 
 from derived_heights import linalg as la
-from derived_heights.groupring import RingCtx, convolve, derivative_op, graded_classes_equal
+from derived_heights.groupring import (
+    RingCtx,
+    aug_ideal_power,
+    convolve,
+    derivative_op,
+    graded_classes_equal,
+    graded_scalars,
+)
 from derived_heights.heights import (
     MembershipError,
     PairingData,
     PairingError,
+    _graded_projection,
     _lift_solver,
     _norm_solver,
+    graded_classes,
     random_pairing_data,
 )
 from derived_heights.modules import free_module
@@ -389,3 +398,63 @@ def test_symmetry_flag_detects_one_corrupted_dual_chain():
     assert [r["symmetric"] for r in again["records"]] == [
         r["t"] != t0 for r in again["records"]]
     assert all(r["equal"] and r["gamma_independent"] for r in again["records"])
+
+
+def test_value_moved_off_i_k_is_caught():
+    # a functional moved by 1 in slot 0 moves w(y_t) by y_t itself, a norm
+    # preimage of a nonzero t in N R, whose augmentation is nonzero: the
+    # first draw's value leaves I^1
+    ring, data, rep = _norm_line_data()
+    s = np.array(rep["records"][9]["s"], dtype=np.int64)
+    key = ("boc", 1, s.tobytes())
+    first, second = data._chains[key]
+    data._chains[key] = (_shift(first, ring.one()), second)
+    with pytest.raises(AssertionError, match=r"pairing value escaped I\^k"):
+        data.compare(2, rng=SplitMix64(5))
+
+
+def test_one_by_one_pairings_keep_the_unreduced_value():
+    # bd_pairing and boc_pairing return the value of the first draws as it
+    # is, and its class and scalar are the ones the table path recorded
+    ring, data, rep = _norm_line_data()
+    unreduced = 0
+    for rec in rep["records"]:
+        s, t = (np.array(rec[side], dtype=np.int64) for side in ("s", "t"))
+        bd, boc = data.bd_pairing(1, s, t), data.boc_pairing(1, s, t)
+        x = data._chains[("chain", "s", 1, 1, s.tobytes())][0]
+        y = data._chains[("chain", "t", 1, 1, t.tobytes())][0]
+        assert bd.raw.coeffs.tolist() == data.eval_bilinear(x, y)[0, 0].tolist()
+        w = data._chains[("boc", 1, s.tobytes())][0]
+        y_norm = data._chains[("norm-pre", t.tobytes())][0]
+        assert boc.raw.coeffs.tolist() == data.eval_functional(w, y_norm)[0, 0].tolist()
+        assert bd.rep.coeffs.tolist() == rec["bd"] and boc.rep.coeffs.tolist() == rec["boc"]
+        assert bd.scalar() == boc.scalar() == rec["scalar"]
+        unreduced += bd.raw != bd.rep and boc.raw != boc.rep
+    assert unreduced
+
+
+def test_graded_projection_matches_graded_classes():
+    # phi reads the scalar and Psi decides membership in I^k, against the
+    # coset reductions: every element of R on (3,1) and (5,1), drawn
+    # elements of R, I^(k-1) and I^k elsewhere
+    from itertools import product
+
+    gen = np.random.default_rng(13)
+    for p, n in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)):
+        ring = RingCtx(p, n)
+        m = ring.m
+        whole = (np.array(list(product(range(m), repeat=m)), dtype=np.int64) if m <= 5
+                 else gen.integers(0, m, (300, m)))
+        for k in range(1, p):
+            proj, reps = _graded_projection(ring, k)
+            ik = aug_ideal_power(ring, k)
+            drawn = [la.mul_mod(gen.integers(0, m, (300, span.h.shape[0])), span.h, m)
+                     for span in (aug_ideal_power(ring, k - 1), ik)]
+            for xs in [whole] + drawn:
+                images = la.mul_mod(xs, proj, m)
+                inside = ~ik.reduce(xs).any(axis=1)
+                assert ((images[:, 1:] == 0).all(axis=1) == inside).all()
+                members, phi = xs[inside], images[inside, 0]
+                assert (reps[phi] == graded_classes(ring, k, members)).all()
+                assert (phi == graded_scalars(ring, k, members)).all()
+            assert inside.all() and not (~ik.reduce(drawn[0]).any(axis=1)).all()

@@ -72,6 +72,9 @@ SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
 
 HOWELL_KERNEL = (T_LA + "test_howell_kernel_matches_the_oracle_on_structured_inputs",)
 
+PROJECTION_TABLES = (T_HT + "test_one_by_one_pairings_keep_the_unreduced_value",
+                     T_HT + "test_compare_records_match_the_golden_digest")
+
 T_UP = "tests/test_unit_pivots.py::"
 UNIT_PIVOTS = (T_UP + "test_reduce_and_solve_match_the_sequential_walk",
                T_UP + "test_reduce_and_solve_match_the_sequential_walk_on_drawn_matrices")
@@ -221,6 +224,21 @@ MUTANTS = (
     Mutant("contraction-block-drops-last-row", HT,
            "for t0 in range(0, cols, step):", "for t0 in range(0, cols - 1, step):",
            (T_HT + "test_value_table_equals_the_per_shift_loop",)),
+    # -- pairing tables read straight into Q^k ------------------------------------------
+    Mutant("projection-escape-check-skipped", HT,
+           "if any(t[:, :, 1:].any() for t in tables):", "if False:",
+           (T_HT + "test_value_moved_off_i_k_is_caught",)),
+    Mutant("projection-scalar-from-wrong-column", HT,
+           "scalars = [t[:, :, 0] for t in tables]", "scalars = [t[:, :, -1] for t in tables]",
+           PROJECTION_TABLES),
+    Mutant("projection-reps-indexed-off-by-one", HT,
+           "a.tolist() for a in (reps[bd], reps[boc],",
+           "a.tolist() for a in (reps[(bd + 1) % ring.m], reps[(boc + 1) % ring.m],",
+           PROJECTION_TABLES),
+    Mutant("projection-reps-built-off-by-one", HT,
+           "reps = ik1.reduce(np.outer(np.arange(ring.m), gm1k))",
+           "reps = ik1.reduce(np.outer(np.arange(1, ring.m + 1), gm1k))",
+           (T_HT + "test_graded_projection_matches_graded_classes",)),
     # -- checks decided on generating rows, and the guarded modular product -------
     Mutant("map-numerator-first-row-only", MD,
            "tgt.num.contains(la.mul_mod(src.num.h, mat, m))",
