@@ -87,7 +87,9 @@ class PairingValue:
     __slots__ = ("ring", "k", "raw", "rep")
 
     def __init__(self, ring: RingCtx, k: int, raw: GroupRingElt):
-        self.ring, self.k, self.raw = ring, k, raw
+        self.ring = ring
+        self.k = k
+        self.raw = raw
         self.rep = ring.elt(graded_classes(ring, k, raw.coeffs))
 
     def scalar(self) -> int:

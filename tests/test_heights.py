@@ -120,7 +120,11 @@ def test_value_table_equals_the_per_shift_loop():
             for i in range(m):
                 rolled = np.roll(ym, i, axis=2).transpose(1, 0, 2).reshape(b, -1)
                 ref += wm[:, :, i] @ rolled
-            assert (data.eval_functional(w, y) == (ref % m).reshape(rows, cols, m)).all()
+            table = (ref % m).reshape(rows, cols, m)
+            assert (data.eval_functional(w, y) == table).all()
+            # a projection folded into the blocks is the projection of the table
+            proj = gen.integers(0, m, (m, 3))
+            assert (data.eval_functional(w, y, proj) == table @ proj % m).all()
 
 
 def test_shared_solvers_draw_like_fresh_ones():
