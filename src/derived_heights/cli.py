@@ -29,8 +29,10 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
+from .complexes import TwoTermComplex
 from .groupring import RingCtx
-from .heights import PairingError, random_pairing_data
+from .heights import PairingError, random_ell_matrix, random_pairing_data, random_unit
+from .modules import r_matrix_expand
 from .recovery import IntComplex, verify_recovery
 from .rng import SplitMix64, trial_rng
 from .serialize import (
@@ -193,10 +195,6 @@ def _trial_compari(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
 
 def _random_free_complex(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     """Free complex R^a -> R^b with random R-linear d, and its payload."""
-    from .complexes import TwoTermComplex
-    from .heights import random_ell_matrix
-    from .modules import r_matrix_expand
-
     a = rng.below(config.max_rank) + 1
     b = rng.below(config.max_rank) + 1
     ell = random_ell_matrix(ring, a, b, rng)
@@ -224,8 +222,6 @@ def _trial_coker(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
 
 
 def _trial_stark(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
-    from .heights import random_unit
-
     inst = random_instance(ring, rng, max_rank=config.max_rank)
     payload = stark_to_json(inst)
     system = inst.stark_system(random_unit(ring, rng))

@@ -14,6 +14,10 @@ Conventions:
     on row vectors from the right
   * on a free module R^g the scalar coordinate g*m + i (m = p^n) is the
     coefficient of gamma^i in slot g
+  * R is read into Q^k = I^k/I^(k+1), 1 <= k <= p-1, one way only: by the
+    product with ``graded_projection(ring, k)``, whose first column is the
+    scalar and whose other columns vanish exactly on I^k; the pairing
+    tables, ``graded_scalars`` and the 1x1 pairing values all use it
 """
 
 from __future__ import annotations
@@ -209,28 +213,42 @@ def aug_ideal_power(ring: RingCtx, k: int) -> la.Span:
 
 
 @lru_cache(maxsize=None)
-def _graded_solver(p: int, n: int, k: int) -> la.Solver:
-    ring = RingCtx(p, n)
+def graded_projection(ring: RingCtx, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, reps) reading R into Q^k, 1 <= k <= p-1: P = [phi | Psi], reps[c] the
+    canonical representative of c (gamma-1)^k mod I^(k+1).
+
+    phi((gamma-1)^k) = 1 and phi(I^(k+1)) = 0, so x in I^k is phi(x) (gamma-1)^k
+    mod I^(k+1); phi exists because Q^k is free of rank one over Z/p^n and
+    Z/p^n is self-injective.  x lies in I^k exactly when x Psi = 0 (double
+    annihilator).  Cached per (p, n, k); both tables are read-only.
+    """
     gm1k = ((ring.gamma() - ring.one()) ** k).coeffs
     ik1 = aug_ideal_power(ring, k + 1)
-    return la.Solver(np.vstack([gm1k.reshape(1, -1), ik1.h]), p, n)
+    top = np.vstack([gm1k, ik1.h])
+    phi = la.Solver(top.T, ring.p, ring.n).solve(np.eye(1, top.shape[0], dtype=np.int64)[0])
+    if phi is None:
+        raise AssertionError("no functional reads Q^k; graded piece broken")
+    psi = la.kernel(aug_ideal_power(ring, k).h.T, ring.p, ring.n).h
+    proj = np.column_stack([phi, psi.T])
+    reps = ik1.reduce(np.outer(np.arange(ring.m), gm1k))
+    for table in (proj, reps):
+        table.setflags(write=False)
+    return proj, reps
 
 
 def graded_scalars(ring: RingCtx, k: int, xs: np.ndarray) -> np.ndarray:
     """Images of classes in Q^k = I^k/I^(k+1) under (gamma-1)^k -> 1.
 
     xs holds one coefficient vector per row, each in I^k; the whole batch
-    is one membership test and one solve.  Only defined for
+    is one product with ``graded_projection``.  Only defined for
     1 <= k <= p-1, where Q^k is free of rank one over Z/p^n.
     """
     if not 1 <= k <= ring.p - 1:
         raise ValueError("graded piece is free of rank one only for k <= p-1")
-    if not aug_ideal_power(ring, k).contains(xs):
+    images = la.mul_mod(np.atleast_2d(xs), graded_projection(ring, k)[0], ring.m)
+    if images[:, 1:].any():
         raise ValueError("representative does not lie in I^k")
-    v = _graded_solver(ring.p, ring.n, k).solve(np.atleast_2d(xs))
-    if v is None:
-        raise AssertionError("I^k element not expressible; graded piece broken")
-    return v[:, 0] % ring.m
+    return images[:, 0]
 
 
 def graded_scalar(ring: RingCtx, k: int, x: GroupRingElt) -> int:

@@ -32,8 +32,8 @@ value tables, one k at a time:
     element) from one ``Solver`` call on the matrix of all targets;
   * a table is one matrix product of the lifted functionals against the
     regular representations of the lifted arguments, projected into Q^k
-    by [phi | Psi]: phi reads the scalar (it exists as Q^k is free of rank
-    one and Z/p^n self-injective), Psi vanishes exactly on I^k;
+    by ``graded_projection``'s [phi | Psi]: phi reads the scalar, Psi
+    vanishes exactly on I^k;
   * the audit, equality, symmetry (against the transposed table of the
     dual datum) and generator-independence flags compare whole tables.
 
@@ -42,7 +42,9 @@ modules, the derivative-operator lift solvers and the norm solver.  The
 kernels, filtration pieces, complex and the solvers involving ell stay
 per datum; the dual datum derives its own, for the symmetry flag.
 
-``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables.
+``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables;
+their ``PairingValue`` keeps the unreduced value and reads its class
+through the same projection, the one reader of R into Q^k.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ from .complexes import TwoTermComplex
 from .groupring import (
     GroupRingElt,
     RingCtx,
-    aug_ideal_power,
+    _rep_index,
     derivative_op,
+    graded_projection,
     graded_scalar,
-    regular_rep,
 )
 from .modules import FpModule, free_module, r_matrix_expand, r_rows_from_scalar
 from .rng import SplitMix64
@@ -74,13 +76,6 @@ class MembershipError(ValueError):
     """Argument outside the filtration piece it must belong to."""
 
 
-def graded_classes(ring: RingCtx, k: int, raw: np.ndarray) -> np.ndarray:
-    """Classes in Q^k of values in I^k (one per row): canonical representatives mod I^(k+1)."""
-    if not aug_ideal_power(ring, k).contains(raw):
-        raise AssertionError("pairing value escaped I^k")
-    return aug_ideal_power(ring, k + 1).reduce(raw)
-
-
 class PairingValue:
     """Value in Q^k: a representative in I^k, compared modulo I^(k+1)."""
 
@@ -90,7 +85,7 @@ class PairingValue:
         self.ring = ring
         self.k = k
         self.raw = raw
-        self.rep = ring.elt(graded_classes(ring, k, raw.coeffs))
+        self.rep = ring.elt(graded_projection(ring, k)[1][graded_scalar(ring, k, raw)])
 
     def scalar(self) -> int:
         """Value under the normalization (gamma-1)^k -> 1 of Q^k."""
@@ -239,12 +234,11 @@ class PairingData:
         wm = np.atleast_2d(np.asarray(wv, dtype=np.int64)).reshape(-1, b * m)
         ym = np.atleast_2d(np.asarray(yv, dtype=np.int64)).reshape(-1, b, m)
         rows, cols = wm.shape[0], ym.shape[0]
-        shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [i, c] = c - i
         step = max(1, rows * cols // (b * m))
         total = np.empty((rows, cols * q), dtype=np.int64)
         for t0 in range(0, cols, step):
             # the operand's columns (t, c) for this block of t rows
-            block = ym[t0:t0 + step, :, shift].transpose(1, 2, 0, 3)
+            block = ym[t0:t0 + step, :, _rep_index(m)].transpose(1, 2, 0, 3)  # [i, c]: c - i
             if proj is not None:
                 block = la.mul_mod(block, proj, m)
             total[:, t0 * q:(t0 + step) * q] = la.mul_mod(wm, block.reshape(b * m, -1), m)
@@ -278,17 +272,15 @@ class PairingData:
             raise PairingError(f"adjunction-failure at basis pair ({i}, {j})")
 
     def _annihilator_of(self, span: la.Span, rank: int) -> la.Span:
-        """Functionals in the dual-basis model vanishing on a span in R^rank."""
-        ring = self.ring
-        m = ring.m
-        if span.h.shape[0] == 0:
-            return la.Span.whole(rank * m, ring.p, ring.n)
-        blocks = []
-        for srow in span.h:
-            cols = np.vstack([regular_rep(ring.elt(srow[i * m:(i + 1) * m]))
-                              for i in range(rank)])
-            blocks.append(cols)
-        return la.kernel(np.hstack(blocks), ring.p, ring.n)
+        """Functionals in the dual-basis model vanishing on a span in R^rank.
+
+        Column block t stacks the regular representations of the slots of
+        span row t: entry [(r, i), (t, j)] is row t's slot r at j - i.
+        """
+        m = self.ring.m
+        blocks = span.h.reshape(-1, rank, m)[:, :, _rep_index(m)]
+        return la.kernel(blocks.transpose(1, 2, 0, 3).reshape(rank * m, -1),
+                         self.ring.p, self.ring.n)
 
     # -- per-element lifts -----------------------------------------------------------
 
@@ -415,7 +407,7 @@ class PairingData:
 
     def _audited(self, k: int, ws: np.ndarray, ys: np.ndarray, audit: bool, fault: str):
         """Scalars in Q^k of w_s(y_t) from the first draws, audited on the second."""
-        proj = _graded_projection(self.ring, k)[0]
+        proj = graded_projection(self.ring, k)[0]
         tables = [self.eval_functional(w, y, proj) for w, y in zip(ws[:1 + audit], ys)]
         if any(t[:, :, 1:].any() for t in tables):
             raise AssertionError("pairing value escaped I^k")
@@ -517,7 +509,7 @@ class PairingData:
             equal, symmetric = bd == boc, sym.T == bd
             gamma_ok = self._bd_table(k, s_rows, t_rows, rng, gen_exp=u, audit=False)[0] == bd
             ok = ok and bool(equal.all() and symmetric.all() and gamma_ok.all())
-            reps = _graded_projection(ring, k)[1]
+            reps = graded_projection(ring, k)[1]
             # each table becomes nested lists once, not once per record
             bd_l, boc_l, scalars, eq_l, sym_l, gam_l, s_lists, t_lists = (
                 a.tolist() for a in (reps[bd], reps[boc], bd, equal, symmetric, gamma_ok,
@@ -536,28 +528,6 @@ class PairingData:
                         "gamma_independent": gam_l[i][j],
                     })
         return {"pass": ok, "records": records}
-
-
-@lru_cache(maxsize=None)
-def _graded_projection(ring: RingCtx, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, reps) reading R into Q^k, 1 <= k <= p-1: P = [phi | Psi], reps[c] the
-    canonical representative of c (gamma-1)^k mod I^(k+1).
-
-    phi((gamma-1)^k) = 1 and phi(I^(k+1)) = 0, so x in I^k is phi(x) (gamma-1)^k
-    mod I^(k+1); x lies in I^k exactly when x Psi = 0 (double annihilator).
-    """
-    gm1k = ((ring.gamma() - ring.one()) ** k).coeffs
-    ik1 = aug_ideal_power(ring, k + 1)
-    top = np.vstack([gm1k, ik1.h])
-    phi = la.Solver(top.T, ring.p, ring.n).solve(np.eye(1, top.shape[0], dtype=np.int64)[0])
-    if phi is None:
-        raise AssertionError("no functional reads Q^k; graded piece broken")
-    psi = la.kernel(aug_ideal_power(ring, k).h.T, ring.p, ring.n).h
-    proj = np.column_stack([phi, psi.T])
-    reps = ik1.reduce(np.outer(np.arange(ring.m), gm1k))
-    for table in (proj, reps):
-        table.setflags(write=False)
-    return proj, reps
 
 
 @lru_cache(maxsize=128)

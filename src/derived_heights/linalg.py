@@ -6,9 +6,10 @@ form, the Howell normal form, which this module computes together with
 the operations built on it: kernels, solving, span arithmetic, coset
 reduction and exhaustive span enumeration.  Everything downstream
 (group-ring modules, spectral sequences, pairings) reduces to these
-primitives.  There is one solver, ``Solver`` (``kernel`` is its
-solution kernel), and one coset reducer, ``CosetReducer`` (membership
-tests go through it).
+primitives.  There is one pivot loop, ``CosetReducer.reduce``:
+membership tests go through it, and so does every solve, since solving
+v @ a == b is the reduction of [b | 0] by the Howell form of [a | I]
+(``Solver``; ``kernel`` is its solution kernel).
 
 Conventions used throughout the package:
 
@@ -37,8 +38,8 @@ Conventions used throughout the package:
     ``CosetReducer.reduce`` take a matrix of vectors, one per row; a
     vector is the one-row case, with no branch.  A pivot 1 has a column
     that is zero in every other row of a Howell form, so its quotient is
-    the vector's own entry there: the pivots are split once, at
-    construction, and every unit pivot is taken in one ``mul_mod``
+    the vector's own entry there: the pivots are split once, when the
+    reducer is built, and every unit pivot is taken in one ``mul_mod``
     product; only the non-unit pivots are walked in order (none at n = 1).
     The result is the same as a walk over every pivot
   * ``span_intersect`` and ``preimage`` are one Howell form each, of
@@ -423,22 +424,21 @@ def image_span(span: Span, a: np.ndarray, plus: Optional[Span] = None) -> Span:
     if plus is not None:
         _same_ring(span, plus)
         rows = np.vstack([rows, plus.h])
-    if not rows.shape[0]:
-        return Span.zero(rows.shape[1], span.p, span.n)
     return Span(rows, span.p, span.n)
 
 
 def check_accumulation(terms: int, m: int) -> None:
     """Assert that a residue plus ``terms`` products of residues mod m fits int64.
 
-    The batched loops of ``CosetReducer.reduce`` and ``Solver.solve`` add one
-    product per pivot, and ``_howell_form`` one per column, then reduce once.
+    The batched loop of ``CosetReducer.reduce`` (which every solve goes
+    through) adds one product per pivot, and ``_howell_form`` one per
+    column, then reduce once.
     """
     assert terms * (m - 1) ** 2 + m < 1 << 63, "batched reduction would overflow int64"
 
 
-def _split_pivots(h: np.ndarray, width: int):
-    """The pivots of the rows of h, found on its first ``width`` columns, split by unit.
+def _split_pivots(h: np.ndarray):
+    """The pivots of the rows of h, split by unit.
 
     Returns the unit pivots' columns and rows of h, and the other pivots
     as (row, column, entry), in order.  In a Howell form the column of a
@@ -448,7 +448,7 @@ def _split_pivots(h: np.ndarray, width: int):
     vector's own entry, whatever the order.
     """
     rows = np.arange(h.shape[0])
-    cols = (h[:, :width] != 0).argmax(axis=1) if rows.size else rows
+    cols = (h != 0).argmax(axis=1) if rows.size else rows
     entries = h[rows, cols]
     unit = entries == 1
     other = ~unit
@@ -472,7 +472,7 @@ class CosetReducer:
         self.p, self.n, self.m = p, n, p ** n
         self.h = h
         check_accumulation(h.shape[0], self.m)  # one pivot per row
-        self.unit_cols, self.unit_rows, self.pivots = _split_pivots(h, h.shape[1])
+        self.unit_cols, self.unit_rows, self.pivots = _split_pivots(h)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         m = self.m
@@ -495,28 +495,25 @@ class CosetReducer:
 class Solver:
     """Repeated solving of v @ a == b for one fixed a.
 
-    Factors the Howell form of [a | I] once; each solve is then one
-    coset reduction against its a-part pivots, for one target or a whole
-    matrix of them, as in ``CosetReducer``: the right block of the rows
-    taken off b adds up to the solution.  Used by the pairing tables,
-    which lift every element of a filtration piece against the same
-    handful of matrices in one call.
+    Factors the Howell form H of [a | I] once.  The rows of H with a pivot
+    in the a-part come first; the others are the kernel of a.  A solve is
+    the coset reduction of [b | 0] by the a-part rows (``reducer``), for
+    one target or a whole matrix of them: b lies in the row span of a
+    exactly when the left block vanishes, and minus the right block is
+    then a solution, canonical modulo the kernel (Storjohann, 2000).
+    Used by the pairing tables, which lift every element of a filtration
+    piece against the same handful of matrices in one call.
     """
 
-    __slots__ = ("p", "n", "m", "rows", "cols", "h", "unit_cols", "unit_rows", "pivots",
-                 "ker")
+    __slots__ = ("p", "n", "m", "rows", "cols", "reducer", "ker")
 
     def __init__(self, a: np.ndarray, p: int, n: int):
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         self.p, self.n, self.m = p, n, p ** n
         self.rows, self.cols = a.shape
-        aug = np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)])
-        self.h = howell_form(aug, p, n)
-        # rows with a pivot in the a-part come first; the rest are the kernel
-        self.ker = Span._of_howell(_vanishing_tail(self.h, self.cols), p, n)
-        top = self.h.shape[0] - self.ker.h.shape[0]
-        check_accumulation(top, self.m)  # one a-part pivot per row above the kernel
-        self.unit_cols, self.unit_rows, self.pivots = _split_pivots(self.h[:top], self.cols)
+        h = howell_form(np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)]), p, n)
+        self.ker = Span._of_howell(_vanishing_tail(h, self.cols), p, n)
+        self.reducer = CosetReducer(h[:h.shape[0] - self.ker.h.shape[0]], p, n)
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
         """A solution v of v @ a == b, or None if there is none.
@@ -526,22 +523,15 @@ class Solver:
         result is None if any row has no solution.  A 1-D b is the one-row
         case and gives a 1-D v.
         """
-        m, cols = self.m, self.cols
+        cols = self.cols
         b = np.asarray(b, dtype=np.int64)
-        resid = np.atleast_2d(b) % m
-        taken = mul_mod(resid[:, self.unit_cols], self.unit_rows, m)
-        resid = resid - taken[:, :cols]
-        x = taken[:, cols:]
-        for i, col, pv in self.pivots:
-            # entries stay congruent mod m; reduced once, at the end
-            e = resid[:, col] % m
-            if (e % pv).any():
-                return None
-            q = e // pv
-            if q.any():
-                resid -= q[:, None] * self.h[i, :cols]
-                x += q[:, None] * self.h[i, cols:]
-        return None if (resid % m).any() else (x % m).reshape(b.shape[:-1] + (self.rows,))
+        targets = np.atleast_2d(b)
+        out = np.zeros((targets.shape[0], cols + self.rows), dtype=np.int64)
+        out[:, :cols] = targets
+        out = self.reducer.reduce(out)
+        if out[:, :cols].any():
+            return None
+        return (-out[:, cols:] % self.m).reshape(b.shape[:-1] + (self.rows,))
 
     def random_solution(self, b: np.ndarray, rng) -> Optional[np.ndarray]:
         """``solve`` plus a uniformly random kernel element per target row.

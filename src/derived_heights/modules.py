@@ -19,7 +19,9 @@ of gamma^i, and gamma acts blockwise by the regular representation.
 test on gamma sets it, since submodules and quotients share that gamma);
 such a module takes its scale matrices as kron(I_g, regular_rep(x)) and
 I^k M as g diagonal copies of the Howell form of I^k, with no dense gamma
-power and no Howell form of its own.
+power and no Howell form of its own.  Any other module scales by one
+product of x against the gamma orbit of its ambient basis, the orbit that
+also spans relations and ideals.
 
 Duality: Hom_R(M, R) is computed through its identification with
 Hom_{R0}(M, R0) (f maps to sum_sigma f(sigma .) sigma^{-1}); a scalar
@@ -43,8 +45,7 @@ from .groupring import GroupRingElt, RingCtx, aug_ideal_power, regular_rep
 class FpModule:
     """Subquotient num/den of (Z/p^n)^dim with gamma-action."""
 
-    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "free_rank", "_gamma_pows",
-                 "_fixed")
+    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "free_rank", "_fixed")
 
     def __init__(self, ring: RingCtx, tag: str, dim: int, gamma: np.ndarray,
                  num: la.Span, den: la.Span, check: bool = True):
@@ -58,7 +59,6 @@ class FpModule:
         self.num = num
         self.den = den
         self.free_rank: Optional[int] = None  # set by free_module alone
-        self._gamma_pows = None
         self._fixed: Optional[la.Span] = None
         if check:
             if not num.contains(den):
@@ -86,16 +86,6 @@ class FpModule:
     def m(self) -> int:
         return self.ring.m
 
-    def gamma_power(self, i: int) -> np.ndarray:
-        if self._gamma_pows is None:
-            pows = [np.eye(self.dim, dtype=np.int64)]
-            for _ in range(self.m - 1):
-                pows.append(la.mul_mod(pows[-1], self.gamma, self.m))
-            for pw in pows:
-                pw.setflags(write=False)
-            self._gamma_pows = pows
-        return self._gamma_pows[i % self.m]
-
     def gamma_orbit(self, rows: np.ndarray) -> np.ndarray:
         """Rows v, v gamma, ..., v gamma^(m-1) of each row v, row by row."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % self.m
@@ -103,7 +93,7 @@ class FpModule:
         for i in range(self.m):
             out[:, i] = rows
             rows = la.mul_mod(rows, self.gamma, self.m)
-        return out.reshape(-1, self.dim)
+        return out.reshape(rows.shape[0] * self.m, self.dim)
 
     def order(self) -> int:
         return self.num.size() // self.den.size()
@@ -142,12 +132,11 @@ class FpModule:
         """Matrix of multiplication by the ring element x on the ambient."""
         if self.free_rank is not None:
             return _diagonal_copies(self.free_rank, regular_rep(x))
-        m = self.m
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for i, c in enumerate(x.coeffs):
-            if c:
-                out = (out + c * self.gamma_power(i)) % m
-        return out
+        # sum_i x_i gamma^i: the orbit of the identity, regrouped power-major
+        dim = self.dim
+        pows = self.gamma_orbit(np.eye(dim, dtype=np.int64)).reshape(dim, self.m, dim)
+        return la.mul_mod(x.coeffs, pows.transpose(1, 0, 2).reshape(self.m, -1),
+                          self.m).reshape(dim, dim)
 
     def fixed_point_span(self) -> la.Span:
         """Numerator span of M^G = ker(gamma - 1) on the subquotient, built once."""

@@ -28,7 +28,7 @@ import numpy as np
 from .complexes import TwoTermComplex
 from .groupring import RingCtx
 from .heights import PairingData
-from .modules import FpModule, from_presentation, r_rows_from_scalar
+from .modules import FpModule, from_presentation, r_matrix_expand, r_rows_from_scalar
 from .recovery import MINOR_LIMIT, P_LIMIT, IntComplex
 from .stark import StarkInstance
 
@@ -121,16 +121,27 @@ def group_ring_elt_to_json(elt) -> dict:
     return {"coeffs": [int(c) for c in elt.coeffs]}
 
 
-def parse_pairing(obj: Any, path: str = "$") -> PairingData:
+def _parse_ell(obj: Any, path: str, cols_key: str):
+    """(ring, rank_X, the rank under cols_key, ell) of a pairing or Stark file."""
     ring = parse_ring(_get(obj, "ring", path), f"{path}.ring")
     a = _int(_get(obj, "rank_X", path), f"{path}.rank_X")
-    b = _int(_get(obj, "rank_Y", path), f"{path}.rank_Y")
+    c = _int(_get(obj, cols_key, path), f"{path}.{cols_key}")
     mat, mod = parse_matrix(_get(obj, "ell", path), f"{path}.ell")
     if mod is None or mod != ring.m:
         raise InputError(f"{path}.ell.modulus", f"expected modulus {ring.m}")
-    if mat.shape != (a * ring.m, b * ring.m):
+    if mat.shape != (a * ring.m, c * ring.m):
         raise InputError(f"{path}.ell",
-                         f"expected shape {a * ring.m} x {b * ring.m}")
+                         f"expected shape {a * ring.m} x {c * ring.m}")
+    return ring, a, c, mat
+
+
+def _ell_to_json(ring: RingCtx, a: int, cols_key: str, c: int, mat: np.ndarray) -> dict:
+    return {"ring": {"p": ring.p, "n": ring.n}, "rank_X": a, cols_key: c,
+            "ell": matrix_to_json(mat, ring.m)}
+
+
+def parse_pairing(obj: Any, path: str = "$") -> PairingData:
+    ring, _, _, mat = _parse_ell(obj, path, "rank_Y")
     try:
         return PairingData(ring, r_rows_from_scalar(ring, mat))
     except ValueError as exc:
@@ -138,24 +149,11 @@ def parse_pairing(obj: Any, path: str = "$") -> PairingData:
 
 
 def pairing_to_json(data: PairingData) -> dict:
-    return {
-        "ring": {"p": data.ring.p, "n": data.ring.n},
-        "rank_X": data.a,
-        "rank_Y": data.b,
-        "ell": matrix_to_json(data.d, data.ring.m),
-    }
+    return _ell_to_json(data.ring, data.a, "rank_Y", data.b, data.d)
 
 
 def parse_stark(obj: Any, path: str = "$") -> StarkInstance:
-    ring = parse_ring(_get(obj, "ring", path), f"{path}.ring")
-    a = _int(_get(obj, "rank_X", path), f"{path}.rank_X")
-    r = _int(_get(obj, "primes", path), f"{path}.primes")
-    mat, mod = parse_matrix(_get(obj, "ell", path), f"{path}.ell")
-    if mod is None or mod != ring.m:
-        raise InputError(f"{path}.ell.modulus", f"expected modulus {ring.m}")
-    if mat.shape != (a * ring.m, r * ring.m):
-        raise InputError(f"{path}.ell",
-                         f"expected shape {a * ring.m} x {r * ring.m}")
+    ring, a, r, mat = _parse_ell(obj, path, "primes")
     try:
         return StarkInstance.build(ring, a, r, r_rows_from_scalar(ring, mat))
     except ValueError as exc:
@@ -163,14 +161,8 @@ def parse_stark(obj: Any, path: str = "$") -> StarkInstance:
 
 
 def stark_to_json(inst: StarkInstance) -> dict:
-    from .modules import r_matrix_expand
-
-    return {
-        "ring": {"p": inst.ring.p, "n": inst.ring.n},
-        "rank_X": inst.a,
-        "primes": inst.r,
-        "ell": matrix_to_json(r_matrix_expand(inst.ring, inst.ell), inst.ring.m),
-    }
+    return _ell_to_json(inst.ring, inst.a, "primes", inst.r,
+                        r_matrix_expand(inst.ring, inst.ell))
 
 
 def parse_fp_module(obj: Any, ring: RingCtx, path: str) -> FpModule:

@@ -40,6 +40,7 @@ from .modules import (
     fitting_from_matrix,
     functional_from_rcoords,
     r_matrix_expand,
+    rcoords_from_functional,
 )
 from .rng import SplitMix64
 
@@ -212,8 +213,6 @@ class StarkSystem:
         """
         inst = self.inst
         ring = inst.ring
-        from .modules import rcoords_from_functional
-
         for vertex in inst.vertices():
             deg = inst.chi + len(vertex)
             if deg <= 0:

@@ -15,16 +15,14 @@ from derived_heights.groupring import (
     convolve,
     derivative_op,
     graded_classes_equal,
-    graded_scalars,
+    graded_projection,
 )
 from derived_heights.heights import (
     MembershipError,
     PairingData,
     PairingError,
-    _graded_projection,
     _lift_solver,
     _norm_solver,
-    graded_classes,
     random_pairing_data,
 )
 from derived_heights.modules import free_module
@@ -432,15 +430,19 @@ def test_one_by_one_pairings_keep_the_unreduced_value():
         y_norm = data._chains[("norm-pre", t.tobytes())][0]
         assert boc.raw.coeffs.tolist() == data.eval_functional(w, y_norm)[0, 0].tolist()
         assert bd.rep.coeffs.tolist() == rec["bd"] and boc.rep.coeffs.tolist() == rec["boc"]
+        # the class by its definition: the raw value reduced modulo I^2
+        for value in (bd, boc):
+            assert (value.rep.coeffs == aug_ideal_power(ring, 2).reduce(value.raw.coeffs)).all()
         assert bd.scalar() == boc.scalar() == rec["scalar"]
         unreduced += bd.raw != bd.rep and boc.raw != boc.rep
     assert unreduced
 
 
-def test_graded_projection_matches_graded_classes():
-    # phi reads the scalar and Psi decides membership in I^k, against the
-    # coset reductions: every element of R on (3,1) and (5,1), drawn
-    # elements of R, I^(k-1) and I^k elsewhere
+def test_graded_projection_matches_its_definition():
+    # Psi decides membership in I^k against the coset reduction, and on I^k
+    # phi reads the scalar of the class: x - phi(x) (gamma-1)^k lies in
+    # I^(k+1), and reps[phi(x)] is x reduced modulo I^(k+1).  Every element
+    # of R on (3,1) and (5,1), drawn elements of R, I^(k-1) and I^k elsewhere
     from itertools import product
 
     gen = np.random.default_rng(13)
@@ -450,8 +452,9 @@ def test_graded_projection_matches_graded_classes():
         whole = (np.array(list(product(range(m), repeat=m)), dtype=np.int64) if m <= 5
                  else gen.integers(0, m, (300, m)))
         for k in range(1, p):
-            proj, reps = _graded_projection(ring, k)
-            ik = aug_ideal_power(ring, k)
+            proj, reps = graded_projection(ring, k)
+            ik, ik1 = aug_ideal_power(ring, k), aug_ideal_power(ring, k + 1)
+            gm1k = ((ring.gamma() - ring.one()) ** k).coeffs
             drawn = [la.mul_mod(gen.integers(0, m, (300, span.h.shape[0])), span.h, m)
                      for span in (aug_ideal_power(ring, k - 1), ik)]
             for xs in [whole] + drawn:
@@ -459,6 +462,6 @@ def test_graded_projection_matches_graded_classes():
                 inside = ~ik.reduce(xs).any(axis=1)
                 assert ((images[:, 1:] == 0).all(axis=1) == inside).all()
                 members, phi = xs[inside], images[inside, 0]
-                assert (reps[phi] == graded_classes(ring, k, members)).all()
-                assert (phi == graded_scalars(ring, k, members)).all()
+                assert ik1.contains((members - np.outer(phi, gm1k)) % m)
+                assert (reps[phi] == ik1.reduce(members)).all()
             assert inside.all() and not (~ik.reduce(drawn[0]).any(axis=1)).all()

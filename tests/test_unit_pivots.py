@@ -1,12 +1,14 @@
 """The batched unit pivots and the free-module block forms, differentially.
 
-``CosetReducer`` and ``Solver`` take every unit pivot of a Howell form
-in one product and walk only the others; ``pivot_oracle`` walks every
-pivot one at a time, as the library did before.  Both must agree bit for
-bit, for reduction, solving and random solutions, on all six rings.
+``CosetReducer`` takes every unit pivot of a Howell form in one product
+and walks only the others, and ``Solver`` solves through it;
+``pivot_oracle`` walks every pivot one at a time, as the library did
+before.  Both must agree bit for bit, for reduction, solving and random
+solutions, on all six rings.
 Free modules build ``scale_matrix`` and ``ideal_multiple_span`` from
 their block structure; both must equal the generic route through the
-dense gamma powers and a Howell form.  The free flag comes from
+gamma orbit and a Howell form, and the generic scale matrix must equal
+its definition, a sum of dense gamma powers.  The free flag comes from
 ``free_module`` alone, and ``span_intersect`` skips its Howell form only
 when one argument is the whole ambient.
 """
@@ -70,7 +72,7 @@ def test_reduce_and_solve_match_the_sequential_walk(p, n):
         reducer = la.Span(a, p, n).reducer
         non_unit += len(reducer.pivots)
         if n == 1:
-            assert reducer.pivots == [] and la.Solver(a, p, n).pivots == []
+            assert reducer.pivots == [] and la.Solver(a, p, n).reducer.pivots == []
     # the walk over the non-unit pivots is exercised wherever there are any
     assert non_unit > 0 if n > 1 else non_unit == 0
 
@@ -123,9 +125,13 @@ def test_free_block_forms_match_the_generic_route(p, n):
     for rank in (1, 2, 3):
         free = free_module(ring, rank)
         assert free.free_rank == rank and generic(free).free_rank is None
+        pows = [la.mat_pow_mod(free.gamma, i, m) for i in range(m)]
         for _ in range(4):
             x = ring.elt(rng.below_many(m, m))
-            assert (free.scale_matrix(x) == generic(free).scale_matrix(x)).all()
+            scaled = generic(free).scale_matrix(x)
+            assert (free.scale_matrix(x) == scaled).all()
+            # the generic route against its definition, sum_i c_i gamma^i
+            assert (scaled == sum(int(c) * pw for c, pw in zip(x.coeffs, pows)) % m).all()
         gm1 = (free.gamma - np.eye(free.dim, dtype=np.int64)) % m
         for k in (0, 1, 2, p - 1, p, m, m * n, m * n + 3):
             block = free.ideal_multiple_span(k)

@@ -78,6 +78,8 @@ PROJECTION_TABLES = (T_HT + "test_one_by_one_pairings_keep_the_unreduced_value",
 T_UP = "tests/test_unit_pivots.py::"
 UNIT_PIVOTS = (T_UP + "test_reduce_and_solve_match_the_sequential_walk",
                T_UP + "test_reduce_and_solve_match_the_sequential_walk_on_drawn_matrices")
+SOLVE = UNIT_PIVOTS + (T_LA + "test_solve_identity_and_no_solution",
+                      T_LA + "test_solve_matches_span_membership")
 
 MUTANTS = (
     # -- Zassenhaus intersection and preimage ----------------------------------
@@ -120,8 +122,15 @@ MUTANTS = (
            "terms * (m - 1) ** 2 + m < 1 << 63", "terms * (m - 1) + m < 1 << 63",
            (T_LA + "test_batched_accumulation_bound_is_asserted",)),
     Mutant("graded-scalars-from-first-row", GR,
-           "return v[:, 0] % ring.m", "return v[:1, 0].repeat(len(v)) % ring.m",
+           "return images[:, 0]", "return images[:1, 0].repeat(len(images))",
            ("tests/test_groupring.py::test_graded_scalars_of_a_batch",)),
+    # -- solving as the coset reduction of [b | 0] --------------------------------------
+    Mutant("solve-sign-dropped", LA,
+           "return (-out[:, cols:] % self.m)", "return (out[:, cols:] % self.m)",
+           SOLVE),
+    Mutant("solve-left-block-unchecked", LA,
+           "if out[:, :cols].any():\n            return None", "if False:\n            return None",
+           SOLVE),
     Mutant("one-row-reduce-not-reshaped", LA,
            "return (out % m).reshape(v.shape)", "return out % m",
            (T_LA + "test_one_vector_is_the_one_row_case",)),
@@ -131,6 +140,9 @@ MUTANTS = (
     Mutant("non-unit-pivot-in-unit-product", LA,
            "unit = entries == 1", "unit = entries <= 3",
            UNIT_PIVOTS),
+    Mutant("scale-matrix-orbit-not-regrouped", MD,
+           "pows.transpose(1, 0, 2).reshape(self.m, -1)", "pows.reshape(self.m, -1)",
+           (T_UP + "test_free_block_forms_match_the_generic_route",)),
     Mutant("free-flag-from-gamma", MD,
            "self.free_rank: Optional[int] = None  # set by free_module alone",
            "free = np.kron(np.eye(dim // ring.m, dtype=np.int64), regular_rep(ring.gamma()))\n"
@@ -235,10 +247,10 @@ MUTANTS = (
            "a.tolist() for a in (reps[bd], reps[boc],",
            "a.tolist() for a in (reps[(bd + 1) % ring.m], reps[(boc + 1) % ring.m],",
            PROJECTION_TABLES),
-    Mutant("projection-reps-built-off-by-one", HT,
+    Mutant("projection-reps-built-off-by-one", GR,
            "reps = ik1.reduce(np.outer(np.arange(ring.m), gm1k))",
            "reps = ik1.reduce(np.outer(np.arange(1, ring.m + 1), gm1k))",
-           (T_HT + "test_graded_projection_matches_graded_classes",)),
+           (T_HT + "test_graded_projection_matches_its_definition",)),
     # -- checks decided on generating rows, and the guarded modular product -------
     Mutant("map-numerator-first-row-only", MD,
            "tgt.num.contains(la.mul_mod(src.num.h, mat, m))",
