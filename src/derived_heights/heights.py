@@ -28,8 +28,9 @@ value tables, one k at a time:
 
   * membership of every s and every t is one batched coset reduction
     against the filtration pieces, on the datum and on its dual;
-  * each element gets its lifts (two independent draws, cached per
-    element) from one ``Solver`` call on the matrix of all targets;
+  * each table draws the lifts of all its elements at once: one
+    ``Solver`` call per solver on the stacked copies of all targets, one
+    copy per draw (two when the table is audited, one otherwise);
   * a table is one matrix product of the lifted functionals against the
     regular representations of the lifted arguments, projected into Q^k
     by ``graded_projection``'s [phi | Psi]: phi reads the scalar, Psi
@@ -39,8 +40,9 @@ value tables, one k at a time:
 
 What depends on no datum is built once and shared by all: the free
 modules, the derivative-operator lift solvers and the norm solver.  The
-kernels, filtration pieces, complex and the solvers involving ell stay
-per datum; the dual datum derives its own, for the symmetry flag.
+kernels, filtration pieces and complex stay per datum; the dual datum
+derives its own, for the symmetry flag.  The solvers involving ell are
+built per table call, once for all of its draws.
 
 ``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables;
 their ``PairingValue`` keeps the unreduced value and reads its class
@@ -157,14 +159,7 @@ class PairingData:
         self.t_span = la.kernel(self.d_t, ring.p, ring.n)
         self._complex: Optional[TwoTermComplex] = None
         self._pieces: dict[tuple[str, int], la.Span] = {}
-        self._solvers: dict[tuple, la.Solver] = {}
-        self._chains: dict[tuple, tuple] = {}
         self._dual: Optional[PairingData] = None
-
-    def _solver(self, key: tuple, build) -> la.Solver:
-        if key not in self._solvers:
-            self._solvers[key] = la.Solver(build(), self.ring.p, self.ring.n)
-        return self._solvers[key]
 
     @classmethod
     def from_scalar_matrix(cls, ring: RingCtx, mat: np.ndarray) -> "PairingData":
@@ -282,90 +277,49 @@ class PairingData:
         return la.kernel(blocks.transpose(1, 2, 0, 3).reshape(rank * m, -1),
                          self.ring.p, self.ring.n)
 
-    # -- per-element lifts -----------------------------------------------------------
+    # -- per-table lifts ----------------------------------------------------------------
 
-    def _drawn_pairs(self, keys: list, targets: np.ndarray, draw) -> np.ndarray:
-        """Two independent draws per element, cached per element.
+    def _lift_chains(self, side: str, k: int, gen_exp: int, targets: np.ndarray,
+                     rng: SplitMix64, draws: int) -> np.ndarray:
+        """``draws`` independent lift chains per target row, shape (draws, rows, width).
 
-        Elements not yet cached are drawn in one batch, draw(rows, False)
-        and then draw(rows, True), the flag marking the second draw; the
-        result stacks the two draws of every target, shape
-        (2, len(targets), width).
-        """
-        todo: dict = {}
-        for key, row in zip(keys, targets):
-            if key not in self._chains:
-                todo.setdefault(key, row)
-        if todo:
-            rows = np.array(list(todo.values()), dtype=np.int64)
-            first, second = draw(rows, False), draw(rows, True)
-            for j, key in enumerate(todo):
-                self._chains[key] = (first[j], second[j])
-        return np.stack([self._chains[key] for key in keys], axis=1)
-
-    def _lift_chains(self, side: str, k: int, gen_exp: int,
-                     targets: np.ndarray, rng: SplitMix64) -> np.ndarray:
-        """Two independently drawn lift chains for each target row.
-
-        Cached per element: the chains depend on (side, k, generator,
-        element) only, so a table costs one chain per element rather
-        than one per pair.
-        """
-        keys = [("chain", side, k, gen_exp, t.tobytes()) for t in targets]
-        return self._drawn_pairs(
-            keys, targets, lambda rows, _: self._one_chain(side, k, gen_exp, rows, rng))
-
-    def _one_chain(self, side: str, k: int, gen_exp: int,
-                   target: np.ndarray, rng: SplitMix64) -> np.ndarray:
-        """Random s~ in ker with (g-1)^(k-1) s~ = target, then x with D x = s~.
-
-        target is one element or one per row; each row gets its own draws.
+        A random s~ in the kernel with (g-1)^(k-1) s~ = target, then x with
+        D^(k-1) x = s~; both solves take the ``draws`` stacked copies of the
+        targets in one call, so every copy gets its own kernel draw.
         """
         ring = self.ring
         m = ring.m
         ker = (self.s_span if side == "s" else self.t_span).h
         free = self.x if side == "s" else self.y
-        g = ring.gamma(gen_exp)
-        tilde_solver = self._solver(
-            ("tilde", side, k, gen_exp),
-            lambda: la.mul_mod(ker, free.scale_matrix((g - ring.one()) ** (k - 1)), m),
-        )
-        coeffs = tilde_solver.random_solution(target, rng)
+        gm1 = ring.gamma(gen_exp) - ring.one()
+        tilde_solver = la.Solver(la.mul_mod(ker, free.scale_matrix(gm1 ** (k - 1)), m),
+                                 ring.p, ring.n)
+        coeffs = tilde_solver.random_solution(np.tile(targets, (draws, 1)), rng)
         if coeffs is None:
             raise AssertionError("lift-not-found: element not divisible inside the kernel")
         tilde = la.mul_mod(coeffs, ker, m)
         x = _lift_solver(ring, free.dim // m, k, gen_exp).random_solution(tilde, rng)
         if x is None:
             raise AssertionError("lift-not-found: derivative equation unsolvable")
-        return x
+        return x.reshape(draws, len(targets), -1)
 
-    def _boc_functionals(self, k: int, s_rows: np.ndarray, rng: SplitMix64) -> np.ndarray:
-        """Two snake-map outputs over each s, the second boundary-perturbed."""
-        keys = [("boc", k, s.tobytes()) for s in s_rows]
-        return self._drawn_pairs(
-            keys, s_rows, lambda rows, perturb: self._boc_functional(k, rows, rng, perturb))
-
-    def _boc_functional(self, k: int, s_rows: np.ndarray,
-                        rng: SplitMix64, perturb: bool) -> np.ndarray:
+    def _boc_functionals(self, k: int, s_rows: np.ndarray, rng: SplitMix64,
+                         draws: int) -> np.ndarray:
+        """``draws`` snake-map outputs over each s, every one after the first
+        boundary-perturbed; shape (draws, rows, width)."""
         ring = self.ring
         m = ring.m
         psi = self.complex().generalized_bockstein(k)
         am, bm = self.a * m, self.b * m
-
-        def build_big():
-            # unknown (a, w): a d = w (I^k C^2 basis)  and  a N = s
-            ik2 = self.complex().ideal_span2(k).h
-            rows = ik2.shape[0]
-            big = np.zeros((am + rows, bm + am), dtype=np.int64)
-            big[:am, :bm] = self.d
-            big[:am, bm:] = self.x.scale_matrix(ring.norm())
-            if rows:
-                big[am:, :bm] = (-ik2) % m
-            return big
-
-        rhs = np.zeros((s_rows.shape[0], bm + am), dtype=np.int64)
-        rhs[:, bm:] = s_rows
-        z = self._solver(("boc-system", k), build_big).random_solution(rhs, rng)
+        # unknown (a, w): a d = w (I^k C^2 basis)  and  a N = s
+        ik2 = self.complex().ideal_span2(k).h
+        big = np.zeros((am + ik2.shape[0], bm + am), dtype=np.int64)
+        big[:am, :bm] = self.d
+        big[:am, bm:] = self.x.scale_matrix(ring.norm())
+        big[am:, :bm] = (-ik2) % m
+        rhs = np.zeros((draws * len(s_rows), bm + am), dtype=np.int64)
+        rhs[:, bm:] = np.tile(s_rows, (draws, 1))
+        z = la.Solver(big, ring.p, ring.n).random_solution(rhs, rng)
         if z is None:
             raise AssertionError("lift-not-found: no page representative above s")
         a = z[:, :am]
@@ -373,26 +327,21 @@ class PairingData:
             raise AssertionError("page representative escaped H^1(C/I^k C)")
         w = psi.apply(a)
         den = psi.tgt.den.h
-        if perturb and den.shape[0]:
+        if den.shape[0]:
             # adding anything from the target denominator must not move
             # the evaluation: certifies the boundary-killing of the
             # identification with Hom(T_0, Q^k)
-            for row in w:
+            for row in w[len(s_rows):]:
                 extra = den[rng.below(den.shape[0])]
                 row[:] = (row + rng.below(m) * extra) % m
-        return w
+        return w.reshape(draws, len(s_rows), -1)
 
-    def _norm_preimages(self, t_rows: np.ndarray, rng: SplitMix64) -> np.ndarray:
-        """Two independent norm preimages in Y of each t."""
-        solver = _norm_solver(self.ring, self.b)
-
-        def draw(rows, _):
-            ys = solver.random_solution(rows, rng)
-            if ys is None:
-                raise AssertionError("lift-not-found: t has no norm preimage in Y")
-            return ys
-
-        return self._drawn_pairs([("norm-pre", t.tobytes()) for t in t_rows], t_rows, draw)
+    def _norm_preimages(self, t_rows: np.ndarray, rng: SplitMix64, draws: int) -> np.ndarray:
+        """``draws`` independent norm preimages in Y of each t, shape (draws, rows, width)."""
+        ys = _norm_solver(self.ring, self.b).random_solution(np.tile(t_rows, (draws, 1)), rng)
+        if ys is None:
+            raise AssertionError("lift-not-found: t has no norm preimage in Y")
+        return ys.reshape(draws, len(t_rows), -1)
 
     # -- the two pairings as value tables ------------------------------------------------
 
@@ -405,14 +354,14 @@ class PairingData:
         if not self.piece_span("t", k).contains(t_rows):
             raise MembershipError("t is not in T_0^(k)")
 
-    def _audited(self, k: int, ws: np.ndarray, ys: np.ndarray, audit: bool, fault: str):
-        """Scalars in Q^k of w_s(y_t) from the first draws, audited on the second."""
+    def _audited(self, k: int, ws: np.ndarray, ys: np.ndarray, fault: str):
+        """Scalars in Q^k of w_s(y_t) from the first draws, audited on any second."""
         proj = graded_projection(self.ring, k)[0]
-        tables = [self.eval_functional(w, y, proj) for w, y in zip(ws[:1 + audit], ys)]
+        tables = [self.eval_functional(w, y, proj) for w, y in zip(ws, ys)]
         if any(t[:, :, 1:].any() for t in tables):
             raise AssertionError("pairing value escaped I^k")
         scalars = [t[:, :, 0] for t in tables]
-        if audit and (scalars[1] != scalars[0]).any():
+        if any((s != scalars[0]).any() for s in scalars[1:]):
             raise AssertionError(fault)
         return scalars[0], (ws[0], ys[0])
 
@@ -420,13 +369,13 @@ class PairingData:
                   rng: SplitMix64, gen_exp: int = 1, audit: bool = True):
         """Derivative-lift scalars of ell(x_s)(y_t) for every (s, t), and (ell(x_s), y_t).
 
-        The audit recomputes the table from the second, independently
-        drawn chain of every element.
+        The audit recomputes the table from a second, independently drawn
+        chain of every element.
         """
-        xs = self._lift_chains("s", k, gen_exp, s_rows, rng)
-        ys = self._lift_chains("t", k, gen_exp, t_rows, rng)
-        ws = la.mul_mod(xs[:1 + audit], self.d, self.ring.m)
-        return self._audited(k, ws, ys, audit, "derivative-lift pairing depended on lift choices")
+        xs = self._lift_chains("s", k, gen_exp, s_rows, rng, 1 + audit)
+        ys = self._lift_chains("t", k, gen_exp, t_rows, rng, 1 + audit)
+        ws = la.mul_mod(xs, self.d, self.ring.m)
+        return self._audited(k, ws, ys, "derivative-lift pairing depended on lift choices")
 
     def _boc_table(self, k: int, s_rows: np.ndarray, t_rows: np.ndarray,
                    rng: SplitMix64, audit: bool = True):
@@ -435,10 +384,9 @@ class PairingData:
         The audit recomputes from an independent representative, a
         boundary-perturbed functional and a different norm preimage.
         """
-        ws = self._boc_functionals(k, s_rows, rng)
-        ys = self._norm_preimages(t_rows, rng)
-        return self._audited(k, ws, ys, audit,
-                             "Bockstein pairing depended on representative choices")
+        ws = self._boc_functionals(k, s_rows, rng, 1 + audit)
+        ys = self._norm_preimages(t_rows, rng, 1 + audit)
+        return self._audited(k, ws, ys, "Bockstein pairing depended on representative choices")
 
     def bd_pairing(self, k: int, s: np.ndarray, t: np.ndarray,
                    rng: Optional[SplitMix64] = None, gen_exp: int = 1,

@@ -173,14 +173,13 @@ class FpModule:
 class ModuleHom:
     """Map between subquotients given by an ambient matrix."""
 
-    __slots__ = ("src", "tgt", "mat", "_image")
+    __slots__ = ("src", "tgt", "mat")
 
     def __init__(self, src: FpModule, tgt: FpModule, mat: np.ndarray,
                  check: bool = True):
         self.src = src
         self.tgt = tgt
         self.mat = np.asarray(mat, dtype=np.int64) % src.m
-        self._image: Optional[FpModule] = None
         if check:
             self.check_well_defined()
 
@@ -203,9 +202,7 @@ class ModuleHom:
         return self.src.submodule(la.span_intersect(pre, self.src.num))
 
     def image(self) -> FpModule:
-        if self._image is None:  # built once per map; image and den in one Howell form
-            self._image = self.tgt._over_den(la.image_span(self.src.num, self.mat, self.tgt.den))
-        return self._image
+        return self.tgt._over_den(la.image_span(self.src.num, self.mat, self.tgt.den))
 
     def is_surjective(self) -> bool:
         return self.image().order() == self.tgt.order()

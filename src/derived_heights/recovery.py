@@ -39,6 +39,11 @@ P_LIMIT = 1 << 31
 # a few seconds; 12 x 12 has 14 times as many.
 MINOR_LIMIT = comb(20, 10)
 
+# Declared limit on fitting --imax: every index above the prime count adjoins
+# a fresh prime and generator, and the cost grows about fourfold per index.
+# A 2 x 1 instance over (7,2) takes 3.5 / 11.6 / 44 s at imax 5 / 6 / 7.
+IMAX_LIMIT = 6
+
 
 def _is_prime(p: int) -> bool:
     """Trial division up to the square root of p."""

@@ -153,9 +153,9 @@ def pairing_to_json(data: PairingData) -> dict:
 
 
 def parse_stark(obj: Any, path: str = "$") -> StarkInstance:
-    ring, a, r, mat = _parse_ell(obj, path, "primes")
+    ring, _, _, mat = _parse_ell(obj, path, "primes")
     try:
-        return StarkInstance.build(ring, a, r, r_rows_from_scalar(ring, mat))
+        return StarkInstance(ring, r_rows_from_scalar(ring, mat))
     except ValueError as exc:
         raise InputError(f"{path}.ell", str(exc)) from exc
 

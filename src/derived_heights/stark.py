@@ -79,13 +79,6 @@ class StarkInstance:
         self.scalar_ell = r_matrix_expand(ring, ell_rows) if self.r else None
         self.validate()
 
-    @classmethod
-    def build(cls, ring: RingCtx, rank_x: int, primes: int,
-              ell_rows: list[list[GroupRingElt]]) -> "StarkInstance":
-        if len(ell_rows) != rank_x or any(len(r) != primes for r in ell_rows):
-            raise StarkError("not-a-core-vertex: ell shape mismatch")
-        return cls(ring, ell_rows)
-
     def validate(self) -> None:
         """Certify the vertex-lattice and exact-sequence bookkeeping."""
         if self.r == 0:

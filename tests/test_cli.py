@@ -14,7 +14,7 @@ from derived_heights.cli import SUITES, FuzzConfig, main, run_fuzz
 from derived_heights.groupring import RingCtx
 from derived_heights.heights import PairingData
 from derived_heights.modules import r_matrix_expand
-from derived_heights.recovery import IntComplex
+from derived_heights.recovery import IMAX_LIMIT, IntComplex
 
 
 def write_json(tmp_path, name, obj):
@@ -259,6 +259,42 @@ def test_negative_kmax_and_imax_exit_2(tmp_path, capsys):
     stark = write_json(tmp_path, "stark.json",
                        ser.stark_to_json(StarkInstance(ring, [[ring.norm()]])))
     assert_exit_2_at(["fitting", stark, "--imax", "-1"], capsys, "parse-error at $.imax")
+
+
+def norm_stark_payload():
+    """The core vertex X = R, ell = N over (3,1): one prime."""
+    from derived_heights.stark import StarkInstance
+
+    ring = RingCtx(3, 1)
+    return ser.stark_to_json(StarkInstance(ring, [[ring.norm()]]))
+
+
+def test_imax_beyond_limit_exit_2(tmp_path, capsys, monkeypatch):
+    # every index above the prime count adjoins a fresh prime, about four
+    # times the cost each; refused before any Stark system is built
+    from derived_heights.stark import StarkInstance
+
+    def refuse(*args):
+        raise AssertionError("a Stark system was built")
+
+    monkeypatch.setattr(StarkInstance, "stark_system", refuse)
+    stark = write_json(tmp_path, "stark.json", norm_stark_payload())
+    assert_exit_2_at(["fitting", stark, "--imax", str(IMAX_LIMIT + 1)], capsys,
+                     "resource-limit at $.imax")
+
+
+def test_imax_at_limit_runs_every_index(tmp_path, capsys):
+    stark = write_json(tmp_path, "stark.json", norm_stark_payload())
+    assert main(["fitting", stark, "--imax", str(IMAX_LIMIT)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and len(report["records"][0]["fitting"]) == IMAX_LIMIT + 1
+
+
+def test_stark_ell_shape_disagreeing_with_primes_exit_2(tmp_path, capsys):
+    obj = norm_stark_payload()
+    obj["primes"] = 2  # ell is 3 x 3, one prime's worth of columns
+    assert_exit_2_at(["stark", write_json(tmp_path, "stark.json", obj)], capsys,
+                     "parse-error at $.ell")
 
 
 def test_kmax_above_p_minus_one_exit_2(tmp_path, capsys):

@@ -155,8 +155,39 @@ def test_lift_chains_solve_the_equations_of_their_generator():
             for u in (1, 2):
                 d_u = data.x.scale_matrix(derivative_op(ring, k - 1, u))
                 g_u = data.x.scale_matrix((ring.gamma(u) - ring.one()) ** (k - 1))
-                for xs in data._lift_chains("s", k, u, s_rows, rng):
+                for xs in data._lift_chains("s", k, u, s_rows, rng, 2):
                     assert ((xs @ d_u @ g_u) % ring.m == s_rows).all()
+
+
+def test_stacked_draws_are_independent_solutions():
+    # ell = N over (3,2) at k = 2: every lift kernel is nonzero and so is
+    # the target denominator of psi, so a second draw that copied the
+    # first would leave the audit comparing a table with itself
+    ring = RingCtx(3, 2)
+    data = mult_data(ring, ring.norm())
+    k, m = 2, ring.m
+    s_rows, t_rows = (np.array([v for v in la.span_elements(data.piece_span(side, k))
+                                if v.any()]) for side in ("s", "t"))
+    rng = SplitMix64(3)
+    xs = data._lift_chains("s", k, 1, s_rows, rng, 2)
+    ws = data._boc_functionals(k, s_rows, rng, 2)
+    ys = data._norm_preimages(t_rows, rng, 2)
+    for drawn, rows in ((xs, s_rows), (ws, s_rows), (ys, t_rows)):
+        assert drawn.shape[:2] == (2, len(rows)) and (drawn[0] != drawn[1]).any()
+    # each draw solves its own equations: x D^(k-1) (g-1)^(k-1) = s,
+    # y N = t, and w is a functional whose values at the norm preimages
+    # are the derivative-lift table
+    d = data.x.scale_matrix(derivative_op(ring, k - 1))
+    g = data.x.scale_matrix((ring.gamma() - ring.one()) ** (k - 1))
+    norm = data.y.scale_matrix(ring.norm())
+    psi = data.complex().generalized_bockstein(k)
+    bd, _ = data._bd_table(k, s_rows, t_rows, rng)
+    proj = graded_projection(ring, k)[0]
+    for x, w, y in zip(xs, ws, ys):
+        assert ((x @ d @ g) % m == s_rows).all()
+        assert ((y @ norm) % m == t_rows).all()
+        assert psi.tgt.num.contains(w)
+        assert (data.eval_functional(w, y, proj)[:, :, 0] == bd).all()
 
 
 def test_worked_example_k1():
@@ -313,7 +344,7 @@ def test_membership_iff_lift_chain_exists():
                 for s in la.span_elements(s_fixed):
                     member = piece.contains(s)
                     try:
-                        data._one_chain("s", k, 1, s, rng)
+                        data._lift_chains("s", k, 1, s[None], rng, 1)
                         liftable = True
                     except AssertionError:
                         liftable = False
@@ -370,31 +401,46 @@ def _shift(v, elt):
     return (v + np.pad(elt.coeffs, (0, v.size - m))) % m
 
 
+def _corrupt(monkeypatch, name, owner, draw, target, elt, side=None):
+    """Make owner's draw method ``name`` shift draw ``draw`` of target's row by elt.
+
+    side restricts ``_lift_chains`` to the chains of that side.
+    """
+    method = getattr(PairingData, name)
+
+    def corrupted(self, *args):
+        out = method(self, *args)
+        rows = next(a for a in args if isinstance(a, np.ndarray))
+        if self is owner and draw < len(out) and side in (None, args[0]):
+            for i in np.flatnonzero((rows == target).all(axis=1)):
+                out[draw, i] = _shift(out[draw, i], elt)
+        return out
+
+    monkeypatch.setattr(PairingData, name, corrupted)
+
+
 @pytest.mark.parametrize("kind, message", [
     ("chain", "derivative-lift pairing depended on lift choices"),
     ("boc", "Bockstein pairing depended on representative choices"),
 ])
-def test_audit_detects_one_corrupted_second_draw(kind, message):
+def test_audit_detects_one_corrupted_second_draw(kind, message, monkeypatch):
     ring, data, rep = _norm_line_data()
     s = np.array(rep["records"][9]["s"], dtype=np.int64)
-    key = ("chain", "s", 1, 1, s.tobytes()) if kind == "chain" else ("boc", 1, s.tobytes())
     # a lift x feeds ell(x) = (gamma - 1) x, a functional w is used as
     # it is: either shift moves every value against a norm line by a
     # nonzero multiple of gamma - 1, so off its class in Q^1
-    shift = ring.one() if kind == "chain" else ring.gamma() - ring.one()
-    first, second = data._chains[key]
-    data._chains[key] = (first, _shift(second, shift))
+    if kind == "chain":
+        _corrupt(monkeypatch, "_lift_chains", data, 1, s, ring.one(), side="s")
+    else:
+        _corrupt(monkeypatch, "_boc_functionals", data, 1, s, ring.gamma() - ring.one())
     with pytest.raises(AssertionError, match=message):
         data.compare(2, rng=SplitMix64(5))
 
 
-def test_symmetry_flag_detects_one_corrupted_dual_chain():
+def test_symmetry_flag_detects_one_corrupted_dual_chain(monkeypatch):
     ring, data, rep = _norm_line_data()
     t0 = rep["records"][3]["t"]
-    dual = data.dual()
-    key = ("chain", "s", 1, 1, np.array(t0, dtype=np.int64).tobytes())
-    first, second = dual._chains[key]
-    dual._chains[key] = (_shift(first, ring.one()), second)
+    _corrupt(monkeypatch, "_lift_chains", data.dual(), 0, t0, ring.one(), side="s")
     again = data.compare(2, rng=SplitMix64(5))
     assert not again["pass"]
     assert [r["symmetric"] for r in again["records"]] == [
@@ -402,32 +448,37 @@ def test_symmetry_flag_detects_one_corrupted_dual_chain():
     assert all(r["equal"] and r["gamma_independent"] for r in again["records"])
 
 
-def test_value_moved_off_i_k_is_caught():
+def test_value_moved_off_i_k_is_caught(monkeypatch):
     # a functional moved by 1 in slot 0 moves w(y_t) by y_t itself, a norm
     # preimage of a nonzero t in N R, whose augmentation is nonzero: the
     # first draw's value leaves I^1
     ring, data, rep = _norm_line_data()
     s = np.array(rep["records"][9]["s"], dtype=np.int64)
-    key = ("boc", 1, s.tobytes())
-    first, second = data._chains[key]
-    data._chains[key] = (_shift(first, ring.one()), second)
+    _corrupt(monkeypatch, "_boc_functionals", data, 0, s, ring.one())
     with pytest.raises(AssertionError, match=r"pairing value escaped I\^k"):
         data.compare(2, rng=SplitMix64(5))
 
 
-def test_one_by_one_pairings_keep_the_unreduced_value():
-    # bd_pairing and boc_pairing return the value of the first draws as it
-    # is, and its class and scalar are the ones the table path recorded
+def test_one_by_one_pairings_keep_the_unreduced_value(monkeypatch):
+    # bd_pairing and boc_pairing return the value of their own first draws
+    # as it is, and its class and scalar are the ones the table path recorded
     ring, data, rep = _norm_line_data()
+    drawn = []
+    for name in ("_lift_chains", "_boc_functionals", "_norm_preimages"):
+        def recording(self, *args, _method=getattr(PairingData, name)):
+            drawn.append(_method(self, *args))
+            return drawn[-1]
+        monkeypatch.setattr(PairingData, name, recording)
     unreduced = 0
     for rec in rep["records"]:
         s, t = (np.array(rec[side], dtype=np.int64) for side in ("s", "t"))
-        bd, boc = data.bd_pairing(1, s, t), data.boc_pairing(1, s, t)
-        x = data._chains[("chain", "s", 1, 1, s.tobytes())][0]
-        y = data._chains[("chain", "t", 1, 1, t.tobytes())][0]
+        drawn.clear()
+        bd = data.bd_pairing(1, s, t)
+        (x, _), (y, _) = drawn  # two draws of one row each, s side then t side
         assert bd.raw.coeffs.tolist() == data.eval_bilinear(x, y)[0, 0].tolist()
-        w = data._chains[("boc", 1, s.tobytes())][0]
-        y_norm = data._chains[("norm-pre", t.tobytes())][0]
+        drawn.clear()
+        boc = data.boc_pairing(1, s, t)
+        (w, _), (y_norm, _) = drawn
         assert boc.raw.coeffs.tolist() == data.eval_functional(w, y_norm)[0, 0].tolist()
         assert bd.rep.coeffs.tolist() == rec["bd"] and boc.rep.coeffs.tolist() == rec["boc"]
         # the class by its definition: the raw value reduced modulo I^2

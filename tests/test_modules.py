@@ -170,7 +170,6 @@ def test_kept_image_is_a_fresh_image():
         mat = free.scale_matrix(ring.gamma() - ring.one())
         hom = md.ModuleHom(free, free, mat)
         kept = hom.image()
-        assert hom.image() is kept
         fresh = md.ModuleHom(free, free, mat).image()
         assert (kept.num, kept.den) == (fresh.num, fresh.den)
         assert kept.order() == ring.m ** (2 * (ring.m - 1))  # I R^2, |R/I| = p^n

@@ -223,6 +223,10 @@ MUTANTS = (
            "_lift_solver(ring, free.dim // m, k, gen_exp)",
            "_lift_solver(ring, free.dim // m, k, 1)",
            (T_HT + "test_lift_chains_solve_the_equations_of_their_generator",)),
+    Mutant("stacked-draws-copy-the-first", HT,
+           "random_solution(np.tile(t_rows, (draws, 1)), rng)",
+           "random_solution(t_rows, rng)\n        ys = np.tile(ys, (draws, 1))",
+           (T_HT + "test_stacked_draws_are_independent_solutions",)),
     Mutant("shared-lift-solver-ignores-generator", HT,
            "d = derivative_op(ring, k - 1, gen_exp)", "d = derivative_op(ring, k - 1, 1)",
            (T_HT + "test_shared_solvers_draw_like_fresh_ones",)),
