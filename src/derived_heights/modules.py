@@ -496,9 +496,27 @@ def fitting_from_matrix(ring: RingCtx, tag: str, g: int,
 # -- exterior powers and biduals -------------------------------------------------
 
 
-def _subset_sign(l: int, subset: tuple[int, ...]) -> int:
-    """Sign of moving e_l past e_subset (subset sorted, l not in it)."""
-    return -1 if sum(1 for s in subset if s < l) % 2 else 1
+@lru_cache(maxsize=64)
+def _wedge_table(g: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where e_l ^ e_S lands, for S an r-subset of the g generators.
+
+    Row i is the i-th r-subset S, column l a label: the index of S + {l}
+    among the (r+1)-subsets and the sign of moving e_l past e_S.  Where l
+    is in S the index is -1 (a zero pad block) and the sign 0.  Both the
+    relations of ``ExteriorAlgebra.module`` and ``contract`` read it.
+    """
+    upper = {s: i for i, s in enumerate(combinations(range(g), r + 1))}
+    subs = list(combinations(range(g), r))
+    idx = np.full((len(subs), g), -1, dtype=np.int64)
+    sgn = np.zeros((len(subs), g), dtype=np.int64)
+    for i, s in enumerate(subs):
+        for l in range(g):
+            if l not in s:
+                idx[i, l] = upper[tuple(sorted(s + (l,)))]
+                sgn[i, l] = -1 if sum(1 for t in s if t < l) % 2 else 1
+    idx.setflags(write=False)
+    sgn.setflags(write=False)
+    return idx, sgn
 
 
 class ExteriorAlgebra:
@@ -521,27 +539,20 @@ class ExteriorAlgebra:
         if r in self._modules:
             return self._modules[r]
         ring = self.ring
-        subs = self.subsets(r)
-        base = free_module(ring, len(subs))  # the zero module when r > g
-        index = {s: i for i, s in enumerate(subs)}
         m = ring.m
-        rel_scalar = []
-        if r >= 1:
-            for row in self.rel_rows:
-                for j_sub in self.subsets(r - 1):
-                    vec = np.zeros(base.dim, dtype=np.int64)
-                    for l in range(self.g):
-                        if l in j_sub or row[l].is_zero():
-                            continue
-                        tgt = index[tuple(sorted(j_sub + (l,)))]
-                        sgn = _subset_sign(l, j_sub)
-                        vec[tgt * m:(tgt + 1) * m] = (
-                            vec[tgt * m:(tgt + 1) * m] + sgn * row[l].coeffs
-                        ) % m
-                    if vec.any():
-                        rel_scalar.append(vec)
-        den = (la.Span(base.gamma_orbit(np.array(rel_scalar)), ring.p, ring.n) if rel_scalar
-               else base.den)
+        width = len(self.subsets(r))
+        base = free_module(ring, width)  # the zero module when r > g
+        den = base.den
+        if r >= 1 and self.rel_rows:
+            # relation row x wedge e_J: block S + {l} of row J is sign(l, J) x_l
+            idx, sgn = _wedge_table(self.g, r - 1)
+            x = np.array([[e.coeffs for e in row] for row in self.rel_rows])
+            rel = np.zeros((len(x), len(idx), width + 1, m), dtype=np.int64)
+            rel[:, np.arange(len(idx))[:, None], idx] = sgn[None, :, :, None] * x[:, None]
+            rel = rel[:, :, :width].reshape(len(x) * len(idx), width * m) % m
+            rel = rel[rel.any(axis=1)]
+            if len(rel):
+                den = la.Span(base.gamma_orbit(rel), ring.p, ring.n)
         out = FpModule(ring, "R", base.dim, base.gamma, base.num, den, check=False)
         self._modules[r] = out
         return out
@@ -553,29 +564,20 @@ class ExteriorAlgebra:
         vec[subs.index(tuple(subset)) * self.ring.m] = 1
         return vec
 
-    def wedge_matrix(self, r: int, f_coords: list[GroupRingElt]) -> np.ndarray:
-        """Matrix of (f wedge .): degree r ambient -> degree r+1 ambient."""
-        ring = self.ring
-        m = ring.m
-        src, tgt = self.subsets(r), self.subsets(r + 1)
-        t_index = {s: i for i, s in enumerate(tgt)}
-        out = np.zeros((len(src) * m, len(tgt) * m), dtype=np.int64)
-        for si, s_sub in enumerate(src):
-            for l in range(self.g):
-                if l in s_sub or f_coords[l].is_zero():
-                    continue
-                ti = t_index[tuple(sorted(s_sub + (l,)))]
-                sgn = _subset_sign(l, s_sub)
-                out[si * m:(si + 1) * m, ti * m:(ti + 1) * m] = (
-                    sgn * regular_rep(f_coords[l])
-                ) % m
-        return out
-
     def contract(self, r_plus_1: int, eps: np.ndarray,
                  f_coords: list[GroupRingElt]) -> np.ndarray:
-        """Functional on degree r+1 contracted by f: (eps . f)(w) = eps(f ^ w)."""
-        wm = self.wedge_matrix(r_plus_1 - 1, f_coords)
-        return la.mul_mod(wm, eps, self.ring.m)
+        """Functional on degree r+1 contracted by f: (eps . f)(w) = eps(f ^ w).
+
+        Block S of the result is the sum over l of sign(l, S) f_l eps_(S + {l}):
+        one gather of the blocks of eps, times the stacked regular_rep(f_l)^T.
+        """
+        m = self.ring.m
+        idx, sgn = _wedge_table(self.g, r_plus_1 - 1)
+        blocks = np.vstack([np.asarray(eps, dtype=np.int64).reshape(-1, m),
+                            np.zeros((1, m), dtype=np.int64)])
+        gathered = (sgn[:, :, None] * blocks[idx]).reshape(len(idx), self.g * m)
+        reps = np.vstack([regular_rep(f).T for f in f_coords])
+        return la.mul_mod(gathered, reps, m).ravel()
 
 
 def exterior_bidual(mod: FpModule, r: int) -> tuple[FpModule, ExteriorAlgebra]:

@@ -36,7 +36,6 @@ from .heights import PairingData, random_ell_matrix, random_unit
 from .modules import (
     ExteriorAlgebra,
     Ideal,
-    eval_r,
     fitting_from_matrix,
     functional_from_rcoords,
     r_matrix_expand,
@@ -161,17 +160,6 @@ class StarkInstance:
         eps = {v: self.transition(self.primes, v, top) for v in self.vertices()}
         return StarkSystem(self, eps, c)
 
-    def minimal_extension(self) -> "StarkInstance":
-        """Deterministic fresh prime: zero on old generators, unit basis.
-
-        Leaves W* and hence all Fitting ideals unchanged; used to reach
-        vertex weights above the current prime count (the paper's prime
-        pool is infinite, the synthetic one grows on demand).
-        """
-        rows = [list(row) + [self.ring.zero()] for row in self.ell]
-        rows.append([self.ring.zero()] * self.r + [self.ring.one()])
-        return StarkInstance(self.ring, rows)
-
 
 class StarkSystem:
     """Family of exterior-bidual functionals indexed by vertices."""
@@ -202,7 +190,9 @@ class StarkSystem:
 
         eps_m is stored as a functional on wedge^(chi+v(m)) X*; it must
         kill ker(X* -> H(m)*) wedge (lower forms), which is exactly what
-        makes it an element of the bidual of H(m).
+        makes it an element of the bidual of H(m).  The lower wedge is
+        free, so eps kills phi ^ (lower forms) iff its contraction by phi
+        vanishes.
         """
         inst = self.inst
         ring = inst.ring
@@ -211,40 +201,34 @@ class StarkSystem:
             if deg <= 0:
                 continue
             ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
-            prev = inst.alg.module(deg - 1)
             for phi in ann.h:
-                # eps kills phi ^ (lower forms) iff it kills phi ^ (their generators),
-                # i.e. (prev.num.h @ wm) @ eps, taken as prev.num.h @ (wm @ eps)
-                wm = inst.alg.wedge_matrix(deg - 1, rcoords_from_functional(ring, phi, inst.a))
-                if la.mul_mod(prev.num.h, la.mul_mod(wm, self.eps[vertex], ring.m), ring.m).any():
+                coords = rcoords_from_functional(ring, phi, inst.a)
+                if inst.alg.contract(deg, self.eps[vertex], coords).any():
                     return False
         return True
 
     def image_ideal(self, vertex: tuple[int, ...]) -> Ideal:
-        """Ideal of values of eps_vertex on the wedge generators."""
+        """Ideal of values of eps_vertex on the wedge generators: its R-coordinates."""
         inst = self.inst
-        deg = inst.chi + len(vertex)
-        if deg < 0:
-            return Ideal.zero(inst.ring, "R")
-        wedge = inst.alg.module(deg)
+        blocks = len(inst.alg.subsets(inst.chi + len(vertex)))
         eps = self.eps[tuple(sorted(vertex))]
-        values = []
-        for sub in inst.alg.subsets(deg):
-            values.append(eval_r(wedge, eps, inst.alg.basis_vector(deg, sub)))
-        return Ideal.from_elements(inst.ring, "R", values)
+        return Ideal.from_elements(inst.ring, "R", rcoords_from_functional(inst.ring, eps, blocks))
 
     def ideal(self, i: int) -> Ideal:
         """I_i: sum of the image ideals over the weight-i vertices.
 
-        Weights above the instance's prime count are reached by
-        adjoining deterministic fresh primes first (the vertex set of a
-        synthetic instance is finite, the defining sum is not).
+        The defining sum runs over all vertices of the infinite prime
+        pool; a synthetic instance holds r of its primes.  For i > r the
+        instance is extended by i - r fresh primes, each zero on the old
+        generators with a unit basis on a fresh generator, which leaves
+        W* and so every Fitting ideal unchanged.  The extension has one
+        weight-i vertex, its top, where eps is c times the det basis with
+        no contraction, so I_i = (c) for the spawning scalar c.
         """
         if i < 0:
             raise ValueError("ideal index must be nonnegative")
         if i > self.inst.r:
-            ext = self.inst.minimal_extension()
-            return ext.family_from_scalar(self.scalar).ideal(i)
+            return Ideal.from_elements(self.inst.ring, "R", [self.scalar])
         out = Ideal.zero(self.inst.ring, "R")
         for vertex in self.inst.vertices(weight=i):
             out = out.plus(self.image_ideal(vertex))

@@ -270,8 +270,7 @@ def norm_stark_payload():
 
 
 def test_imax_beyond_limit_exit_2(tmp_path, capsys, monkeypatch):
-    # every index above the prime count adjoins a fresh prime, about four
-    # times the cost each; refused before any Stark system is built
+    # refused before any Stark system is built
     from derived_heights.stark import StarkInstance
 
     def refuse(*args):

@@ -10,6 +10,7 @@ from derived_heights import modules as md
 from derived_heights.groupring import RingCtx, aug_ideal_power, regular_rep
 from derived_heights.rng import SplitMix64
 from derived_heights.stark import StarkInstance, StarkSystem
+from wedge_oracle import wedge_matrix
 
 R31 = RingCtx(3, 1)
 RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1)]
@@ -387,6 +388,32 @@ def test_transition_kills_kernel_wedge():
         eps = np.array([rng.below(3) for _ in range(top.dim)], dtype=np.int64)
         family = {v: inst.transition(inst.primes, v, eps) for v in inst.vertices()}
         assert StarkSystem(inst, family, ring.one()).check_kills_wedge_kernel()
+
+
+def _elt_or_zero(ring, rng):
+    """A random element, zero one time in three."""
+    return ring.zero() if rng.below(3) == 0 else ring.elt(rng.below_many(ring.m, ring.m))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_wedge_table_matches_the_dense_wedge_oracle(p, n):
+    # on every (g, r) with g <= 5: the contraction is the product with the
+    # dense (f wedge .) matrix, and the relations of each wedge power span
+    # what the oracle's blocks of (relation row wedge .) span
+    ring = RingCtx(p, n)
+    rng = SplitMix64(181 + ring.m)
+    for g in range(1, 6):
+        f = [_elt_or_zero(ring, rng) for _ in range(g)]
+        f[rng.below(g)] = ring.zero()
+        rels = [[_elt_or_zero(ring, rng) for _ in range(g)] for _ in range(2)]
+        alg = md.ExteriorAlgebra(ring, g, rels)
+        for r in range(g):
+            eps = rng.below_many(ring.m, len(alg.subsets(r + 1)) * ring.m)
+            dense = wedge_matrix(ring, g, r, f)
+            assert (alg.contract(r + 1, eps, f) == la.mul_mod(dense, eps, ring.m)).all()
+        for r in range(1, g + 2):
+            blocks = np.vstack([wedge_matrix(ring, g, r - 1, row) for row in rels])
+            assert alg.module(r).den == la.Span(blocks, p, n)
 
 
 def test_gamma_order_check_is_exact_over_z49():

@@ -18,6 +18,7 @@ from derived_heights.stark import (
     random_instance,
     verify_fitting,
 )
+from wedge_oracle import wedge_matrix
 
 R31 = RingCtx(3, 1)
 RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1)]
@@ -217,6 +218,41 @@ def test_vertex_extension_preserves_everything():
             assert sys_old.ideal(i) == sys_new.ideal(i)
 
 
+def _ideal_by_fresh_primes(inst, scalar, i):
+    """I_i by adjoining fresh primes until there are i, then summing.
+
+    Each fresh prime is zero on the old generators with a unit basis on
+    a fresh generator.  Every extension is built as a StarkInstance, so
+    it is validated, and it keeps the Fitting ideals of W*.
+    """
+    ring = inst.ring
+    while inst.r < i:
+        rows = [list(row) + [ring.zero()] for row in inst.ell]
+        rows.append([ring.zero()] * inst.r + [ring.one()])
+        ext = StarkInstance(ring, rows)
+        assert ext.w_star_fitting(i) == inst.w_star_fitting(i)
+        inst = ext
+    system = inst.family_from_scalar(scalar)
+    out = Ideal.zero(ring, "R")
+    for vertex in inst.vertices(weight=i):
+        out = out.plus(system.image_ideal(vertex))
+    return out
+
+
+def test_ideals_above_the_prime_count_match_the_fresh_prime_recursion():
+    rng = SplitMix64(191)
+    for ring in RINGS:
+        for trial in range(4):
+            inst = random_instance(ring, rng)
+            u = _unit(ring, rng)
+            non_unit = [(ring.gamma() - ring.one()) * u, ring.scalar(ring.p) * u,
+                        ring.norm(), ring.zero()][trial]
+            assert not non_unit.is_unit()
+            for system in (inst.stark_system(u), inst.family_from_scalar(non_unit)):
+                for i in range(inst.r + 1, inst.a + 3):
+                    assert system.ideal(i) == _ideal_by_fresh_primes(inst, system.scalar, i)
+
+
 def _bidual_checks(inst, vertex):
     """Per annihilator functional of H(vertex), the rows eps must kill."""
     from derived_heights.modules import rcoords_from_functional
@@ -225,7 +261,8 @@ def _bidual_checks(inst, vertex):
     deg = inst.chi + len(vertex)
     ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
     prev = inst.alg.module(deg - 1)
-    return [prev.num.h @ inst.alg.wedge_matrix(deg - 1, rcoords_from_functional(ring, phi, inst.a))
+    return [prev.num.h @ wedge_matrix(ring, inst.a, deg - 1,
+                                      rcoords_from_functional(ring, phi, inst.a))
             % ring.m for phi in ann.h]
 
 

@@ -59,7 +59,7 @@ T_RC = "tests/test_recovery.py::"
 MAP_CHECKS = (T_MD + "test_map_checks_reject_each_broken_condition",)
 WEDGE_KERNEL = (T_ST + "test_functional_outside_the_bidual_is_caught",
                 T_ST + "test_functional_killed_by_the_first_annihilator_only_is_caught")
-WEDGE_TEST = "self.eps[vertex], ring.m), ring.m).any():\n                    return False"
+WEDGE_TEST = "self.eps[vertex], coords).any():\n                    return False"
 
 DESCENT = (T_RC + "test_descent_matches_the_per_k_intersections",
            T_RC + "test_descent_tau_is_the_oracle_tau_at_every_k",
@@ -279,6 +279,14 @@ MUTANTS = (
            WEDGE_TEST, WEDGE_TEST + "\n                break", WEDGE_KERNEL),
     Mutant("wedge-kernel-returns-after-first-functional", ST,
            WEDGE_TEST, WEDGE_TEST + "\n                return True", WEDGE_KERNEL),
+    # -- the wedge index table and the Stark ideals above the prime count ---------
+    Mutant("wedge-table-sign-flipped", MD,
+           "sgn.setflags(write=False)", "sgn[-1, 0] *= -1\n    sgn.setflags(write=False)",
+           (T_MD + "test_wedge_table_matches_the_dense_wedge_oracle",)),
+    Mutant("stark-ideal-above-r-ignores-scalar", ST,
+           'return Ideal.from_elements(self.inst.ring, "R", [self.scalar])',
+           'return Ideal.unit(self.inst.ring, "R")',
+           (T_ST + "test_ideals_above_the_prime_count_match_the_fresh_prime_recursion",)),
     Mutant("convolve-correlates", GR,
            "np.asarray(b, dtype=np.int64)[_rep_index(m)]",
            "np.asarray(b, dtype=np.int64)[_rep_index(m).T]",
