@@ -92,9 +92,6 @@ class TwoTermComplex:
 
     # -- cohomology ------------------------------------------------------------
 
-    def h1(self) -> FpModule:
-        return self.hom.kernel()
-
     @_derived
     def h2(self) -> FpModule:
         return self.c2.quotient(la.image_span(self.c1.num, self.d))
@@ -248,11 +245,3 @@ class TwoTermComplex:
     def _h2_mod_ideal_order(self, i: int) -> int:
         h2 = self.h2()
         return h2.num.size() // h2.ideal_multiple_span(i).size()  # I^i H^2 + den
-
-    def e1_entry_order_matches_h(self, i: int, j: int) -> bool:
-        """E_1^{i,j} has the order of H^{i+j}(I^i C / I^{i+1} C)."""
-        if i + j == 2:
-            order = self.h2_ik_step(i).order()
-        else:  # {a in I^i C^1 : da in I^(i+1) C^2} / I^(i+1) C^1
-            order = self.z_span(1, i, 1).size() // self.ideal_span1(i + 1).size()
-        return self.page_entry(1, i, j).order() == order

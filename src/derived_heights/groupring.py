@@ -149,16 +149,6 @@ class GroupRingElt:
         # augmentation is a unit of Z/p^n
         return self.augmentation() % self.ring.p != 0
 
-    def substitute_gamma(self, u: int) -> "GroupRingElt":
-        """Image under the automorphism gamma -> gamma^u, gcd(u, p) = 1."""
-        m = self.ring.m
-        if u % self.ring.p == 0:
-            raise ValueError("gamma^u generates G only for u coprime to p")
-        out = np.zeros(m, dtype=np.int64)
-        for i, a in enumerate(self.coeffs):
-            out[(i * u) % m] += a
-        return GroupRingElt(self.ring, out)
-
     def __repr__(self):
         terms = [
             (f"{int(a)}" if i == 0 else (f"{int(a)}*g^{i}" if a != 1 else f"g^{i}"))
@@ -254,23 +244,3 @@ def graded_scalars(ring: RingCtx, k: int, xs: np.ndarray) -> np.ndarray:
 def graded_scalar(ring: RingCtx, k: int, x: GroupRingElt) -> int:
     """``graded_scalars`` of one element."""
     return int(graded_scalars(ring, k, x.coeffs)[0])
-
-
-def graded_classes_equal(ring: RingCtx, k: int, x: GroupRingElt, y: GroupRingElt) -> bool:
-    """Equality in Q^k, i.e. congruence modulo I^(k+1)."""
-    return aug_ideal_power(ring, k + 1).contains((x - y).coeffs)
-
-
-def derivative_relation_table(ring: RingCtx, kmax: int | None = None) -> dict[int, bool]:
-    """Reported, not asserted: does (gamma-1) D(k) = D(k-1) hold at each k?
-
-    The relation is guaranteed (and asserted elsewhere) for k <= p-1;
-    beyond that the behaviour is measured and surfaced only.
-    """
-    if kmax is None:
-        kmax = ring.m - 1
-    gm1 = ring.gamma() - ring.one()
-    out = {}
-    for k in range(1, kmax + 1):
-        out[k] = gm1 * derivative_op(ring, k) == derivative_op(ring, k - 1)
-    return out

@@ -66,7 +66,7 @@ from .groupring import (
     graded_projection,
     graded_scalar,
 )
-from .modules import FpModule, free_module, r_matrix_expand, r_rows_from_scalar
+from .modules import FpModule, free_module, r_matrix_expand
 from .rng import SplitMix64
 
 
@@ -161,15 +161,6 @@ class PairingData:
         self._pieces: dict[tuple[str, int], la.Span] = {}
         self._dual: Optional[PairingData] = None
 
-    @classmethod
-    def from_scalar_matrix(cls, ring: RingCtx, mat: np.ndarray) -> "PairingData":
-        """Build from the scalar expansion, checking it really is R-linear."""
-        try:
-            rows = r_rows_from_scalar(ring, mat)
-        except ValueError as exc:
-            raise PairingError(f"adjunction-failure: {exc}") from exc
-        return cls(ring, rows)
-
     # -- structure ---------------------------------------------------------------
 
     def dual(self) -> "PairingData":
@@ -191,12 +182,6 @@ class PairingData:
     def _submodules(self) -> dict[str, FpModule]:
         """S in X and T in Y, built once."""
         return {"s": self.x.submodule(self.s_span), "t": self.y.submodule(self.t_span)}
-
-    def s_module(self) -> FpModule:
-        return self._submodules["s"]
-
-    def t_module(self) -> FpModule:
-        return self._submodules["t"]
 
     def piece_span(self, side: str, k: int) -> la.Span:
         """Numerator span of S_0^(k) (side 's') or T_0^(k) (side 't'), built once."""

@@ -4,11 +4,12 @@ Every module is stored as a subquotient num/den of a free scalar ambient
 (Z/p^n)^dim carrying an explicit gamma matrix: num and den are
 ``linalg.Span`` values (Howell form plus ring) with den inside num, both
 gamma-stable.  Free modules, submodules, quotients, duals, fixed points,
-filtration pieces, Fitting ideals and exterior biduals all stay inside
-this one representation, so everything reduces to the span primitives;
-reduction modulo den is ``den.reduce``, with the reducer the span keeps.
-Containment and annihilation are decided on generating rows (a map is
-checked on ``num.h @ mat``); only spans that are kept are canonicalized.
+filtration pieces and exterior powers all stay inside this one
+representation, so everything reduces to the span primitives; reduction
+modulo den is ``den.reduce``, with the reducer the span keeps.  Fitting
+ideals are read off a given relation matrix.  Containment is decided on
+generating rows (a map is checked on ``num.h @ mat``); only spans that
+are kept are canonicalized.
 An ``Ideal`` is likewise a tag plus the ``Span`` of its coefficient
 vectors, so ideals over different rings never compare equal.
 
@@ -25,8 +26,8 @@ also spans relations and ideals.
 
 Duality: Hom_R(M, R) is computed through its identification with
 Hom_{R0}(M, R0) (f maps to sum_sigma f(sigma .) sigma^{-1}); a scalar
-functional phi on the ambient therefore represents an R-valued one, and
-``eval_r`` recovers the R-value.
+functional phi on the ambient therefore represents an R-valued one; on a
+free module ``rcoords_from_functional`` reads off its R-coordinates.
 """
 
 from __future__ import annotations
@@ -102,16 +103,6 @@ class FpModule:
         """Canonical coset representative modulo den."""
         return self.den.reduce(v)
 
-    def is_zero_elt(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
-
-    def eq_elts(self, v: np.ndarray, w: np.ndarray) -> bool:
-        return not self.reduce((v - w) % self.m).any()
-
-    def generators(self) -> list[np.ndarray]:
-        """Scalar generators of num (coset images generate the module)."""
-        return list(self.num.h)
-
     # -- derived modules -------------------------------------------------------
 
     def submodule(self, span: la.Span) -> "FpModule":
@@ -144,10 +135,6 @@ class FpModule:
             gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
             self._fixed = la.span_intersect(la.preimage(gm1, self.den), self.num)
         return self._fixed
-
-    def fixed_points(self) -> "FpModule":
-        return FpModule(self.ring, self.tag, self.dim, self.gamma,
-                        self.fixed_point_span() + self.den, self.den, check=False)
 
     def ideal_multiple_span(self, k: int) -> la.Span:
         """Span of I^k M (plus den) inside the ambient."""
@@ -270,11 +257,6 @@ def r_matrix_expand(ring: RingCtx, rows: list[list[GroupRingElt]]) -> np.ndarray
     return out
 
 
-def scalar_row_to_r(ring: RingCtx, row: np.ndarray, g: int) -> list[GroupRingElt]:
-    m = ring.m
-    return [ring.elt(row[j * m:(j + 1) * m]) for j in range(g)]
-
-
 def r_rows_from_scalar(ring: RingCtx, mat: np.ndarray) -> list[list[GroupRingElt]]:
     """Inverse of r_matrix_expand; rejects matrices that are not R-linear.
 
@@ -303,23 +285,13 @@ def dual(mod: FpModule) -> FpModule:
 
     Functionals are ambient vectors phi with phi(v) = sum_i v_i phi_i;
     gamma acts by precomposition, i.e. by the transposed gamma matrix.
-    For tag R the R-valued functional is recovered by ``eval_r``.
+    For tag R on a free module, ``rcoords_from_functional`` reads off the
+    R-coordinates of the R-valued functional.
     """
     num = la.kernel(mod.den.h.T, mod.p, mod.n)
     den = la.kernel(mod.num.h.T, mod.p, mod.n)
     return FpModule(mod.ring, mod.tag, mod.dim, mod.gamma.T % mod.m, num, den,
                     check=False)
-
-
-def eval_r(mod: FpModule, phi: np.ndarray, v: np.ndarray) -> GroupRingElt:
-    """R-valued evaluation of a dual element phi at v (tag R modules).
-
-    Coefficient of gamma^j is phi(gamma^(m-j) v), unwinding the standard
-    identification of Hom_{R0}(M, R0) with Hom_R(M, R).
-    """
-    m = mod.m
-    values = la.mul_mod(mod.gamma_orbit(v), phi, m)
-    return mod.ring.elt(values[-np.arange(m) % m])
 
 
 def functional_from_rcoords(ring: RingCtx, coords: list[GroupRingElt]) -> np.ndarray:
@@ -341,59 +313,7 @@ def rcoords_from_functional(ring: RingCtx, phi: np.ndarray, g: int) -> list[Grou
     return out
 
 
-# -- presentations and Fitting ideals -------------------------------------------
-
-
-def r_generators(mod: FpModule) -> list[np.ndarray]:
-    """Greedy R-generating set for the subquotient (not minimal)."""
-    span = mod.den
-    gens: list[np.ndarray] = []
-    for row in mod.generators():
-        if span.contains(row):
-            continue
-        gens.append(row)
-        if mod.tag == "R":
-            orbit = mod.gamma_orbit(row)
-        else:
-            orbit = row.reshape(1, -1)
-        span = la.Span(np.vstack([span.h, orbit]), mod.p, mod.n)
-    return gens
-
-
-class Presentation:
-    """R-presentation of a subquotient: free module onto M with syzygies."""
-
-    __slots__ = ("ring", "tag", "gens", "relations")
-
-    def __init__(self, ring: RingCtx, tag: str, gens: list[np.ndarray],
-                 relations: la.Span):
-        self.ring = ring
-        self.tag = tag
-        self.gens = gens          # images in the ambient of M
-        self.relations = relations  # span of syzygies in free coords
-
-    @property
-    def g(self) -> int:
-        return len(self.gens)
-
-    def relation_rows_r(self) -> list[list[GroupRingElt]]:
-        """Relation matrix as rows of R-elements (R-generators of syzygies)."""
-        if self.tag == "R0":
-            return [[self.ring.scalar(int(x)) for x in row] for row in self.relations.h]
-        free = free_module(self.ring, self.g)
-        sub = FpModule(self.ring, "R", free.dim, free.gamma, self.relations, free.den,
-                       check=False)
-        return [scalar_row_to_r(self.ring, row, self.g) for row in r_generators(sub)]
-
-
-def presentation(mod: FpModule) -> Presentation:
-    gens = r_generators(mod)
-    if not gens:
-        return Presentation(mod.ring, mod.tag, [], la.Span.zero(0, mod.p, mod.n))
-    gmat = np.array(gens, dtype=np.int64)
-    if mod.tag == "R":
-        gmat = mod.gamma_orbit(gmat)
-    return Presentation(mod.ring, mod.tag, gens, la.preimage(gmat, mod.den))
+# -- Fitting ideals -------------------------------------------------------------
 
 
 def det_r(ring: RingCtx, rows: list[list[GroupRingElt]]) -> GroupRingElt:
@@ -452,14 +372,6 @@ class Ideal:
     def plus(self, other: "Ideal") -> "Ideal":
         return Ideal(self.ring, self.tag, self.span + other.span)
 
-    def annihilates(self, mod: FpModule) -> bool:
-        for row in self.span.h:
-            x = (self.ring.elt(row) if self.tag == "R"
-                 else self.ring.scalar(int(row[0])))
-            if not mod.den.contains(la.mul_mod(mod.num.h, mod.scale_matrix(x), mod.m)):
-                return False
-        return True
-
     def __repr__(self):
         if self.is_zero():
             return "Ideal(0)"
@@ -468,14 +380,6 @@ class Ideal:
         gens = [repr(self.ring.elt(r)) if self.tag == "R" else str(int(r[0]))
                 for r in self.span.h]
         return "Ideal(" + ", ".join(gens) + ")"
-
-
-def fitting_ideal(mod: FpModule, i: int) -> Ideal:
-    """i-th Fitting ideal: (g - i) x (g - i) minors of a presentation."""
-    if i < 0:
-        raise ValueError("Fitting index must be nonnegative")
-    pres = presentation(mod)
-    return fitting_from_matrix(mod.ring, mod.tag, pres.g, pres.relation_rows_r(), i)
 
 
 def fitting_from_matrix(ring: RingCtx, tag: str, g: int,
@@ -493,7 +397,7 @@ def fitting_from_matrix(ring: RingCtx, tag: str, g: int,
     return Ideal.from_elements(ring, tag, minors)
 
 
-# -- exterior powers and biduals -------------------------------------------------
+# -- exterior powers ------------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
@@ -557,13 +461,6 @@ class ExteriorAlgebra:
         self._modules[r] = out
         return out
 
-    def basis_vector(self, r: int, subset: tuple[int, ...]) -> np.ndarray:
-        subs = self.subsets(r)
-        mod = self.module(r)
-        vec = np.zeros(mod.dim, dtype=np.int64)
-        vec[subs.index(tuple(subset)) * self.ring.m] = 1
-        return vec
-
     def contract(self, r_plus_1: int, eps: np.ndarray,
                  f_coords: list[GroupRingElt]) -> np.ndarray:
         """Functional on degree r+1 contracted by f: (eps . f)(w) = eps(f ^ w).
@@ -578,19 +475,3 @@ class ExteriorAlgebra:
         gathered = (sgn[:, :, None] * blocks[idx]).reshape(len(idx), self.g * m)
         reps = np.vstack([regular_rep(f).T for f in f_coords])
         return la.mul_mod(gathered, reps, m).ravel()
-
-
-def exterior_bidual(mod: FpModule, r: int) -> tuple[FpModule, ExteriorAlgebra]:
-    """The r-th exterior bidual: dual of the r-th wedge of the dual.
-
-    Returns the bidual as a subquotient of functionals on the wedge
-    ambient, together with the ExteriorAlgebra of the dual presentation
-    (needed to evaluate and contract elements).
-    """
-    if r < 0:
-        raise ValueError("exterior power degree must be nonnegative")
-    mstar = dual(mod)
-    pres = presentation(mstar)
-    alg = ExteriorAlgebra(mod.ring, pres.g, pres.relation_rows_r())
-    wedge = alg.module(r)
-    return dual(wedge), alg

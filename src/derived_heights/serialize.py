@@ -4,7 +4,6 @@ Schemas (all entries row-major):
 
     matrix        {"rows": r, "cols": c, "modulus": m or "int", "entries": [...]}
     ring          {"p": 3, "n": 1}
-    group-ring    {"coeffs": [... p^n entries ...]}
     fp-module     {"ring": {...}, "generators": g, "relations": matrix,
                    "gamma_action": matrix or null (null = canonical blocks)}
     complex       {"ring": {...}, "C1": fp-module, "C2": fp-module, "d": matrix}
@@ -107,18 +106,6 @@ def matrix_to_json(arr, modulus) -> dict:
         "modulus": int(modulus),
         "entries": [int(x) for x in a.reshape(-1)],
     }
-
-
-def parse_group_ring_elt(obj: Any, ring: RingCtx, path: str):
-    coeffs = _get(obj, "coeffs", path)
-    if not isinstance(coeffs, list) or len(coeffs) != ring.m:
-        raise InputError(f"{path}.coeffs", f"expected {ring.m} coefficients")
-    vals = [_int64(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)]
-    return ring.elt(np.array(vals, dtype=np.int64))
-
-
-def group_ring_elt_to_json(elt) -> dict:
-    return {"coeffs": [int(c) for c in elt.coeffs]}
 
 
 def _parse_ell(obj: Any, path: str, cols_key: str):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg as la
 from .groupring import GroupRingElt, RingCtx
-from .heights import PairingData, random_ell_matrix, random_unit
+from .heights import PairingData, random_ell_matrix
 from .modules import (
     ExteriorAlgebra,
     Ideal,
@@ -149,13 +149,10 @@ class StarkInstance:
         """The compatible family spawned by c times the det-line basis."""
         if not c.is_unit():
             raise StarkError("z is not a generator of the determinant line")
-        return self._family(c)
+        return self.family_from_scalar(c)
 
     def family_from_scalar(self, c: GroupRingElt) -> "StarkSystem":
-        """Same construction without the generator requirement (module map)."""
-        return self._family(c)
-
-    def _family(self, c: GroupRingElt) -> "StarkSystem":
+        """The family spawned by c times the det-line basis, for any c (a module map)."""
         top = self.top_functional(c)
         eps = {v: self.transition(self.primes, v, top) for v in self.vertices()}
         return StarkSystem(self, eps, c)
@@ -255,22 +252,6 @@ def verify_fitting(inst: StarkInstance, system: StarkSystem, imax: int) -> dict:
 
 def _ideal_strings(ideal: Ideal) -> list[list[int]]:
     return [[int(x) for x in row] for row in ideal.span.h]
-
-
-def extend_instance(inst: StarkInstance, rng: SplitMix64) -> StarkInstance:
-    """Adjoin a fresh prime with a fresh free generator (still a core vertex).
-
-    The new localization column is arbitrary on the old generators and a
-    unit on the new one; the new generator dies at the old primes.
-    """
-    ring = inst.ring
-    rows = []
-    for i in range(inst.a):
-        extra = ring.elt(rng.below_many(ring.m, ring.m))
-        rows.append(list(inst.ell[i]) + [extra])
-    new_row = [ring.zero()] * inst.r + [random_unit(ring, rng)]
-    rows.append(new_row)
-    return StarkInstance(ring, rows)
 
 
 def random_instance(ring: RingCtx, rng: SplitMix64, max_rank: int = 3,

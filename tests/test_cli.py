@@ -108,12 +108,6 @@ def test_cmd_pairing_oversized_entry_exit_2(tmp_path, capsys):
         ser.parse_pairing(obj)
 
 
-def test_group_ring_elt_oversized_coeff():
-    ring = RingCtx(3, 1)
-    with pytest.raises(ser.InputError, match=r"\$\.x\.coeffs\[1\]"):
-        ser.parse_group_ring_elt({"coeffs": [0, 2 ** 64, 0]}, ring, "$.x")
-
-
 def test_cmd_structure(tmp_path, capsys):
     obj = {"p": 3, "d": ser.matrix_to_json([[3, 0], [0, 9]], None)}
     path = write_json(tmp_path, "diag.json", obj)
@@ -201,16 +195,6 @@ def test_fuzz_all_suites_smoke():
     assert rep["pass"]
     suites = {r["suite"] for r in rep["records"]}
     assert suites == {"compari", "relate", "coker", "stark", "structure"}
-
-
-def test_group_ring_elt_roundtrip():
-    ring = RingCtx(3, 1)
-    elt = ring.gamma() - ring.one()
-    obj = ser.group_ring_elt_to_json(elt)
-    assert obj == {"coeffs": [2, 1, 0]}
-    assert ser.parse_group_ring_elt(obj, ring, "$.x") == elt
-    with pytest.raises(ser.InputError):
-        ser.parse_group_ring_elt({"coeffs": [1, 2]}, ring, "$.x")
 
 
 def test_fuzz_per_suite_counts():

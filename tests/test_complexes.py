@@ -73,14 +73,23 @@ def test_page_entry_window_rejection():
         c.page_entry(0, 0, 1)
 
 
+def e1_entry_order_matches_h(c, i, j):
+    """E_1^{i,j} has the order of H^{i+j}(I^i C / I^{i+1} C)."""
+    if i + j == 2:
+        order = c.h2_ik_step(i).order()
+    else:  # {a in I^i C^1 : da in I^(i+1) C^2} / I^(i+1) C^1
+        order = c.z_span(1, i, 1).size() // c.ideal_span1(i + 1).size()
+    return c.page_entry(1, i, j).order() == order
+
+
 def test_e1_matches_graded_cohomology():
     rng = SplitMix64(83)
     for ring in RINGS:
         for _ in range(6):
             c = random_complex(ring, rng, max_rank=2)
             for i in (0, 1, 2):
-                assert c.e1_entry_order_matches_h(i, 1 - i)
-                assert c.e1_entry_order_matches_h(i, 2 - i)
+                assert e1_entry_order_matches_h(c, i, 1 - i)
+                assert e1_entry_order_matches_h(c, i, 2 - i)
 
 
 def test_page_monotonicity():
@@ -113,8 +122,8 @@ def test_derived_bockstein_zero_and_snake_agreement():
     ring = R31
     c = zero_complex(ring)
     beta = c.derived_bockstein(1)
-    for a in beta.src.generators():
-        assert beta.tgt.is_zero_elt(beta.apply(a))
+    for a in beta.src.num.h:
+        assert not beta.tgt.reduce(beta.apply(a)).any()
     # k = 1: derived and generalized Bockstein agree on all of H^1(C/IC)
     rng = SplitMix64(101)
     for ring in RINGS:
@@ -125,8 +134,8 @@ def test_derived_bockstein_zero_and_snake_agreement():
             # entries coincide as subquotients at k = 1
             assert beta.src.num == psi.src.num
             assert beta.src.den == psi.src.den
-            for a in psi.src.generators():
-                assert psi.tgt.eq_elts(psi.apply(a), beta.apply(a))
+            for a in psi.src.num.h:
+                assert not psi.tgt.reduce(psi.apply(a) - beta.apply(a)).any()
 
 
 def test_derived_bockstein_nonzero_example_31():
@@ -138,8 +147,8 @@ def test_derived_bockstein_nonzero_example_31():
     one[0] = 1
     assert beta.src.num.contains(one)
     out = beta.apply(one)
-    assert not beta.tgt.is_zero_elt(out)
-    assert beta.tgt.eq_elts(out, (R31.gamma() - R31.one()).coeffs)
+    assert beta.tgt.reduce(out).any()
+    assert not beta.tgt.reduce(out - (R31.gamma() - R31.one()).coeffs).any()
 
 
 def test_generalized_bockstein_snake_oracle_k1():
@@ -150,11 +159,11 @@ def test_generalized_bockstein_snake_oracle_k1():
     for _ in range(10):
         c = random_complex(ring, rng, max_rank=2)
         psi = c.generalized_bockstein(1)
-        for a in psi.src.generators():
+        for a in psi.src.num.h:
             # independent lift: canonical representative of a mod I C^1
             lift = c.ideal_span1(1).reduce(a)
             img = (lift @ c.d) % 3
-            assert psi.tgt.eq_elts(psi.apply(a), img)
+            assert not psi.tgt.reduce(psi.apply(a) - img).any()
 
 
 def test_pi_projection_surjective_and_k1_identity():
@@ -205,8 +214,8 @@ def test_verify_relate_zero_and_norm_complexes():
     assert c.verify_relate(2)
     beta = c.derived_bockstein(2)
     nonzero = False
-    for a in beta.src.generators():
-        if not beta.tgt.is_zero_elt(beta.apply(a)):
+    for a in beta.src.num.h:
+        if beta.tgt.reduce(beta.apply(a)).any():
             nonzero = True
     assert nonzero
 
@@ -295,7 +304,7 @@ def test_verify_relate_fails_when_one_generator_breaks_the_square():
         psi = c.generalized_bockstein(k)
         assert (psi.src.num.h == np.eye(R31.m, dtype=np.int64)).all()
         tgt = c.derived_bockstein(k).tgt
-        w = next(row for row in c.ideal_span2(k).h if not tgt.is_zero_elt(row))
+        w = next(row for row in c.ideal_span2(k).h if tgt.reduce(row).any())
         bad = np.zeros_like(psi.mat)
         bad[j] = w
         broken = md.ModuleHom(psi.src, psi.tgt, bad, check=False)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from derived_heights import linalg as la
 from derived_heights import modules as md
 from derived_heights.groupring import RingCtx, aug_ideal_power, regular_rep
+from derived_heights.heights import random_ell_matrix
 from derived_heights.rng import SplitMix64
 from derived_heights.stark import StarkInstance, StarkSystem
+from fitting_oracle import annihilates, fitting_ideal, presentation
 from wedge_oracle import wedge_matrix
 
 R31 = RingCtx(3, 1)
@@ -38,16 +42,13 @@ def test_dual_of_free_is_free():
         free = md.free_module(ring, 1)
         d = md.dual(free)
         assert d.order() == free.order()
-        # evaluation against 1 recovers the R-coordinate: dual elements of
-        # R are multiplications, and eval at gamma^0-basis is the value
-        one = np.zeros(free.dim, dtype=np.int64)
-        one[0] = 1
-        for row in d.generators():
-            val = md.eval_r(free, row, one)
-            # phi(x) = eval; multiplicativity: eval at gamma shifts
-            g = np.zeros(free.dim, dtype=np.int64)
-            g[1 % free.dim] = 1
-            assert md.eval_r(free, row, g) == val * ring.gamma()
+        # dual elements of R are multiplications: each is the functional of
+        # its R-coordinate, and precomposing with gamma multiplies it by gamma
+        for row in d.num.h:
+            (val,) = md.rcoords_from_functional(ring, row, 1)
+            assert (md.functional_from_rcoords(ring, [val]) == row).all()
+            shifted = la.mul_mod(free.gamma, row, ring.m)
+            assert md.rcoords_from_functional(ring, shifted, 1) == [val * ring.gamma()]
 
 
 def test_dual_of_r_mod_i_is_norm_line():
@@ -111,7 +112,7 @@ def test_fixed_points_of_free_rank_one():
     # R^G = N*R of order p^n
     for ring in RINGS:
         free = md.free_module(ring, 1)
-        fixed = free.fixed_points()
+        fixed = free.submodule(free.fixed_point_span())
         assert fixed.order() == ring.m
         norm_line = la.Span(
             np.vstack([(ring.gamma(i) * ring.norm()).coeffs for i in range(ring.m)]),
@@ -123,13 +124,13 @@ def test_fixed_points_of_free_rank_one():
 def test_fixed_points_trivial_action():
     ring = R31
     mod = md.free_r0_module(ring, 3)
-    assert mod.fixed_points().order() == mod.order()
+    assert mod.submodule(mod.fixed_point_span()).order() == mod.order()
 
 
 def test_fixed_points_of_aug_ideal_exhaustive_31():
     # M = I in R at (3,1): M^G = N*R, checked inside the 9-element span
     mod = ideal_submodule(R31, 1)
-    fixed = mod.fixed_points()
+    fixed = mod.submodule(mod.fixed_point_span())
     gm1 = regular_rep(R31.gamma() - R31.one())
     brute = {
         tuple(v)
@@ -182,7 +183,8 @@ def test_filtration_piece_cases_31():
         la.Span(R31.norm().coeffs.reshape(1, -1), 3, 1)
     )
     # k = 1 is the fixed points themselves
-    assert norm_mod.filtration_piece(1).order() == norm_mod.fixed_points().order()
+    assert norm_mod.filtration_piece(1).order() == norm_mod.submodule(
+        norm_mod.fixed_point_span()).order()
     # I * (N R) = 0 so the second piece collapses
     assert norm_mod.filtration_piece(2).order() == 1
     # M = I: M_0^(2) = N R since I^2 = N R
@@ -216,10 +218,10 @@ def test_fitting_ideal_principal_presentation():
     # M = R/I: Fitt^0 = I, Fitt^1 = R
     for ring in RINGS:
         mod = aug_quotient(ring)
-        f0 = md.fitting_ideal(mod, 0)
+        f0 = fitting_ideal(mod, 0)
         want = md.Ideal(ring, "R", aug_ideal_power(ring, 1))
         assert f0 == want
-        assert md.fitting_ideal(mod, 1).is_whole_ring()
+        assert fitting_ideal(mod, 1).is_whole_ring()
 
 
 def test_fitting_ideal_r0_diag_example():
@@ -227,10 +229,10 @@ def test_fitting_ideal_r0_diag_example():
     # relation is the zero row mod p^2, so Fitt = (0), (p), (1)
     ring = RingCtx(3, 2)
     mod = md.from_presentation(ring, "R0", 2, np.array([[3, 0], [0, 0]]))
-    assert md.fitting_ideal(mod, 0) == md.Ideal.zero(ring, "R0")
-    f1 = md.fitting_ideal(mod, 1)
+    assert fitting_ideal(mod, 0) == md.Ideal.zero(ring, "R0")
+    f1 = fitting_ideal(mod, 1)
     assert f1 == md.Ideal.from_elements(ring, "R0", [ring.scalar(3)])
-    assert md.fitting_ideal(mod, 2).is_whole_ring()
+    assert fitting_ideal(mod, 2).is_whole_ring()
 
 
 def test_ideals_over_different_rings_are_not_equal():
@@ -255,15 +257,35 @@ def test_fitting_invariance_under_presentation_changes():
             [[rng.below(ring.m) for _ in range(2 * ring.m)] for _ in range(2)]
         )
         mod = md.from_presentation(ring, "R", 2, rel)
-        base = [md.fitting_ideal(mod, i) for i in range(3)]
+        base = [fitting_ideal(mod, i) for i in range(3)]
         # stabilized presentation: extra generator with identity relation
         rel3 = np.zeros((rel.shape[0] + 1, 3 * ring.m), dtype=np.int64)
         rel3[:-1, : 2 * ring.m] = rel
         rel3[-1, 2 * ring.m] = 1
         mod3 = md.from_presentation(ring, "R", 3, rel3)
-        stab = [md.fitting_ideal(mod3, i) for i in range(3)]
+        stab = [fitting_ideal(mod3, i) for i in range(3)]
         assert base == stab
         assert mod.order() == mod3.order()
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
+def test_greedy_presentation_fitting_matches_the_fitting_of_ell(p, n):
+    # W* = coker(ell) re-presented greedily from its Howell rows, sharing no
+    # presentation with ell: every Fitt^i agrees with the minors of ell; the
+    # (gamma - 1)-multiple of ell has no unit entry, so its Fitt^i for i >= 1
+    # are proper ideals too
+    ring = RingCtx(p, n)
+    gm1 = ring.gamma() - ring.one()
+    for trial in range(8):
+        rng = SplitMix64(1000 * ring.m + trial)
+        a = rng.below(3) + 1
+        r = rng.below(a) + 1
+        ell = random_ell_matrix(ring, a, r, rng)
+        for rows in (ell, [[gm1 * x for x in row] for row in ell]):
+            inst = StarkInstance(ring, rows)
+            w_star = md.from_presentation(ring, "R", r, md.r_matrix_expand(ring, rows))
+            for i in range(r + 2):
+                assert fitting_ideal(w_star, i) == inst.w_star_fitting(i)
 
 
 def test_fitting_zero_annihilates():
@@ -274,7 +296,13 @@ def test_fitting_zero_annihilates():
                 [[rng.below(ring.m) for _ in range(2 * ring.m)] for _ in range(2)]
             )
             mod = md.from_presentation(ring, "R", 2, rel)
-            assert md.fitting_ideal(mod, 0).annihilates(mod)
+            assert annihilates(fitting_ideal(mod, 0), mod)
+
+
+def exterior_bidual(mod, r):
+    """The r-th exterior bidual: the dual of the r-th wedge of the dual."""
+    pres = presentation(md.dual(mod))
+    return md.dual(md.ExteriorAlgebra(mod.ring, pres.g, pres.relation_rows_r()).module(r))
 
 
 def test_exterior_bidual_free_ranks():
@@ -282,14 +310,12 @@ def test_exterior_bidual_free_ranks():
     for d in (1, 2, 3):
         free = md.free_module(ring, d)
         for r in range(d + 2):  # r = d + 1 > g: the zero module
-            bidual, _ = md.exterior_bidual(free, r)
-            from math import comb
-
+            bidual = exterior_bidual(free, r)
             assert bidual.order() == ring.m ** (comb(d, r) * ring.m)
 
 
 def test_exterior_bidual_degree_zero_is_ring():
-    bidual, _ = md.exterior_bidual(md.free_module(R31, 2), 0)
+    bidual = exterior_bidual(md.free_module(R31, 2), 0)
     assert bidual.order() == R31.m ** R31.m
 
 
@@ -300,7 +326,7 @@ def test_exterior_bidual_rank_one_matches_module():
     rel = np.zeros((1, free.dim), dtype=np.int64)
     rel[0, ring.m:] = (ring.gamma() - ring.one()).coeffs
     mod = md.from_presentation(ring, "R", 2, rel)
-    bidual, _ = md.exterior_bidual(mod, 1)
+    bidual = exterior_bidual(mod, 1)
     assert bidual.order() == mod.order()
 
 
@@ -327,9 +353,7 @@ def test_transition_determinant_normalization():
             ring, [ring.one() if i == 0 else ring.zero()
                    for i in range(len(inst.alg.subsets(s)))]
         )
-        out = apply(eps)
-        val = md.eval_r(inst.alg.module(0), out, inst.alg.basis_vector(0, ()))
-        assert val == ring.one()
+        assert md.rcoords_from_functional(ring, apply(eps), 1) == [ring.one()]
 
 
 def test_transition_basis_change_cancels_det():
@@ -355,8 +379,8 @@ def test_transition_basis_change_cancels_det():
     for sub in inst.alg.subsets(s):
         eps = np.zeros(top.dim, dtype=np.int64)
         eps[inst.alg.subsets(s).index(sub) * ring.m] = 1
-        v1 = md.eval_r(inst.alg.module(0), apply(eps), inst.alg.basis_vector(0, ()))
-        v2 = md.eval_r(inst2.alg.module(0), apply2(eps), inst2.alg.basis_vector(0, ()))
+        (v1,) = md.rcoords_from_functional(ring, apply(eps), 1)
+        (v2,) = md.rcoords_from_functional(ring, apply2(eps), 1)
         assert v2 == detv * v1
 
 
@@ -367,14 +391,10 @@ def test_transition_projection_matches_dual_basis_contraction():
     ring = R31
     zmat = [[ring.one()], [ring.zero()]]
     inst, apply = contraction(ring, zmat)
-    e0 = inst.alg.basis_vector(1, (0,))
-    e1 = inst.alg.basis_vector(1, (1,))
     for c in (ring.one(), ring.gamma(), ring.gamma() - ring.one()):
         psi = md.functional_from_rcoords(ring, [c])  # c * dual of e_{(0,1)}
-        out = apply(psi)
         # phi_0 ^ e_(0,) = 0 and phi_0 ^ e_(1,) = e_(0,1)
-        assert md.eval_r(inst.alg.module(1), out, e0) == ring.zero()
-        assert md.eval_r(inst.alg.module(1), out, e1) == c
+        assert md.rcoords_from_functional(ring, apply(psi), 2) == [ring.zero(), c]
 
 
 def test_transition_kills_kernel_wedge():
@@ -461,14 +481,14 @@ def test_span_that_is_not_gamma_stable_is_rejected():
 def test_ideal_that_does_not_annihilate_is_caught():
     for ring in RINGS:
         aug = md.Ideal.from_elements(ring, "R", [ring.gamma() - ring.one()])
-        assert aug.annihilates(aug_quotient(ring))
-        assert not md.Ideal.unit(ring, "R").annihilates(aug_quotient(ring))
+        assert annihilates(aug, aug_quotient(ring))
+        assert not annihilates(md.Ideal.unit(ring, "R"), aug_quotient(ring))
         free = md.free_module(ring, 1)
-        assert not aug.annihilates(free.quotient(aug_ideal_power(ring, 2)))
+        assert not annihilates(aug, free.quotient(aug_ideal_power(ring, 2)))
     r32 = RingCtx(3, 2)
     z9 = md.free_r0_module(r32, 1)
-    assert not md.Ideal.from_elements(r32, "R0", [r32.scalar(3)]).annihilates(z9)
-    assert md.Ideal.from_elements(r32, "R0", [r32.scalar(9)]).annihilates(z9)
+    assert not annihilates(md.Ideal.from_elements(r32, "R0", [r32.scalar(3)]), z9)
+    assert annihilates(md.Ideal.from_elements(r32, "R0", [r32.scalar(9)]), z9)
 
 
 def test_ideal_of_elements_is_spanned_by_their_gamma_multiples():

@@ -13,7 +13,6 @@ from derived_heights.stark import (
     StarkError,
     StarkInstance,
     StarkSystem,
-    extend_instance,
     merge_sign,
     random_instance,
     verify_fitting,
@@ -197,6 +196,18 @@ def test_fitting_equality_fuzz():
             system = inst.stark_system(_unit(ring, rng))
             rep = verify_fitting(inst, system, inst.a)
             assert rep["pass"], (ring.p, ring.n, rep)
+
+
+def extend_instance(inst, rng):
+    """Adjoin a fresh prime with a fresh free generator (still a core vertex).
+
+    The new localization column is arbitrary on the old generators and a
+    unit on the new one; the new generator dies at the old primes.
+    """
+    ring = inst.ring
+    rows = [list(row) + [ring.elt(rng.below_many(ring.m, ring.m))] for row in inst.ell]
+    rows.append([ring.zero()] * inst.r + [_unit(ring, rng)])
+    return StarkInstance(ring, rows)
 
 
 def test_vertex_extension_preserves_everything():

@@ -4,8 +4,8 @@
     python3 tools/mutants.py NAME ...   # run the named mutants
     python3 tools/mutants.py --list     # list the mutants
 
-Each mutant is one (file, old, new) text patch against the source tree and
-the tests that must catch it.  For each mutant the script copies ``src/``,
+Each mutant is one (file, old, new) text patch against the source tree (or
+a test oracle) and the tests that must catch it.  For each mutant the script copies ``src/``,
 ``tests/`` and ``pyproject.toml`` into a fresh temporary directory,
 replaces the one occurrence of ``old`` by ``new`` (a stale patch, whose
 ``old`` no longer occurs exactly once, is an error) and runs the named
@@ -49,6 +49,7 @@ MD = "src/derived_heights/modules.py"
 ST = "src/derived_heights/stark.py"
 RC = "src/derived_heights/recovery.py"
 IL = "src/derived_heights/intlinalg.py"
+FO = "tests/fitting_oracle.py"  # the annihilation check now lives with the Fitting oracle
 T_LA = "tests/test_linalg.py::"
 T_PR = "tests/test_properties.py::"
 T_CX = "tests/test_complexes.py::"
@@ -268,7 +269,7 @@ MUTANTS = (
     Mutant("gamma-stability-of-numerator-only", MD,
            "for span in (num, den):", "for span in (num,):",
            (T_MD + "test_span_that_is_not_gamma_stable_is_rejected",)),
-    Mutant("annihilation-tested-against-numerator", MD,
+    Mutant("annihilation-tested-against-numerator", FO,
            "if not mod.den.contains(la.mul_mod(mod.num.h",
            "if not mod.num.contains(la.mul_mod(mod.num.h",
            (T_MD + "test_ideal_that_does_not_annihilate_is_caught",)),
