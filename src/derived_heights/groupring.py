@@ -38,6 +38,14 @@ def _rep_index(m: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=None)
+def _dual_index(m: int) -> np.ndarray:
+    """(-i) mod m: x.coeffs[D] reads x in the dual basis of {gamma^i}, and back."""
+    idx = -np.arange(m) % m
+    idx.setflags(write=False)
+    return idx
+
+
 def convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Cyclic convolution of coefficient vectors mod m: a times the regular rep of b."""
     return la.mul_mod(a, np.asarray(b, dtype=np.int64)[_rep_index(m)], m)

@@ -61,6 +61,7 @@ from .complexes import TwoTermComplex
 from .groupring import (
     GroupRingElt,
     RingCtx,
+    _dual_index,
     _rep_index,
     derivative_op,
     graded_projection,
@@ -254,12 +255,15 @@ class PairingData:
     def _annihilator_of(self, span: la.Span, rank: int) -> la.Span:
         """Functionals in the dual-basis model vanishing on a span in R^rank.
 
-        Column block t stacks the regular representations of the slots of
-        span row t: entry [(r, i), (t, j)] is row t's slot r at j - i.
+        The span must be gamma-stable, as S = ker ell and T = ker ell* are
+        (ell is R-linear): coefficient j of phi(v) is the gamma^0 one of
+        phi(gamma^-j v), so phi kills the span once it kills the gamma^0
+        coefficient of each row.  Column t is row t read in the dual basis:
+        entry [(r, i), t] is row t's slot r at -i.
         """
         m = self.ring.m
-        blocks = span.h.reshape(-1, rank, m)[:, :, _rep_index(m)]
-        return la.kernel(blocks.transpose(1, 2, 0, 3).reshape(rank * m, -1),
+        blocks = span.h.reshape(-1, rank, m)[:, :, _dual_index(m)]
+        return la.kernel(blocks.transpose(1, 2, 0).reshape(rank * m, -1),
                          self.ring.p, self.ring.n)
 
     # -- per-table lifts ----------------------------------------------------------------

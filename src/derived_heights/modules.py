@@ -3,9 +3,9 @@
 Every module is stored as a subquotient num/den of a free scalar ambient
 (Z/p^n)^dim carrying an explicit gamma matrix: num and den are
 ``linalg.Span`` values (Howell form plus ring) with den inside num, both
-gamma-stable.  Free modules, submodules, quotients, duals, fixed points,
-filtration pieces and exterior powers all stay inside this one
-representation, so everything reduces to the span primitives; reduction
+gamma-stable.  Free modules, submodules, quotients, fixed points and
+filtration pieces all stay inside this one representation, so
+everything reduces to the span primitives; reduction
 modulo den is ``den.reduce``, with the reducer the span keeps.  Fitting
 ideals are read off a given relation matrix.  Containment is decided on
 generating rows (a map is checked on ``num.h @ mat``); only spans that
@@ -24,10 +24,12 @@ power and no Howell form of its own.  Any other module scales by one
 product of x against the gamma orbit of its ambient basis, the orbit that
 also spans relations and ideals.
 
-Duality: Hom_R(M, R) is computed through its identification with
-Hom_{R0}(M, R0) (f maps to sum_sigma f(sigma .) sigma^{-1}); a scalar
-functional phi on the ambient therefore represents an R-valued one; on a
-free module ``rcoords_from_functional`` reads off its R-coordinates.
+Duality: an R-valued functional on R^g is kept as a scalar one, through
+the identification of Hom_R(M, R) with Hom_{R0}(M, R0) (f maps to
+sum_sigma f(sigma .) sigma^{-1}); its dual-basis R-coordinate c_j fills
+block j read through gamma^i -> gamma^{-i} (``groupring._dual_index``).
+Of the exterior algebra on g free generators only the contraction is
+kept, ``contract``, through a cached index table.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import linalg as la
-from .groupring import GroupRingElt, RingCtx, aug_ideal_power, regular_rep
+from .groupring import GroupRingElt, RingCtx, _dual_index, aug_ideal_power, regular_rep
 
 
 class FpModule:
@@ -277,40 +279,18 @@ def r_rows_from_scalar(ring: RingCtx, mat: np.ndarray) -> list[list[GroupRingElt
     return rows
 
 
-# -- duality --------------------------------------------------------------------
-
-
-def dual(mod: FpModule) -> FpModule:
-    """Scalar dual subquotient representing Hom(M, R) resp. Hom(M, R0).
-
-    Functionals are ambient vectors phi with phi(v) = sum_i v_i phi_i;
-    gamma acts by precomposition, i.e. by the transposed gamma matrix.
-    For tag R on a free module, ``rcoords_from_functional`` reads off the
-    R-coordinates of the R-valued functional.
-    """
-    num = la.kernel(mod.den.h.T, mod.p, mod.n)
-    den = la.kernel(mod.num.h.T, mod.p, mod.n)
-    return FpModule(mod.ring, mod.tag, mod.dim, mod.gamma.T % mod.m, num, den,
-                    check=False)
+# -- dual-basis coordinates --------------------------------------------------------
 
 
 def functional_from_rcoords(ring: RingCtx, coords: list[GroupRingElt]) -> np.ndarray:
     """Scalar functional on R^g for sum_j c_j phi_j in the dual basis."""
-    m = ring.m
-    out = np.zeros(len(coords) * m, dtype=np.int64)
-    for j, c in enumerate(coords):
-        for i in range(m):
-            out[j * m + i] = c.coeffs[(m - i) % m]
-    return out
+    return np.array([c.coeffs for c in coords])[:, _dual_index(ring.m)].ravel()
 
 
-def rcoords_from_functional(ring: RingCtx, phi: np.ndarray, g: int) -> list[GroupRingElt]:
-    m = ring.m
-    out = []
-    for j in range(g):
-        block = phi[j * m:(j + 1) * m]
-        out.append(ring.elt(np.array([block[(m - t) % m] for t in range(m)])))
-    return out
+def rcoords_from_functional(ring: RingCtx, phi: np.ndarray) -> list[GroupRingElt]:
+    """The dual-basis R-coordinates c_1..c_g of a scalar functional on R^g."""
+    blocks = np.asarray(phi, dtype=np.int64).reshape(-1, ring.m)[:, _dual_index(ring.m)]
+    return [ring.elt(b) for b in blocks]
 
 
 # -- Fitting ideals -------------------------------------------------------------
@@ -406,8 +386,8 @@ def _wedge_table(g: int, r: int) -> tuple[np.ndarray, np.ndarray]:
 
     Row i is the i-th r-subset S, column l a label: the index of S + {l}
     among the (r+1)-subsets and the sign of moving e_l past e_S.  Where l
-    is in S the index is -1 (a zero pad block) and the sign 0.  Both the
-    relations of ``ExteriorAlgebra.module`` and ``contract`` read it.
+    is in S the index is -1 (a zero pad block) and the sign 0.  ``contract``
+    reads it.
     """
     upper = {s: i for i, s in enumerate(combinations(range(g), r + 1))}
     subs = list(combinations(range(g), r))
@@ -423,55 +403,18 @@ def _wedge_table(g: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, sgn
 
 
-class ExteriorAlgebra:
-    """Wedge powers of a presented R-module (generators + R-relations).
+def contract(ring: RingCtx, r_plus_1: int, eps: np.ndarray,
+             f_coords: list[GroupRingElt]) -> np.ndarray:
+    """Functional on degree r+1 contracted by f: (eps . f)(w) = eps(f ^ w).
 
-    Degree r lives on the free module with basis e_T, T an r-subset of
-    the generators, modulo relations (relation row) wedge (r-1 basis).
+    The exterior algebra is the one on g = len(f_coords) free generators.
+    Block S of the result is the sum over l of sign(l, S) f_l eps_(S + {l}):
+    one gather of the blocks of eps, times the stacked regular_rep(f_l)^T.
     """
-
-    def __init__(self, ring: RingCtx, g: int, rel_rows: list[list[GroupRingElt]]):
-        self.ring = ring
-        self.g = g
-        self.rel_rows = rel_rows
-        self._modules: dict[int, FpModule] = {}
-
-    def subsets(self, r: int) -> list[tuple[int, ...]]:
-        return list(combinations(range(self.g), r))
-
-    def module(self, r: int) -> FpModule:
-        if r in self._modules:
-            return self._modules[r]
-        ring = self.ring
-        m = ring.m
-        width = len(self.subsets(r))
-        base = free_module(ring, width)  # the zero module when r > g
-        den = base.den
-        if r >= 1 and self.rel_rows:
-            # relation row x wedge e_J: block S + {l} of row J is sign(l, J) x_l
-            idx, sgn = _wedge_table(self.g, r - 1)
-            x = np.array([[e.coeffs for e in row] for row in self.rel_rows])
-            rel = np.zeros((len(x), len(idx), width + 1, m), dtype=np.int64)
-            rel[:, np.arange(len(idx))[:, None], idx] = sgn[None, :, :, None] * x[:, None]
-            rel = rel[:, :, :width].reshape(len(x) * len(idx), width * m) % m
-            rel = rel[rel.any(axis=1)]
-            if len(rel):
-                den = la.Span(base.gamma_orbit(rel), ring.p, ring.n)
-        out = FpModule(ring, "R", base.dim, base.gamma, base.num, den, check=False)
-        self._modules[r] = out
-        return out
-
-    def contract(self, r_plus_1: int, eps: np.ndarray,
-                 f_coords: list[GroupRingElt]) -> np.ndarray:
-        """Functional on degree r+1 contracted by f: (eps . f)(w) = eps(f ^ w).
-
-        Block S of the result is the sum over l of sign(l, S) f_l eps_(S + {l}):
-        one gather of the blocks of eps, times the stacked regular_rep(f_l)^T.
-        """
-        m = self.ring.m
-        idx, sgn = _wedge_table(self.g, r_plus_1 - 1)
-        blocks = np.vstack([np.asarray(eps, dtype=np.int64).reshape(-1, m),
-                            np.zeros((1, m), dtype=np.int64)])
-        gathered = (sgn[:, :, None] * blocks[idx]).reshape(len(idx), self.g * m)
-        reps = np.vstack([regular_rep(f).T for f in f_coords])
-        return la.mul_mod(gathered, reps, m).ravel()
+    m, g = ring.m, len(f_coords)
+    idx, sgn = _wedge_table(g, r_plus_1 - 1)
+    blocks = np.vstack([np.asarray(eps, dtype=np.int64).reshape(-1, m),
+                        np.zeros((1, m), dtype=np.int64)])
+    gathered = (sgn[:, :, None] * blocks[idx]).reshape(len(idx), g * m)
+    reps = np.vstack([regular_rep(f).T for f in f_coords])
+    return la.mul_mod(gathered, reps, m).ravel()

@@ -117,11 +117,6 @@ def _descent(cx: IntComplex) -> Iterator[int]:
         pk *= p
 
 
-def tau_value(cx: IntComplex, k: int) -> int:
-    """Single tau_k: the descent run to k (no Smith form)."""
-    return next(islice(_descent(cx), k, None))
-
-
 def tau_sequence(cx: IntComplex, kmax: int | None = None) -> TauProfile:
     """The tau profile through a certified stabilization point.
 

@@ -34,8 +34,8 @@ from . import linalg as la
 from .groupring import GroupRingElt, RingCtx
 from .heights import PairingData, random_ell_matrix
 from .modules import (
-    ExteriorAlgebra,
     Ideal,
+    contract,
     fitting_from_matrix,
     functional_from_rcoords,
     r_matrix_expand,
@@ -71,11 +71,9 @@ class StarkInstance:
                 "(Stark systems need nonnegative core rank)"
             )
         self.primes = tuple(range(self.r))
-        self.alg = ExteriorAlgebra(ring, self.a, [])
         # lambda_q as an element of X* in dual-basis R-coordinates
         self.fs = [[row[q] for row in ell_rows] for q in range(self.r)]
         self._h: dict[tuple[int, ...], la.Span] = {}
-        self.scalar_ell = r_matrix_expand(ring, ell_rows) if self.r else None
         self.validate()
 
     def validate(self) -> None:
@@ -123,12 +121,6 @@ class StarkInstance:
 
     # -- Stark elements -----------------------------------------------------------
 
-    def top_functional(self, c: GroupRingElt) -> np.ndarray:
-        """c times the canonical generator of the det line over the top vertex."""
-        coords = [c if i == 0 else self.ring.zero()
-                  for i in range(len(self.alg.subsets(self.a)))]
-        return functional_from_rcoords(self.ring, coords)
-
     def transition(self, src: tuple[int, ...], dst: tuple[int, ...],
                    eps: np.ndarray) -> np.ndarray:
         """v_{src,dst}: contract by the removed labels, with the merge sign."""
@@ -140,7 +132,7 @@ class StarkInstance:
         level = self.chi + len(src)
         out = np.asarray(eps, dtype=np.int64)
         for q in removed:
-            out = self.alg.contract(level, out, self.fs[q])
+            out = contract(self.ring, level, out, self.fs[q])
             level -= 1
         sign = merge_sign(complement, removed)
         return (sign * out) % self.ring.m
@@ -153,7 +145,8 @@ class StarkInstance:
 
     def family_from_scalar(self, c: GroupRingElt) -> "StarkSystem":
         """The family spawned by c times the det-line basis, for any c (a module map)."""
-        top = self.top_functional(c)
+        # c times the det-line generator: the degree-a wedge has one block
+        top = functional_from_rcoords(self.ring, [c])
         eps = {v: self.transition(self.primes, v, top) for v in self.vertices()}
         return StarkSystem(self, eps, c)
 
@@ -166,9 +159,6 @@ class StarkSystem:
         self.inst = inst
         self.eps = eps
         self.scalar = scalar  # coordinate of the spawning det-line element
-
-    def element(self, vertex: tuple[int, ...]) -> np.ndarray:
-        return self.eps[tuple(sorted(vertex))]
 
     def check_compatible(self) -> bool:
         """v_{n,m}(eps_n) == eps_m for every pair m dividing n."""
@@ -199,17 +189,16 @@ class StarkSystem:
                 continue
             ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
             for phi in ann.h:
-                coords = rcoords_from_functional(ring, phi, inst.a)
-                if inst.alg.contract(deg, self.eps[vertex], coords).any():
+                coords = rcoords_from_functional(ring, phi)
+                if contract(ring, deg, self.eps[vertex], coords).any():
                     return False
         return True
 
     def image_ideal(self, vertex: tuple[int, ...]) -> Ideal:
         """Ideal of values of eps_vertex on the wedge generators: its R-coordinates."""
         inst = self.inst
-        blocks = len(inst.alg.subsets(inst.chi + len(vertex)))
         eps = self.eps[tuple(sorted(vertex))]
-        return Ideal.from_elements(inst.ring, "R", rcoords_from_functional(inst.ring, eps, blocks))
+        return Ideal.from_elements(inst.ring, "R", rcoords_from_functional(inst.ring, eps))
 
     def ideal(self, i: int) -> Ideal:
         """I_i: sum of the image ideals over the weight-i vertices.

@@ -9,7 +9,8 @@ resulting relation matrix to ``fitting_from_matrix``.  So it shares no
 presentation with a Stark instance's ``ell``, and
 ``StarkInstance.w_star_fitting`` can be checked against it index for
 index.  ``annihilates`` decides whether an ideal kills a module, on
-generating rows.
+generating rows.  ``dual`` is the scalar dual subquotient that the
+duality and exterior-bidual checks present.
 """
 
 from __future__ import annotations
@@ -91,3 +92,17 @@ def annihilates(ideal: Ideal, mod: FpModule) -> bool:
         if not mod.den.contains(la.mul_mod(mod.num.h, mod.scale_matrix(x), mod.m)):
             return False
     return True
+
+
+def dual(mod: FpModule) -> FpModule:
+    """Scalar dual subquotient representing Hom(M, R) resp. Hom(M, R0).
+
+    Functionals are ambient vectors phi with phi(v) = sum_i v_i phi_i;
+    gamma acts by precomposition, i.e. by the transposed gamma matrix.
+    For tag R on a free module, ``rcoords_from_functional`` reads off the
+    R-coordinates of the R-valued functional.
+    """
+    num = la.kernel(mod.den.h.T, mod.p, mod.n)
+    den = la.kernel(mod.num.h.T, mod.p, mod.n)
+    return FpModule(mod.ring, mod.tag, mod.dim, mod.gamma.T % mod.m, num, den,
+                    check=False)

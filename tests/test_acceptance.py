@@ -162,8 +162,8 @@ def test_criterion_6_stark_fitting_equality():
         ok &= system.check_compatible() and system.check_kills_wedge_kernel()
         # freeness: the family is determined by, and determines, its top
         # coordinate; unit tops give (and are required for) bases
-        top = system.element(inst.primes)
-        recovered = inst.family_from_scalar(c).element(inst.primes)
+        top = system.eps[inst.primes]
+        recovered = inst.family_from_scalar(c).eps[inst.primes]
         free_ok &= bool((top == recovered).all())
         # vertex independence: any route through an intermediate vertex
         # gives the same family
@@ -173,7 +173,7 @@ def test_criterion_6_stark_fitting_equality():
             if set(small) <= set(mid):
                 via = inst.transition(mid, small,
                                       inst.transition(inst.primes, mid, top))
-                route_ok &= bool((via == system.element(small)).all())
+                route_ok &= bool((via == system.eps[small]).all())
     _verdict(6, "Fitting ideals of W* equal the Stark ideals on 300 instances",
              ok and free_ok and route_ok)
 

@@ -66,6 +66,31 @@ def test_validate_fuzz_self_injectivity():
         random_pairing_data(RINGS[i % 3], rng, max_rank=2).validate()
 
 
+def _annihilator_by_shifts(ring, span, rank):
+    """Functionals c with sum_r c_r v_r = 0 in R for every row v, stable span or not.
+
+    Column (t, j) is coefficient j of the sum: entry [(r, i), (t, j)] is v_t,r at j - i.
+    """
+    m = ring.m
+    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m  # [i, j]: j - i
+    blocks = span.h.reshape(-1, rank, m)[:, :, shift]
+    return la.kernel(blocks.transpose(1, 2, 0, 3).reshape(rank * m, -1), ring.p, ring.n)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_annihilator_reads_the_rows_alone_like_every_shift(p, n):
+    # S and T are gamma-stable, so the annihilator read off their rows in
+    # the dual basis is the one of every gamma-shift of every row
+    ring = RingCtx(p, n)
+    rng = SplitMix64(191 + ring.m)
+    data = [random_pairing_data(ring, rng, max_rank=3) for _ in range(8)]
+    if ring == RingCtx(7, 2):
+        data.append(PairingData(ring, [[ring.norm()], [ring.zero()], [ring.zero()]]))
+    for datum in data:
+        for span, rank in ((datum.s_span, datum.a), (datum.t_span, datum.b)):
+            assert datum._annihilator_of(span, rank) == _annihilator_by_shifts(ring, span, rank)
+
+
 def test_from_scalar_matrix_rejects_non_equivariant():
     mat = np.zeros((3, 3), dtype=np.int64)
     mat[0, 0] = 1  # projection onto one scalar coordinate: not R-linear

@@ -1,22 +1,21 @@
-"""Every definition in ``src/`` is reached from a command or the benchmark.
+"""Every definition in ``src/`` is reached from a command, the benchmark or a demo.
 
-A static pass over the package's syntax trees.  The roots are each
-module's top-level code (which in ``cli.py`` runs ``main``) and every
-identifier that appears in ``bench/*.py``, strings included, since the
-tracer resolves names such as ``"PairingData.bd_pairing"`` by
-``getattr``.  A reached definition reaches every name its body mentions.
-A top-level function or class is reached by its name, bare or as an
-attribute (``la.kernel``); a method only as an attribute (``x.kernel``),
-on any object, so a parameter that shares a method's name does not keep
-the method.  Dunder methods are reached with their class.  A top-level
-function, class or method that the closure misses is code no command
-runs; the test names each one.
+A static pass over the syntax trees.  The roots are each package
+module's top-level code (which in ``cli.py`` runs ``main``) and the
+identifiers of ``bench/*.py`` and ``demos/*.py``: names, attributes and
+imports, not strings, so a tracer target or a word in prose keeps
+nothing.  There a name reaches every top-level definition so named, an
+attribute also every method so named.  A reached definition reaches
+what its body refers to: a bare name only a top-level definition that
+its module defines or imports under that name, an attribute on a module
+alias (``la.kernel``) that module's definition, and any attribute
+(``x.kernel``) every method of its name.  Dunder methods are reached
+with their class.  The test names each definition the closure misses.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,28 +23,47 @@ PACKAGE = ROOT / "src" / "derived_heights"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _names(nodes) -> set[str]:
-    """Names mentioned under nodes: "x" for a bare name, "x" and ".x" for an attribute."""
+def _scope(stem: str, tree: ast.Module):
+    """Bare names -> labels of what they denote, and module aliases -> module stems.
+
+    The package imports itself relatively: ``from .x import f``, ``from . import x``.
+    """
+    names = {n.name: f"{stem}.{n.name}" for n in tree.body if isinstance(n, DEFS)}
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        for alias in node.names if isinstance(node, ast.ImportFrom) and node.level else ():
+            if node.module:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            else:
+                aliases[alias.asname or alias.name] = alias.name
+    return names, aliases
+
+
+def _refs(nodes, names: dict[str, str], aliases: dict[str, str]) -> set[str]:
+    """Keys the nodes reach: a top-level definition's label, ".x" for the methods x."""
     out: set[str] = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                out.add(sub.id)
+            if isinstance(sub, ast.Name) and sub.id in names:
+                out.add(names[sub.id])
             elif isinstance(sub, ast.Attribute):
-                out |= {sub.attr, "." + sub.attr}
+                out.add("." + sub.attr)
+                if isinstance(sub.value, ast.Name) and sub.value.id in aliases:
+                    out.add(f"{aliases[sub.value.id]}.{sub.attr}")
     return out
 
 
 def _definitions():
-    """(label, key, own body nodes, dunder labels) per top-level def or method.
+    """(label, key, keys its own body reaches, dunder labels) per top-level def or method.
 
-    The key is the name that reaches the definition: "f" for a top-level
-    one, ".f" for a method.  Also returns the names module-level code mentions.
+    The key is what reaches the definition: its label for a top-level one,
+    ".f" for a method.  Also returns the keys module-level code reaches.
     """
     defs, roots = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        roots |= _names(s for s in tree.body if not isinstance(s, DEFS))
+        scope = _scope(path.stem, tree)
+        roots |= _refs([s for s in tree.body if not isinstance(s, DEFS)], *scope)
         for node in tree.body:
             if not isinstance(node, DEFS):
                 continue
@@ -55,25 +73,34 @@ def _definitions():
                 rest = [s for s in node.body if not isinstance(s, DEFS)]
                 dunders = [f"{label}.{s.name}" for s in methods
                            if s.name.startswith("__") and s.name.endswith("__")]
-                defs.append((label, node.name, node.decorator_list + node.bases + rest,
-                             dunders))
-                defs += [(f"{label}.{s.name}", "." + s.name, [s], []) for s in methods]
+                defs.append((label, label, _refs(node.decorator_list + node.bases + rest,
+                                                 *scope), dunders))
+                defs += [(f"{label}.{s.name}", "." + s.name, _refs([s], *scope), [])
+                         for s in methods]
             else:
-                defs.append((label, node.name, [node], []))
+                defs.append((label, label, _refs([node], *scope), []))
     return defs, roots
 
 
-def _bench_identifiers() -> set[str]:
-    words: set[str] = set()
-    for path in (ROOT / "bench").glob("*.py"):
-        words |= set(re.findall(r"[A-Za-z_]\w*", path.read_text()))
-    return words | {"." + w for w in words}
+def _outside_keys(defs) -> set[str]:
+    """Keys the identifiers of bench/ and demos/ reach (an import is a name)."""
+    names, attrs = set(), set()
+    for path in sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names |= set(node.name.split(".")) | {node.asname or node.name}
+    return ({key for label, key, *_ in defs if key == label and label.split(".")[1] in names}
+            | {key for label, key, *_ in defs if label.rsplit(".", 1)[1] in attrs})
 
 
 def unreached() -> list[str]:
     defs, mentioned = _definitions()
-    mentioned |= _bench_identifiers()
-    body = {label: nodes for label, _, nodes, _ in defs}
+    mentioned |= _outside_keys(defs)
+    body = {label: refs for label, _, refs, _ in defs}
     reached: set[str] = set()
     grew = True
     while grew:
@@ -83,7 +110,7 @@ def unreached() -> list[str]:
                 continue
             for hit in [label] + dunders:
                 reached.add(hit)
-                mentioned |= _names(body[hit])
+                mentioned |= body[hit]
             grew = True
     return [label for label, *_ in defs if label not in reached]
 
@@ -91,8 +118,13 @@ def unreached() -> list[str]:
 def test_the_pass_sees_the_package():
     defs, roots = _definitions()
     labels = {label for label, *_ in defs}
-    assert {"cli.main", "linalg.Span", "linalg.Span.reduce", "recovery.tau_value"} <= labels
-    assert "main" in roots
+    assert {"cli.main", "linalg.Span", "linalg.Span.reduce", "recovery.tau_sequence"} <= labels
+    assert "cli.main" in roots
+    # a local variable named like a top-level function does not reach it
+    names, aliases = _scope("m", ast.parse("from . import linalg as la\ndef f(): pass"))
+    assert _refs([ast.parse("kernel = la.kernel; f(); g.kernel")], names, aliases) \
+        == {"linalg.kernel", ".kernel", "m.f"}
+    assert _refs([ast.parse("dual = x.dual()")], names, aliases) == {".dual"}
 
 
 def test_every_definition_is_reached_from_a_command_or_the_benchmark():

@@ -17,7 +17,6 @@ from derived_heights.recovery import (
     recover_structure,
     snf_oracle,
     tau_sequence,
-    tau_value,
     verify_recovery,
 )
 from derived_heights.rng import SplitMix64
@@ -203,7 +202,7 @@ def test_profile_is_constant_after_the_descent_stabilizes():
     assert len(taus) > 600 and taus[32:] == [1] * (len(taus) - 32)
     for k in [*range(13), 31, 32, 33, 40, 100]:
         oracle = tau_oracle.tau_value(2, d, k)
-        assert taus[k] == tau_value(cx, k) == oracle, k
+        assert taus[k] == oracle, k
 
 
 def test_descent_calls_no_smith_code(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from derived_heights import linalg as la
 from derived_heights.groupring import RingCtx
-from derived_heights.modules import Ideal
+from derived_heights.heights import random_unit
+from derived_heights.modules import Ideal, functional_from_rcoords, rcoords_from_functional
 from derived_heights.rng import SplitMix64
 from derived_heights.stark import (
     StarkError,
@@ -126,7 +127,7 @@ def test_compatibility_and_route_independence():
     for ring in RINGS[:2]:
         for _ in range(8):
             inst = random_instance(ring, rng)
-            c = ring.one() if rng.below(2) else _unit(ring, rng)
+            c = ring.one() if rng.below(2) else random_unit(ring, rng)
             system = inst.stark_system(c)
             assert system.check_compatible()
             # route independence: going through any intermediate vertex
@@ -136,22 +137,16 @@ def test_compatibility_and_route_independence():
                         continue
                     via = inst.transition(
                         mid, small, inst.transition(inst.primes, mid,
-                                                    inst.top_functional(c))
+                                                    functional_from_rcoords(ring, [c]))
                     )
-                    assert (via == system.element(small)).all()
-
-
-def _unit(ring, rng):
-    from derived_heights.heights import random_unit
-
-    return random_unit(ring, rng)
+                    assert (via == system.eps[small]).all()
 
 
 def test_stark_elements_land_in_biduals():
     rng = SplitMix64(163)
     for _ in range(6):
         inst = random_instance(R31, rng)
-        system = inst.stark_system(_unit(R31, rng))
+        system = inst.stark_system(random_unit(R31, rng))
         assert system.check_kills_wedge_kernel()
 
 
@@ -168,7 +163,7 @@ def test_freeness_rank_one():
         c = ring.elt(np.array(coeffs, dtype=np.int64))
         fam = inst.family_from_scalar(c)
         assert fam.check_compatible()
-        top = tuple(int(v) for v in fam.element(inst.primes))
+        top = tuple(int(v) for v in fam.eps[inst.primes])
         assert top not in tops
         tops.add(top)
         count += 1
@@ -179,7 +174,7 @@ def test_ideals_increase():
     rng = SplitMix64(167)
     for _ in range(10):
         inst = random_instance(R31, rng)
-        system = inst.stark_system(_unit(R31, rng))
+        system = inst.stark_system(random_unit(R31, rng))
         prev = None
         for i in range(inst.a + 1):
             cur = system.ideal(i)
@@ -193,7 +188,7 @@ def test_fitting_equality_fuzz():
     for ring in RINGS:
         for _ in range(8):
             inst = random_instance(ring, rng)
-            system = inst.stark_system(_unit(ring, rng))
+            system = inst.stark_system(random_unit(ring, rng))
             rep = verify_fitting(inst, system, inst.a)
             assert rep["pass"], (ring.p, ring.n, rep)
 
@@ -206,7 +201,7 @@ def extend_instance(inst, rng):
     """
     ring = inst.ring
     rows = [list(row) + [ring.elt(rng.below_many(ring.m, ring.m))] for row in inst.ell]
-    rows.append([ring.zero()] * inst.r + [_unit(ring, rng)])
+    rows.append([ring.zero()] * inst.r + [random_unit(ring, rng)])
     return StarkInstance(ring, rows)
 
 
@@ -221,7 +216,7 @@ def test_vertex_extension_preserves_everything():
             # graph embedding: same order
             assert ext.h_span(v).size() == inst.h_span(v).size() * 1
         # Fitting ideals of W* unchanged, so the Stark ideals agree too
-        c = _unit(R31, rng)
+        c = random_unit(R31, rng)
         sys_old = inst.stark_system(c)
         sys_new = ext.stark_system(c)
         for i in range(inst.a + 1):
@@ -255,7 +250,7 @@ def test_ideals_above_the_prime_count_match_the_fresh_prime_recursion():
     for ring in RINGS:
         for trial in range(4):
             inst = random_instance(ring, rng)
-            u = _unit(ring, rng)
+            u = random_unit(ring, rng)
             non_unit = [(ring.gamma() - ring.one()) * u, ring.scalar(ring.p) * u,
                         ring.norm(), ring.zero()][trial]
             assert not non_unit.is_unit()
@@ -266,15 +261,11 @@ def test_ideals_above_the_prime_count_match_the_fresh_prime_recursion():
 
 def _bidual_checks(inst, vertex):
     """Per annihilator functional of H(vertex), the rows eps must kill."""
-    from derived_heights.modules import rcoords_from_functional
-
     ring = inst.ring
     deg = inst.chi + len(vertex)
     ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
-    prev = inst.alg.module(deg - 1)
-    return [prev.num.h @ wedge_matrix(ring, inst.a, deg - 1,
-                                      rcoords_from_functional(ring, phi, inst.a))
-            % ring.m for phi in ann.h]
+    return [wedge_matrix(ring, inst.a, deg - 1, rcoords_from_functional(ring, phi))
+            for phi in ann.h]
 
 
 def test_functional_outside_the_bidual_is_caught():
@@ -284,7 +275,7 @@ def test_functional_outside_the_bidual_is_caught():
     for ring in RINGS:
         for _ in range(4):
             inst = random_instance(ring, rng, chi_choices=(1,))
-            system = inst.stark_system(_unit(ring, rng))
+            system = inst.stark_system(random_unit(ring, rng))
             assert system.check_kills_wedge_kernel()
             vertex = [v for v in inst.vertices() if _bidual_checks(inst, v)][-1]
             eps = dict(system.eps)
@@ -302,7 +293,7 @@ def test_functional_killed_by_the_first_annihilator_only_is_caught():
     for ring in RINGS:
         for _ in range(4):
             inst = random_instance(ring, rng, chi_choices=(1,))
-            system = inst.stark_system(_unit(ring, rng))
+            system = inst.stark_system(random_unit(ring, rng))
             for vertex in inst.vertices():
                 checks = _bidual_checks(inst, vertex)
                 if len(checks) < 2:

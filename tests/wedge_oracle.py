@@ -4,17 +4,21 @@ This is the matrix of (f wedge .) from degree r to degree r+1 of the
 exterior algebra on g free generators, built block by block in a double
 loop, as the library built it before its index table.  It shares no
 code with ``derived_heights.modules``: the subsets, their order and the
-signs are computed here afresh, so the library's contraction and wedge
-relations can be checked against it entry for entry.
+signs are computed here afresh, so the library's contraction can be
+checked against it entry for entry.  ``wedge_module`` takes the wedge
+powers of a presented module from it, for the exterior-bidual checks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
+from derived_heights import linalg as la
 from derived_heights.groupring import GroupRingElt, RingCtx, regular_rep
+from derived_heights.modules import FpModule, free_module
 
 
 def _subset_sign(l: int, subset: tuple[int, ...]) -> int:
@@ -38,3 +42,16 @@ def wedge_matrix(ring: RingCtx, g: int, r: int, f_coords: list[GroupRingElt]) ->
                 sgn * regular_rep(f_coords[l])
             ) % m
     return out
+
+
+def wedge_module(ring: RingCtx, g: int, rel_rows: list[list[GroupRingElt]],
+                 r: int) -> FpModule:
+    """Degree r of the exterior algebra on g generators modulo (relation row wedge .).
+
+    Each block's rows are already the gamma multiples of its relations.
+    """
+    base = free_module(ring, comb(g, r))  # the zero module when r > g
+    if r == 0 or not rel_rows:
+        return base
+    blocks = np.vstack([wedge_matrix(ring, g, r - 1, row) for row in rel_rows])
+    return base.quotient(la.Span(blocks, ring.p, ring.n))

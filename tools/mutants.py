@@ -238,6 +238,11 @@ MUTANTS = (
            "la.preimage(gm1, self.den), self.num)",
            "la.preimage(gm1, la.Span.zero(self.dim, self.p, self.n)), self.num)",
            (T_MD + "test_kept_fixed_point_span_is_a_fresh_computation",)),
+    Mutant("annihilator-without-involution", HT,
+           "blocks = span.h.reshape(-1, rank, m)[:, :, _dual_index(m)]",
+           "blocks = span.h.reshape(-1, rank, m)",
+           (T_HT + "test_validate_fuzz_self_injectivity",
+            T_HT + "test_annihilator_reads_the_rows_alone_like_every_shift")),
     Mutant("contraction-block-drops-last-row", HT,
            "for t0 in range(0, cols, step):", "for t0 in range(0, cols - 1, step):",
            (T_HT + "test_value_table_equals_the_per_shift_loop",)),
