@@ -46,7 +46,7 @@ from .serialize import (
     parse_stark,
     stark_to_json,
 )
-from .stark import StarkError, random_instance, verify_fitting
+from .stark import StarkError, StarkInstance, StarkSystem, random_instance, verify_fitting
 
 SUITES = ("compari", "relate", "coker", "stark", "structure")
 STRUCTURE_PRIMES = (2, 3, 5)
@@ -122,28 +122,36 @@ def cmd_pairing(args) -> dict:
                    [record])
 
 
+def _coker_checks(cx: TwoTermComplex, k: int) -> list[dict]:
+    """One check per cokernel comparison of ``coker_iso_reports(k)``."""
+    return [{"name": f"coker_{name}_k{k}", "pass": bool(ok)}
+            for name, ok in cx.coker_iso_reports(k).items()]
+
+
+def _stark_checks(inst: StarkInstance, system: StarkSystem) -> tuple[list[dict], dict]:
+    """The three checks of a Stark system, and its Fitting report to i = rank_X."""
+    fit = verify_fitting(inst, system, inst.a)
+    return [
+        {"name": "compatible", "pass": system.check_compatible()},
+        {"name": "bidual_membership", "pass": system.check_kills_wedge_kernel()},
+        {"name": "fitting", "pass": fit["pass"]},
+    ], fit
+
+
 def cmd_spectral(args) -> dict:
     cx = parse_complex(load_file(args.file))
     kmax = _kmax(args, cx.ring.p)
     checks = []
     for k in range(1, kmax + 1):
         checks.append({"name": f"relate_k{k}", "pass": cx.verify_relate(k)})
-        rep = cx.coker_iso_reports(k)
-        for name, ok in rep.items():
-            checks.append({"name": f"coker_{name}_k{k}", "pass": bool(ok)})
+        checks += _coker_checks(cx, k)
     record = {"offset": 0, "digest": "-", "checks": checks}
     return _report("spectral", {"file": args.file, "kmax": kmax}, [record])
 
 
 def cmd_stark(args) -> dict:
     inst = parse_stark(load_file(args.file))
-    system = inst.stark_system(inst.ring.one())
-    checks = [
-        {"name": "compatible", "pass": system.check_compatible()},
-        {"name": "bidual_membership", "pass": system.check_kills_wedge_kernel()},
-    ]
-    fit = verify_fitting(inst, system, inst.a)
-    checks.append({"name": "fitting", "pass": fit["pass"]})
+    checks, fit = _stark_checks(inst, inst.stark_system(inst.ring.one()))
     record = {"offset": 0, "digest": digest(stark_to_json(inst)),
               "checks": checks, "fitting": fit["records"]}
     return _report("stark", {"file": args.file}, [record])
@@ -215,24 +223,13 @@ def _trial_relate(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
 
 def _trial_coker(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     cx, payload = _random_free_complex(ring, rng, config)
-    checks = []
-    for k in range(1, ring.p):
-        rep = cx.coker_iso_reports(k)
-        for name, ok in rep.items():
-            checks.append({"name": f"coker_{name}_k{k}", "pass": bool(ok)})
-    return checks, payload
+    return [c for k in range(1, ring.p) for c in _coker_checks(cx, k)], payload
 
 
 def _trial_stark(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     inst = random_instance(ring, rng, max_rank=config.max_rank)
     payload = stark_to_json(inst)
-    system = inst.stark_system(random_unit(ring, rng))
-    fit = verify_fitting(inst, system, inst.a)
-    checks = [
-        {"name": "compatible", "pass": system.check_compatible()},
-        {"name": "bidual_membership", "pass": system.check_kills_wedge_kernel()},
-        {"name": "fitting", "pass": fit["pass"]},
-    ]
+    checks, _ = _stark_checks(inst, inst.stark_system(random_unit(ring, rng)))
     return checks, payload
 
 

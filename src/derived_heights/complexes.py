@@ -55,7 +55,7 @@ class TwoTermComplex:
     """d : C1 -> C2 between subquotient modules over the same ring."""
 
     def __init__(self, c1: FpModule, c2: FpModule, d: np.ndarray):
-        if c1.ring != c2.ring or c1.tag != c2.tag:
+        if c1.ring != c2.ring:
             raise ValueError("both terms must live over the same ring")
         self.ring: RingCtx = c1.ring
         self.c1 = c1
@@ -79,11 +79,11 @@ class TwoTermComplex:
 
     @_derived
     def ideal_span1(self, i: int) -> la.Span:
-        return self.c1.ideal_multiple_span(max(i, 0))
+        return self.c1.ideal_multiple_span(i)
 
     @_derived
     def ideal_span2(self, i: int) -> la.Span:
-        return self.c2.ideal_multiple_span(max(i, 0))
+        return self.c2.ideal_multiple_span(i)
 
     @_derived
     def d_preimage(self, j: int) -> la.Span:
@@ -100,8 +100,8 @@ class TwoTermComplex:
     def h1_mod_ik(self, k: int) -> FpModule:
         """H^1(C / I^k C) as the subquotient {a : da in I^k C2} / I^k C1."""
         num = la.span_intersect(self.c1.num, self.d_preimage(k)) + self.c1.den
-        return FpModule(self.ring, self.c1.tag, self.c1.dim, self.c1.gamma,
-                        num, self.ideal_span1(k), check=False)
+        return FpModule(self.ring, self.c1.dim, self.c1.gamma, num, self.ideal_span1(k),
+                        check=False)
 
     @_derived
     def h2_of_quotient(self, k: int) -> FpModule:
@@ -112,8 +112,8 @@ class TwoTermComplex:
     def h2_ik_step(self, k: int) -> FpModule:
         """H^2(I^k C / I^{k+1} C) = I^k C^2 / (I^{k+1} C^2 + d(I^k C^1))."""
         den = la.image_span(self.ideal_span1(k), self.d, self.ideal_span2(k + 1))
-        return FpModule(self.ring, self.c2.tag, self.c2.dim, self.c2.gamma,
-                        self.ideal_span2(k), den, check=False)
+        return FpModule(self.ring, self.c2.dim, self.c2.gamma, self.ideal_span2(k), den,
+                        check=False)
 
     @_derived
     def h2_filtration_quotient(self, k: int) -> FpModule:
@@ -121,8 +121,7 @@ class TwoTermComplex:
         imd = self.h2().den  # d(C^1) + den C^2; den C^2 lies in every I^k C^2
         num = self.ideal_span2(k) + imd
         den = self.ideal_span2(k + 1) + imd
-        return FpModule(self.ring, self.c2.tag, self.c2.dim, self.c2.gamma,
-                        num, den, check=False)
+        return FpModule(self.ring, self.c2.dim, self.c2.gamma, num, den, check=False)
 
     # -- spectral sequence -----------------------------------------------------
 
@@ -141,8 +140,8 @@ class TwoTermComplex:
         if degree == 1:
             return self.c1.den  # C^0 = 0
         if degree == 2:
-            src = self.ideal_span1(i - k) if i - k > 0 else self.c1.num
-            inter = la.span_intersect(self.ideal_span2(i), la.image_span(src, self.d))
+            inter = la.span_intersect(self.ideal_span2(i),
+                                      la.image_span(self.ideal_span1(i - k), self.d))
             return inter + self.c2.den
         raise ValueError("two-term complexes live in degrees 1 and 2")
 
@@ -159,8 +158,7 @@ class TwoTermComplex:
         if not num.contains(den):
             raise AssertionError("page denominator escaped the cycle span")
         carrier = self.c1 if degree == 1 else self.c2
-        return FpModule(self.ring, carrier.tag, carrier.dim, carrier.gamma,
-                        num, den, check=False)
+        return FpModule(self.ring, carrier.dim, carrier.gamma, num, den, check=False)
 
     # -- Bockstein maps ----------------------------------------------------------
 

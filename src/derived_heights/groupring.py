@@ -52,7 +52,7 @@ def convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 class RingCtx:
-    """The pair (p, n) fixing R0 = Z/p^n and R = Z/p^n[G], |G| = p^n."""
+    """The pair (p, n) fixing the coefficients Z/p^n and R = Z/p^n[G], |G| = p^n."""
 
     __slots__ = ("p", "n", "m")
 

@@ -94,9 +94,6 @@ class PairingValue:
         """Value under the normalization (gamma-1)^k -> 1 of Q^k."""
         return graded_scalar(self.ring, self.k, self.raw)
 
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
     def __eq__(self, other):
         return (
             isinstance(other, PairingValue)

@@ -1,4 +1,4 @@
-"""Finitely presented modules over R = Z/p^n[G] and R0 = Z/p^n.
+"""Finitely presented modules over R = Z/p^n[G].
 
 Every module is stored as a subquotient num/den of a free scalar ambient
 (Z/p^n)^dim carrying an explicit gamma matrix: num and den are
@@ -10,8 +10,8 @@ modulo den is ``den.reduce``, with the reducer the span keeps.  Fitting
 ideals are read off a given relation matrix.  Containment is decided on
 generating rows (a map is checked on ``num.h @ mat``); only spans that
 are kept are canonicalized.
-An ``Ideal`` is likewise a tag plus the ``Span`` of its coefficient
-vectors, so ideals over different rings never compare equal.
+An ``Ideal`` is likewise the ``Span`` of its coefficient vectors, which
+carries (p, n), so ideals over different rings never compare equal.
 
 R-modules expand R-coordinates to scalars: a free R-module of rank g has
 ambient dimension g * p^n, scalar slot g*m + i holding the coefficient
@@ -25,7 +25,7 @@ product of x against the gamma orbit of its ambient basis, the orbit that
 also spans relations and ideals.
 
 Duality: an R-valued functional on R^g is kept as a scalar one, through
-the identification of Hom_R(M, R) with Hom_{R0}(M, R0) (f maps to
+the identification of Hom_R(M, R) with Hom_{Z/p^n}(M, Z/p^n) (f maps to
 sum_sigma f(sigma .) sigma^{-1}); its dual-basis R-coordinate c_j fills
 block j read through gamma^i -> gamma^{-i} (``groupring._dual_index``).
 Of the exterior algebra on g free generators only the contraction is
@@ -48,14 +48,11 @@ from .groupring import GroupRingElt, RingCtx, _dual_index, aug_ideal_power, regu
 class FpModule:
     """Subquotient num/den of (Z/p^n)^dim with gamma-action."""
 
-    __slots__ = ("ring", "tag", "dim", "gamma", "num", "den", "free_rank", "_fixed")
+    __slots__ = ("ring", "dim", "gamma", "num", "den", "free_rank", "_fixed")
 
-    def __init__(self, ring: RingCtx, tag: str, dim: int, gamma: np.ndarray,
+    def __init__(self, ring: RingCtx, dim: int, gamma: np.ndarray,
                  num: la.Span, den: la.Span, check: bool = True):
-        if tag not in ("R", "R0"):
-            raise ValueError("tag must be 'R' or 'R0'")
         self.ring = ring
-        self.tag = tag
         self.dim = dim
         self.gamma = np.asarray(gamma, dtype=np.int64) % ring.m
         self.gamma.setflags(write=False)
@@ -114,12 +111,11 @@ class FpModule:
         """The submodule num/den, for a span num that already contains den."""
         if not self.num.contains(num):
             raise ValueError("span does not lie in the module")
-        return FpModule(self.ring, self.tag, self.dim, self.gamma, num, self.den,
-                        check=False)
+        return FpModule(self.ring, self.dim, self.gamma, num, self.den, check=False)
 
     def quotient(self, span: la.Span) -> "FpModule":
-        return FpModule(self.ring, self.tag, self.dim, self.gamma, self.num,
-                        span + self.den, check=False)
+        return FpModule(self.ring, self.dim, self.gamma, self.num, span + self.den,
+                        check=False)
 
     def scale_matrix(self, x: GroupRingElt) -> np.ndarray:
         """Matrix of multiplication by the ring element x on the ambient."""
@@ -155,8 +151,7 @@ class FpModule:
             raise ValueError("filtration piece defined for 1 <= k <= p-1")
         fixed = self.fixed_point_span()
         num = la.span_intersect(fixed, self.ideal_multiple_span(k - 1)) + self.den
-        return FpModule(self.ring, self.tag, self.dim, self.gamma, num, self.den,
-                        check=False)
+        return FpModule(self.ring, self.dim, self.gamma, num, self.den, check=False)
 
 
 class ModuleHom:
@@ -214,37 +209,30 @@ def free_module(ring: RingCtx, rank: int) -> FpModule:
     """Free R-module R^rank in the regular-representation expansion (shared, read-only)."""
     p, n, dim = ring.p, ring.n, rank * ring.m
     gamma = _diagonal_copies(rank, regular_rep(ring.gamma()))
-    free = FpModule(ring, "R", dim, gamma, la.Span.whole(dim, p, n),
-                    la.Span.zero(dim, p, n), check=False)
+    free = FpModule(ring, dim, gamma, la.Span.whole(dim, p, n), la.Span.zero(dim, p, n),
+                    check=False)
     free.free_rank = rank
     return free
 
 
-def free_r0_module(ring: RingCtx, rank: int) -> FpModule:
-    """Free Z/p^n-module with trivial gamma action."""
-    return FpModule(ring, "R0", rank, np.eye(rank, dtype=np.int64),
-                    la.Span.whole(rank, ring.p, ring.n), la.Span.zero(rank, ring.p, ring.n),
-                    check=False)
-
-
-def from_presentation(ring: RingCtx, tag: str, generators: int,
-                      relations: np.ndarray,
+def from_presentation(ring: RingCtx, generators: int, relations: np.ndarray,
                       gamma: Optional[np.ndarray] = None) -> FpModule:
-    """Quotient of a free module by relations.
+    """Quotient of a free R-module by relations.
 
     Scalar relation rows are taken as R-generators of the relation
-    submodule, so for tag R each row is closed under the gamma orbit
-    before spanning.
+    submodule, so each row is closed under the orbit of the module's own
+    gamma (the given one, else the blockwise regular one) before spanning.
     """
-    base = free_module(ring, generators) if tag == "R" else free_r0_module(ring, generators)
-    g = base.gamma if gamma is None else np.asarray(gamma, dtype=np.int64) % ring.m
+    base = free_module(ring, generators)
+    if gamma is not None:
+        base = FpModule(ring, base.dim, gamma, base.num, base.den, check=False)
     rel = np.atleast_2d(np.asarray(relations, dtype=np.int64)) if np.asarray(relations).size \
         else np.zeros((0, base.dim), dtype=np.int64)
     if rel.shape[0] and rel.shape[1] != base.dim:
         raise ValueError("relation rows have the wrong width")
-    if rel.shape[0] and tag == "R":
+    if rel.shape[0]:
         rel = base.gamma_orbit(rel)
-    return FpModule(ring, tag, base.dim, g, base.num, la.Span(rel, ring.p, ring.n))
+    return FpModule(ring, base.dim, base.gamma, base.num, la.Span(rel, ring.p, ring.n))
 
 
 def r_matrix_expand(ring: RingCtx, rows: list[list[GroupRingElt]]) -> np.ndarray:
@@ -315,66 +303,57 @@ def det_r(ring: RingCtx, rows: list[list[GroupRingElt]]) -> GroupRingElt:
 
 @dataclass(frozen=True)
 class Ideal:
-    """Ideal of R (or R0) as the span of its coefficient vectors."""
+    """Ideal of R as the span of its coefficient vectors."""
 
     ring: RingCtx
-    tag: str
     span: la.Span
 
     @classmethod
-    def from_elements(cls, ring: RingCtx, tag: str,
-                      elems: Iterable[GroupRingElt]) -> "Ideal":
+    def from_elements(cls, ring: RingCtx, elems: Iterable[GroupRingElt]) -> "Ideal":
         # row i of regular_rep(e) is gamma^i * e
-        rows = [regular_rep(e) if tag == "R" else np.array([[e.augmentation()]], dtype=np.int64)
-                for e in elems]
+        rows = [regular_rep(e) for e in elems]
         if not rows:
-            return cls.zero(ring, tag)
-        return cls(ring, tag, la.Span(np.vstack(rows), ring.p, ring.n))
+            return cls.zero(ring)
+        return cls(ring, la.Span(np.vstack(rows), ring.p, ring.n))
 
     @classmethod
-    def zero(cls, ring: RingCtx, tag: str) -> "Ideal":
-        return cls(ring, tag, la.Span.zero(ring.m if tag == "R" else 1, ring.p, ring.n))
+    def zero(cls, ring: RingCtx) -> "Ideal":
+        return cls(ring, la.Span.zero(ring.m, ring.p, ring.n))
 
     @classmethod
-    def unit(cls, ring: RingCtx, tag: str) -> "Ideal":
-        return cls.from_elements(ring, tag, [ring.one()])
-
-    def contains(self, other: "Ideal") -> bool:
-        return self.span.contains(other.span)
+    def unit(cls, ring: RingCtx) -> "Ideal":
+        return cls.from_elements(ring, [ring.one()])
 
     def is_zero(self) -> bool:
         return self.span.h.shape[0] == 0
 
     def is_whole_ring(self) -> bool:
-        width = self.ring.m if self.tag == "R" else 1
-        return self.span.size() == self.ring.m ** width
+        return self.span.size() == self.ring.m ** self.ring.m
 
     def plus(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, self.tag, self.span + other.span)
+        return Ideal(self.ring, self.span + other.span)
 
     def __repr__(self):
         if self.is_zero():
             return "Ideal(0)"
         if self.is_whole_ring():
             return "Ideal(1)"
-        gens = [repr(self.ring.elt(r)) if self.tag == "R" else str(int(r[0]))
-                for r in self.span.h]
-        return "Ideal(" + ", ".join(gens) + ")"
+        return "Ideal(" + ", ".join(repr(self.ring.elt(r)) for r in self.span.h) + ")"
 
 
-def fitting_from_matrix(ring: RingCtx, tag: str, g: int,
-                        rel_rows: list[list[GroupRingElt]], i: int) -> Ideal:
+def fitting_from_matrix(ring: RingCtx, g: int, rel_rows: list[list[GroupRingElt]],
+                        i: int) -> Ideal:
     size = g - i
     if size <= 0:
-        return Ideal.unit(ring, tag)
+        return Ideal.unit(ring)
     if size > len(rel_rows):
-        return Ideal.zero(ring, tag)
+        return Ideal.zero(ring)
     minors = []
     for rsel in combinations(range(len(rel_rows)), size):
         for csel in combinations(range(g), size):
             sub = [[rel_rows[r][c] for c in csel] for r in rsel]
             minors.append(det_r(ring, sub))
-    return Ideal.from_elements(ring, tag, minors)
+    return Ideal.from_elements(ring, minors)
 
 
 # -- exterior powers ------------------------------------------------------------

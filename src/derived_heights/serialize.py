@@ -167,7 +167,7 @@ def parse_fp_module(obj: Any, ring: RingCtx, path: str) -> FpModule:
         if gmod != ring.m or gamma.shape != (g * ring.m, g * ring.m):
             raise InputError(f"{path}.gamma_action", "wrong shape or modulus")
     try:
-        return from_presentation(ring, "R", g, rel, gamma)
+        return from_presentation(ring, g, rel, gamma)
     except ValueError as exc:
         raise InputError(path, str(exc)) from exc
 

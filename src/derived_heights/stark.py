@@ -117,7 +117,7 @@ class StarkInstance:
 
     def w_star_fitting(self, i: int) -> Ideal:
         """Fitt^i of W* = coker(ell), presented by ell itself."""
-        return fitting_from_matrix(self.ring, "R", self.r, self.ell, i)
+        return fitting_from_matrix(self.ring, self.r, self.ell, i)
 
     # -- Stark elements -----------------------------------------------------------
 
@@ -198,7 +198,7 @@ class StarkSystem:
         """Ideal of values of eps_vertex on the wedge generators: its R-coordinates."""
         inst = self.inst
         eps = self.eps[tuple(sorted(vertex))]
-        return Ideal.from_elements(inst.ring, "R", rcoords_from_functional(inst.ring, eps))
+        return Ideal.from_elements(inst.ring, rcoords_from_functional(inst.ring, eps))
 
     def ideal(self, i: int) -> Ideal:
         """I_i: sum of the image ideals over the weight-i vertices.
@@ -214,8 +214,8 @@ class StarkSystem:
         if i < 0:
             raise ValueError("ideal index must be nonnegative")
         if i > self.inst.r:
-            return Ideal.from_elements(self.inst.ring, "R", [self.scalar])
-        out = Ideal.zero(self.inst.ring, "R")
+            return Ideal.from_elements(self.inst.ring, [self.scalar])
+        out = Ideal.zero(self.inst.ring)
         for vertex in self.inst.vertices(weight=i):
             out = out.plus(self.image_ideal(vertex))
         return out

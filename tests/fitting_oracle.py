@@ -30,23 +30,17 @@ def r_generators(mod: FpModule) -> list[np.ndarray]:
         if span.contains(row):
             continue
         gens.append(row)
-        if mod.tag == "R":
-            orbit = mod.gamma_orbit(row)
-        else:
-            orbit = row.reshape(1, -1)
-        span = la.Span(np.vstack([span.h, orbit]), mod.p, mod.n)
+        span = la.Span(np.vstack([span.h, mod.gamma_orbit(row)]), mod.p, mod.n)
     return gens
 
 
 class Presentation:
     """R-presentation of a subquotient: free module onto M with syzygies."""
 
-    __slots__ = ("ring", "tag", "gens", "relations")
+    __slots__ = ("ring", "gens", "relations")
 
-    def __init__(self, ring: RingCtx, tag: str, gens: list[np.ndarray],
-                 relations: la.Span):
+    def __init__(self, ring: RingCtx, gens: list[np.ndarray], relations: la.Span):
         self.ring = ring
-        self.tag = tag
         self.gens = gens          # images in the ambient of M
         self.relations = relations  # span of syzygies in free coords
 
@@ -56,11 +50,8 @@ class Presentation:
 
     def relation_rows_r(self) -> list[list[GroupRingElt]]:
         """Relation matrix as rows of R-elements (R-generators of syzygies)."""
-        if self.tag == "R0":
-            return [[self.ring.scalar(int(x)) for x in row] for row in self.relations.h]
         free = free_module(self.ring, self.g)
-        sub = FpModule(self.ring, "R", free.dim, free.gamma, self.relations, free.den,
-                       check=False)
+        sub = FpModule(self.ring, free.dim, free.gamma, self.relations, free.den, check=False)
         m = self.ring.m
         return [[self.ring.elt(row[j * m:(j + 1) * m]) for j in range(self.g)]
                 for row in r_generators(sub)]
@@ -69,11 +60,9 @@ class Presentation:
 def presentation(mod: FpModule) -> Presentation:
     gens = r_generators(mod)
     if not gens:
-        return Presentation(mod.ring, mod.tag, [], la.Span.zero(0, mod.p, mod.n))
-    gmat = np.array(gens, dtype=np.int64)
-    if mod.tag == "R":
-        gmat = mod.gamma_orbit(gmat)
-    return Presentation(mod.ring, mod.tag, gens, la.preimage(gmat, mod.den))
+        return Presentation(mod.ring, [], la.Span.zero(0, mod.p, mod.n))
+    gmat = mod.gamma_orbit(np.array(gens, dtype=np.int64))
+    return Presentation(mod.ring, gens, la.preimage(gmat, mod.den))
 
 
 def fitting_ideal(mod: FpModule, i: int) -> Ideal:
@@ -81,28 +70,26 @@ def fitting_ideal(mod: FpModule, i: int) -> Ideal:
     if i < 0:
         raise ValueError("Fitting index must be nonnegative")
     pres = presentation(mod)
-    return fitting_from_matrix(mod.ring, mod.tag, pres.g, pres.relation_rows_r(), i)
+    return fitting_from_matrix(mod.ring, pres.g, pres.relation_rows_r(), i)
 
 
 def annihilates(ideal: Ideal, mod: FpModule) -> bool:
     """Whether every generator of the ideal kills every generator of the module."""
     for row in ideal.span.h:
-        x = (ideal.ring.elt(row) if ideal.tag == "R"
-             else ideal.ring.scalar(int(row[0])))
+        x = ideal.ring.elt(row)
         if not mod.den.contains(la.mul_mod(mod.num.h, mod.scale_matrix(x), mod.m)):
             return False
     return True
 
 
 def dual(mod: FpModule) -> FpModule:
-    """Scalar dual subquotient representing Hom(M, R) resp. Hom(M, R0).
+    """Scalar dual subquotient representing Hom(M, R).
 
     Functionals are ambient vectors phi with phi(v) = sum_i v_i phi_i;
     gamma acts by precomposition, i.e. by the transposed gamma matrix.
-    For tag R on a free module, ``rcoords_from_functional`` reads off the
+    On a free module, ``rcoords_from_functional`` reads off the
     R-coordinates of the R-valued functional.
     """
     num = la.kernel(mod.den.h.T, mod.p, mod.n)
     den = la.kernel(mod.num.h.T, mod.p, mod.n)
-    return FpModule(mod.ring, mod.tag, mod.dim, mod.gamma.T % mod.m, num, den,
-                    check=False)
+    return FpModule(mod.ring, mod.dim, mod.gamma.T % mod.m, num, den, check=False)

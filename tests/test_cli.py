@@ -157,6 +157,21 @@ def test_cmd_spectral(tmp_path, capsys):
     assert report["pass"] and report["summary"]["checks"] >= 4
 
 
+def test_spectral_relations_close_under_the_given_gamma_action(tmp_path, capsys):
+    # C1 = (Z/3)^3 with gamma = I + E_01, modulo the norm row: its gamma
+    # closure {(a, b, a)} leaves order 3, where the regular closure of the
+    # norm is not stable under this action
+    obj = gamma_minus_one_complex()
+    uni = np.eye(3, dtype=np.int64)
+    uni[0, 1] = 1
+    obj["C1"]["relations"] = ser.matrix_to_json(np.array([[1, 1, 1]]), 3)
+    obj["C1"]["gamma_action"] = ser.matrix_to_json(uni, 3)
+    obj["d"] = ser.matrix_to_json(np.zeros((3, 3), dtype=np.int64), 3)
+    assert ser.parse_complex(obj).c1.order() == 3
+    assert main(["spectral", write_json(tmp_path, "cx.json", obj)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
 def test_fuzz_empty_and_determinism():
     empty = run_fuzz(FuzzConfig(seed=1, trials=0))
     assert empty["pass"] and empty["records"] == []

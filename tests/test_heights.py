@@ -292,9 +292,9 @@ def test_zero_arguments_pair_to_zero():
     data = mult_data(ring, ring.norm())
     zero = np.zeros(3, dtype=np.int64)
     nvec = ring.norm().coeffs
-    assert data.bd_pairing(2, zero, nvec).is_zero()
-    assert data.bd_pairing(2, nvec, zero).is_zero()
-    assert data.boc_pairing(2, zero, nvec).is_zero()
+    assert data.bd_pairing(2, zero, nvec).rep.is_zero()
+    assert data.bd_pairing(2, nvec, zero).rep.is_zero()
+    assert data.boc_pairing(2, zero, nvec).rep.is_zero()
 
 
 def test_bilinearity_on_filtration_piece():

@@ -23,7 +23,7 @@ RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1)]
 def aug_quotient(ring):
     """R/I presented by the single relation (gamma - 1)."""
     rel = (ring.gamma() - ring.one()).coeffs.reshape(1, -1)
-    return md.from_presentation(ring, "R", 1, rel)
+    return md.from_presentation(ring, 1, rel)
 
 
 def ideal_submodule(ring, k):
@@ -119,9 +119,15 @@ def test_fixed_points_of_free_rank_one():
         assert fixed.num == norm_line
 
 
+def trivial_module(ring, dim):
+    """(Z/p^n)^dim with gamma acting as the identity: x acts as its augmentation."""
+    return md.FpModule(ring, dim, np.eye(dim, dtype=np.int64),
+                       la.Span.whole(dim, ring.p, ring.n), la.Span.zero(dim, ring.p, ring.n))
+
+
 def test_fixed_points_trivial_action():
     ring = R31
-    mod = md.free_r0_module(ring, 3)
+    mod = trivial_module(ring, 3)
     assert mod.submodule(mod.fixed_point_span()).order() == mod.order()
 
 
@@ -211,31 +217,43 @@ def test_fitting_ideal_principal_presentation():
     for ring in RINGS:
         mod = aug_quotient(ring)
         f0 = fitting_ideal(mod, 0)
-        want = md.Ideal(ring, "R", aug_ideal_power(ring, 1))
+        want = md.Ideal(ring, aug_ideal_power(ring, 1))
         assert f0 == want
         assert fitting_ideal(mod, 1).is_whole_ring()
 
 
-def test_fitting_ideal_r0_diag_example():
-    # Z/p + Z/p^2 over R0 = Z/p^2, presented by diag(p, p^2): the second
-    # relation is the zero row mod p^2, so Fitt = (0), (p), (1)
-    ring = RingCtx(3, 2)
-    mod = md.from_presentation(ring, "R0", 2, np.array([[3, 0], [0, 0]]))
-    assert fitting_ideal(mod, 0) == md.Ideal.zero(ring, "R0")
-    f1 = fitting_ideal(mod, 1)
-    assert f1 == md.Ideal.from_elements(ring, "R0", [ring.scalar(3)])
-    assert fitting_ideal(mod, 2).is_whole_ring()
-
-
 def test_ideals_over_different_rings_are_not_equal():
-    # the coefficient spans have the same shape and entries ([[1]], or no
-    # rows), but the rings differ, so the ideals do
+    # the unit and zero ideals of R over different rings differ, and equal
+    # ideals over one ring hash alike
     for r1, r2 in ((RingCtx(3, 1), RingCtx(3, 2)), (RingCtx(3, 1), RingCtx(5, 1))):
         for make in (md.Ideal.unit, md.Ideal.zero):
-            a, b = make(r1, "R0"), make(r2, "R0")
+            a, b = make(r1), make(r2)
             assert a != b and hash(a) != hash(b)
             assert len({a, b}) == 2
-            assert a == make(r1, "R0") and hash(a) == hash(make(r1, "R0"))
+            assert a == make(r1) and hash(a) == hash(make(r1))
+
+
+def test_relations_close_under_the_given_gamma_action():
+    # trivial action and the relation e0: (Z/3)^3 / Z/3 e0 has order 9,
+    # where the regular orbit of e0 would kill the whole module
+    mod = md.from_presentation(R31, 1, np.array([[1, 0, 0]]), np.eye(3, dtype=np.int64))
+    assert mod.order() == 9
+    # gamma = I + E_01 has order 3 and is no power of the regular action:
+    # its orbit of the norm row spans {(a, b, a)}, while the regular orbit,
+    # the line of (1, 1, 1), is not stable under it
+    uni = np.eye(3, dtype=np.int64)
+    uni[0, 1] = 1
+    mod = md.from_presentation(R31, 1, np.array([[1, 1, 1]]), uni)
+    assert mod.den == la.Span(np.array([[1, 1, 1], [0, 1, 0]]), 3, 1)
+    assert mod.order() == 3
+    # no action given and the regular action given: the same module
+    rng = SplitMix64(61)
+    for ring in RINGS:
+        free = md.free_module(ring, 2)
+        rel = rng.below_many(ring.m, 2 * free.dim).reshape(2, free.dim)
+        default = md.from_presentation(ring, 2, rel)
+        given = md.from_presentation(ring, 2, rel, free.gamma)
+        assert default.den == given.den and (default.gamma == given.gamma).all()
 
 
 def test_fitting_invariance_under_presentation_changes():
@@ -248,13 +266,13 @@ def test_fitting_invariance_under_presentation_changes():
         rel = np.array(
             [[rng.below(ring.m) for _ in range(2 * ring.m)] for _ in range(2)]
         )
-        mod = md.from_presentation(ring, "R", 2, rel)
+        mod = md.from_presentation(ring, 2, rel)
         base = [fitting_ideal(mod, i) for i in range(3)]
         # stabilized presentation: extra generator with identity relation
         rel3 = np.zeros((rel.shape[0] + 1, 3 * ring.m), dtype=np.int64)
         rel3[:-1, : 2 * ring.m] = rel
         rel3[-1, 2 * ring.m] = 1
-        mod3 = md.from_presentation(ring, "R", 3, rel3)
+        mod3 = md.from_presentation(ring, 3, rel3)
         stab = [fitting_ideal(mod3, i) for i in range(3)]
         assert base == stab
         assert mod.order() == mod3.order()
@@ -275,7 +293,7 @@ def test_greedy_presentation_fitting_matches_the_fitting_of_ell(p, n):
         ell = random_ell_matrix(ring, a, r, rng)
         for rows in (ell, [[gm1 * x for x in row] for row in ell]):
             inst = StarkInstance(ring, rows)
-            w_star = md.from_presentation(ring, "R", r, md.r_matrix_expand(ring, rows))
+            w_star = md.from_presentation(ring, r, md.r_matrix_expand(ring, rows))
             for i in range(r + 2):
                 assert fitting_ideal(w_star, i) == inst.w_star_fitting(i)
 
@@ -287,7 +305,7 @@ def test_fitting_zero_annihilates():
             rel = np.array(
                 [[rng.below(ring.m) for _ in range(2 * ring.m)] for _ in range(2)]
             )
-            mod = md.from_presentation(ring, "R", 2, rel)
+            mod = md.from_presentation(ring, 2, rel)
             assert annihilates(fitting_ideal(mod, 0), mod)
 
 
@@ -317,7 +335,7 @@ def test_exterior_bidual_rank_one_matches_module():
     free = md.free_module(ring, 2)
     rel = np.zeros((1, free.dim), dtype=np.int64)
     rel[0, ring.m:] = (ring.gamma() - ring.one()).coeffs
-    mod = md.from_presentation(ring, "R", 2, rel)
+    mod = md.from_presentation(ring, 2, rel)
     bidual = exterior_bidual(mod, 1)
     assert bidual.order() == mod.order()
 
@@ -422,13 +440,13 @@ def test_gamma_order_check_is_exact_over_z49():
     # int64, so an unreduced matrix power wrongly rejected this action
     ring = RingCtx(7, 2)
     one, zero = la.Span.whole(1, 7, 2), la.Span.zero(1, 7, 2)
-    mod = md.FpModule(ring, "R0", 1, np.array([[8]]), one, zero)
+    mod = md.FpModule(ring, 1, np.array([[8]]), one, zero)
     # (gamma - 1)^k = 7^k: I M = 7 Z/49 and I^2 M = 0
     assert (mod.ideal_multiple_span(1).h == np.array([[7]])).all()
     assert mod.ideal_multiple_span(2).h.shape == (0, 1)
     # 5 has order 42, so 5^49 = 19 != 1 and the action is rejected
     with pytest.raises(ValueError, match="order dividing"):
-        md.FpModule(ring, "R0", 1, np.array([[5]]), one, zero)
+        md.FpModule(ring, 1, np.array([[5]]), one, zero)
 
 
 # -- checks decided on generating rows -------------------------------------------
@@ -454,22 +472,24 @@ def test_span_that_is_not_gamma_stable_is_rejected():
         free = md.free_module(ring, 1)
         line = la.Span(np.eye(ring.m, dtype=np.int64)[:1], ring.p, ring.n)
         with pytest.raises(ValueError, match="not gamma-stable"):
-            md.FpModule(ring, "R", free.dim, free.gamma, line, free.den)
+            md.FpModule(ring, free.dim, free.gamma, line, free.den)
         with pytest.raises(ValueError, match="not gamma-stable"):
-            md.FpModule(ring, "R", free.dim, free.gamma, free.num, line)
+            md.FpModule(ring, free.dim, free.gamma, free.num, line)
 
 
 def test_ideal_that_does_not_annihilate_is_caught():
     for ring in RINGS:
-        aug = md.Ideal.from_elements(ring, "R", [ring.gamma() - ring.one()])
+        aug = md.Ideal.from_elements(ring, [ring.gamma() - ring.one()])
         assert annihilates(aug, aug_quotient(ring))
-        assert not annihilates(md.Ideal.unit(ring, "R"), aug_quotient(ring))
+        assert not annihilates(md.Ideal.unit(ring), aug_quotient(ring))
         free = md.free_module(ring, 1)
         assert not annihilates(aug, free.quotient(aug_ideal_power(ring, 2)))
+    # Z/9 with trivial action: x acts as its augmentation, so (3) does not
+    # kill it and (9) = 0 does
     r32 = RingCtx(3, 2)
-    z9 = md.free_r0_module(r32, 1)
-    assert not annihilates(md.Ideal.from_elements(r32, "R0", [r32.scalar(3)]), z9)
-    assert annihilates(md.Ideal.from_elements(r32, "R0", [r32.scalar(9)]), z9)
+    z9 = trivial_module(r32, 1)
+    assert not annihilates(md.Ideal.from_elements(r32, [r32.scalar(3)]), z9)
+    assert annihilates(md.Ideal.from_elements(r32, [r32.scalar(9)]), z9)
 
 
 def test_ideal_of_elements_is_spanned_by_their_gamma_multiples():
@@ -479,5 +499,5 @@ def test_ideal_of_elements_is_spanned_by_their_gamma_multiples():
         for _ in range(10):
             elems = [ring.elt(rng.below_many(ring.m, ring.m)) for _ in range(2)]
             rows = [(ring.gamma(i) * e).coeffs for e in elems for i in range(ring.m)]
-            ideal = md.Ideal.from_elements(ring, "R", elems)
+            ideal = md.Ideal.from_elements(ring, elems)
             assert ideal.span == la.Span(np.array(rows), ring.p, ring.n)

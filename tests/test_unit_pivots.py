@@ -114,7 +114,7 @@ def test_unit_pivots_leave_the_walk_and_the_bound_counts_all():
 
 def generic(mod: FpModule) -> FpModule:
     """The same module, built without the free flag."""
-    return FpModule(mod.ring, mod.tag, mod.dim, mod.gamma, mod.num, mod.den, check=False)
+    return FpModule(mod.ring, mod.dim, mod.gamma, mod.num, mod.den, check=False)
 
 
 @pytest.mark.parametrize("p,n", RINGS)
@@ -149,7 +149,7 @@ def test_free_flag_is_not_read_off_gamma(p, n):
     free = free_module(ring, 1)
     aug = free.ideal_multiple_span(1)
     for mod in (free.submodule(aug), free.quotient(aug),
-                FpModule(ring, "R", free.dim, free.gamma, aug, free.den)):
+                FpModule(ring, free.dim, free.gamma, aug, free.den)):
         assert mod.free_rank is None
         assert mod.ideal_multiple_span(2) == generic(mod).ideal_multiple_span(2)
     assert free.submodule(aug).ideal_multiple_span(2) == free.ideal_multiple_span(3)

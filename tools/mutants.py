@@ -278,8 +278,13 @@ MUTANTS = (
            "if not mod.den.contains(la.mul_mod(mod.num.h",
            "if not mod.num.contains(la.mul_mod(mod.num.h",
            (T_MD + "test_ideal_that_does_not_annihilate_is_caught",)),
+    Mutant("relations-closed-under-the-regular-gamma", MD,
+           "rel = base.gamma_orbit(rel)",
+           "rel = free_module(ring, generators).gamma_orbit(rel)",
+           (T_MD + "test_relations_close_under_the_given_gamma_action",
+            "tests/test_cli.py::test_spectral_relations_close_under_the_given_gamma_action")),
     Mutant("ideal-rows-transposed", MD,
-           'regular_rep(e) if tag == "R"', 'regular_rep(e).T if tag == "R"',
+           "rows = [regular_rep(e) for e in elems]", "rows = [regular_rep(e).T for e in elems]",
            (T_MD + "test_ideal_of_elements_is_spanned_by_their_gamma_multiples",)),
     Mutant("wedge-kernel-first-functional-per-vertex", ST,
            WEDGE_TEST, WEDGE_TEST + "\n                break", WEDGE_KERNEL),
@@ -290,8 +295,8 @@ MUTANTS = (
            "sgn.setflags(write=False)", "sgn[-1, 0] *= -1\n    sgn.setflags(write=False)",
            (T_MD + "test_wedge_table_matches_the_dense_wedge_oracle",)),
     Mutant("stark-ideal-above-r-ignores-scalar", ST,
-           'return Ideal.from_elements(self.inst.ring, "R", [self.scalar])',
-           'return Ideal.unit(self.inst.ring, "R")',
+           'return Ideal.from_elements(self.inst.ring, [self.scalar])',
+           'return Ideal.unit(self.inst.ring)',
            (T_ST + "test_ideals_above_the_prime_count_match_the_fresh_prime_recursion",)),
     Mutant("convolve-correlates", GR,
            "np.asarray(b, dtype=np.int64)[_rep_index(m)]",
