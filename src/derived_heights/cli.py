@@ -33,9 +33,10 @@ from .complexes import TwoTermComplex
 from .groupring import RingCtx
 from .heights import PairingError, random_ell_matrix, random_pairing_data, random_unit
 from .modules import r_matrix_expand
-from .recovery import IMAX_LIMIT, IntComplex, verify_recovery
+from .recovery import IntComplex, verify_recovery
 from .rng import SplitMix64, trial_rng
 from .serialize import (
+    RANK_LIMIT,
     InputError,
     int_complex_to_json,
     load_file,
@@ -160,8 +161,8 @@ def cmd_stark(args) -> dict:
 def cmd_fitting(args) -> dict:
     if args.imax is not None and args.imax < 0:
         raise InputError("$.imax", "must be nonnegative")
-    if args.imax is not None and args.imax > IMAX_LIMIT:
-        raise InputError("$.imax", f"limit imax <= {IMAX_LIMIT}", kind="resource-limit")
+    if args.imax is not None and args.imax > RANK_LIMIT:
+        raise InputError("$.imax", f"limit imax <= {RANK_LIMIT}", kind="resource-limit")
     inst = parse_stark(load_file(args.file))
     system = inst.stark_system(inst.ring.one())
     imax = args.imax if args.imax is not None else inst.a

@@ -20,35 +20,19 @@ the numerators and denominators of every subquotient) is a
 checks combine spans with ``+``, ``contains``, ``==`` and ``size``
 without threading (p, n).  Every derived object (the filtration spans,
 the cohomology and page subquotients, the four maps of the Bockstein
-square) is built once per complex and kept in one memo, keyed by method
-and arguments, so the checks for successive k share them; each
-``ModuleHom`` is validated once, when it is built.  ``d`` is read-only,
-so the memo cannot go stale.
+square) is built once per complex by ``modules.derived``, the one memo
+rule, so the checks for successive k share them; each ``ModuleHom`` is
+validated once, when it is built.  ``d`` is read-only, so the memo
+cannot go stale.
 """
 
 from __future__ import annotations
-
-from functools import wraps
 
 import numpy as np
 
 from . import linalg as la
 from .groupring import RingCtx
-from .modules import FpModule, ModuleHom, free_module
-
-
-def _derived(method):
-    """Build the method's result once per complex, keyed by its arguments."""
-    name = method.__name__
-
-    @wraps(method)
-    def cached(self, *args):
-        key = (name, *args)
-        if key not in self._memo:
-            self._memo[key] = method(self, *args)
-        return self._memo[key]
-
-    return cached
+from .modules import FpModule, ModuleHom, derived, free_module
 
 
 class TwoTermComplex:
@@ -77,45 +61,45 @@ class TwoTermComplex:
 
     # -- filtration spans ------------------------------------------------------
 
-    @_derived
+    @derived
     def ideal_span1(self, i: int) -> la.Span:
         return self.c1.ideal_multiple_span(i)
 
-    @_derived
+    @derived
     def ideal_span2(self, i: int) -> la.Span:
         return self.c2.ideal_multiple_span(i)
 
-    @_derived
+    @derived
     def d_preimage(self, j: int) -> la.Span:
         """{a : da in I^j C2}, shared by ``h1_mod_ik`` and ``z_span`` (j = i + k)."""
         return la.preimage(self.d, self.ideal_span2(j))
 
     # -- cohomology ------------------------------------------------------------
 
-    @_derived
+    @derived
     def h2(self) -> FpModule:
         return self.c2.quotient(la.image_span(self.c1.num, self.d))
 
-    @_derived
+    @derived
     def h1_mod_ik(self, k: int) -> FpModule:
         """H^1(C / I^k C) as the subquotient {a : da in I^k C2} / I^k C1."""
         num = la.span_intersect(self.c1.num, self.d_preimage(k)) + self.c1.den
         return FpModule(self.ring, self.c1.dim, self.c1.gamma, num, self.ideal_span1(k),
                         check=False)
 
-    @_derived
+    @derived
     def h2_of_quotient(self, k: int) -> FpModule:
         """H^2(C / I^k C) = C^2 / (I^k C^2 + im d)."""
         return self.h2().quotient(self.ideal_span2(k))
 
-    @_derived
+    @derived
     def h2_ik_step(self, k: int) -> FpModule:
         """H^2(I^k C / I^{k+1} C) = I^k C^2 / (I^{k+1} C^2 + d(I^k C^1))."""
         den = la.image_span(self.ideal_span1(k), self.d, self.ideal_span2(k + 1))
         return FpModule(self.ring, self.c2.dim, self.c2.gamma, self.ideal_span2(k), den,
                         check=False)
 
-    @_derived
+    @derived
     def h2_filtration_quotient(self, k: int) -> FpModule:
         """I^k H^2(C) / I^{k+1} H^2(C) as a subquotient of C^2."""
         imd = self.h2().den  # d(C^1) + den C^2; den C^2 lies in every I^k C^2
@@ -125,7 +109,7 @@ class TwoTermComplex:
 
     # -- spectral sequence -----------------------------------------------------
 
-    @_derived
+    @derived
     def z_span(self, k: int, i: int, degree: int) -> la.Span:
         """Z_k^{i, degree-i}: cycles of the filtered complex."""
         if degree == 2:
@@ -134,7 +118,7 @@ class TwoTermComplex:
             return la.span_intersect(self.ideal_span1(i), self.d_preimage(i + k)) + self.c1.den
         raise ValueError("two-term complexes live in degrees 1 and 2")
 
-    @_derived
+    @derived
     def b_span(self, k: int, i: int, degree: int) -> la.Span:
         """B_k^{i, degree-i}: boundaries of the filtered complex."""
         if degree == 1:
@@ -145,7 +129,7 @@ class TwoTermComplex:
             return inter + self.c2.den
         raise ValueError("two-term complexes live in degrees 1 and 2")
 
-    @_derived
+    @derived
     def page_entry(self, k: int, i: int, j: int) -> FpModule:
         """E_k^{i,j} as a subquotient with canonical representatives."""
         if k < 1:
@@ -162,14 +146,14 @@ class TwoTermComplex:
 
     # -- Bockstein maps ----------------------------------------------------------
 
-    @_derived
+    @derived
     def derived_bockstein(self, k: int) -> ModuleHom:
         """beta^(k) = d_k^{0,1} : E_k^{0,1} -> E_k^{k,2-k}, induced by d."""
         if k < 1:
             raise ValueError("k must be at least 1")
         return ModuleHom(self.page_entry(k, 0, 1), self.page_entry(k, k, 2 - k), self.d)
 
-    @_derived
+    @derived
     def generalized_bockstein(self, k: int) -> ModuleHom:
         """psi^(k): snake map H^1(C/I^k C) -> H^2(I^k C / I^{k+1} C).
 
@@ -181,13 +165,13 @@ class TwoTermComplex:
             raise ValueError("k must be at least 1")
         return ModuleHom(self.h1_mod_ik(k), self.h2_ik_step(k), self.d)
 
-    @_derived
+    @derived
     def pi_projection(self, k: int) -> ModuleHom:
         """Natural surjection H^1(C/I^k C) ->> E_k^{0,1} (identity on reps)."""
         eye = np.eye(self.c1.dim, dtype=np.int64)
         return ModuleHom(self.h1_mod_ik(k), self.page_entry(k, 0, 1), eye)
 
-    @_derived
+    @derived
     def rho_projection(self, k: int) -> ModuleHom:
         """Natural surjection H^2(I^k C/I^{k+1} C) ->> E_k^{k,2-k}."""
         eye = np.eye(self.c2.dim, dtype=np.int64)
@@ -239,7 +223,7 @@ class TwoTermComplex:
         )
         return out
 
-    @_derived
+    @derived
     def _h2_mod_ideal_order(self, i: int) -> int:
         h2 = self.h2()
         return h2.num.size() // h2.ideal_multiple_span(i).size()  # I^i H^2 + den

@@ -51,7 +51,7 @@ through the same projection, the one reader of R into Q^k.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -67,7 +67,7 @@ from .groupring import (
     graded_projection,
     graded_scalar,
 )
-from .modules import FpModule, free_module, r_matrix_expand
+from .modules import FpModule, derived, free_module, r_matrix_expand
 from .rng import SplitMix64
 
 
@@ -155,38 +155,29 @@ class PairingData:
                                           for j in range(self.b)])
         self.s_span = la.kernel(self.d, ring.p, ring.n)
         self.t_span = la.kernel(self.d_t, ring.p, ring.n)
-        self._complex: Optional[TwoTermComplex] = None
-        self._pieces: dict[tuple[str, int], la.Span] = {}
-        self._dual: Optional[PairingData] = None
+        self._memo: dict[tuple, object] = {}
 
     # -- structure ---------------------------------------------------------------
 
+    @derived
     def dual(self) -> "PairingData":
-        """The dual datum 0 -> T -> Y -> X* -> S* -> 0 (transposed ell).
+        """The dual datum 0 -> T -> Y -> X* -> S* -> 0 (transposed ell)."""
+        rows = [[self.ell[i][j] for i in range(self.a)] for j in range(self.b)]
+        return PairingData(self.ring, rows)
 
-        Built once and kept, so validation and comparison share it.
-        """
-        if self._dual is None:
-            rows = [[self.ell[i][j] for i in range(self.a)] for j in range(self.b)]
-            self._dual = PairingData(self.ring, rows)
-        return self._dual
-
+    @derived
     def complex(self) -> TwoTermComplex:
-        if self._complex is None:
-            self._complex = TwoTermComplex(self.x, self.y, self.d)
-        return self._complex
+        return TwoTermComplex(self.x, self.y, self.d)
 
-    @cached_property
-    def _submodules(self) -> dict[str, FpModule]:
-        """S in X and T in Y, built once."""
-        return {"s": self.x.submodule(self.s_span), "t": self.y.submodule(self.t_span)}
+    @derived
+    def _submodule(self, side: str) -> FpModule:
+        """S in X (side 's') or T in Y (side 't')."""
+        return self.x.submodule(self.s_span) if side == "s" else self.y.submodule(self.t_span)
 
+    @derived
     def piece_span(self, side: str, k: int) -> la.Span:
-        """Numerator span of S_0^(k) (side 's') or T_0^(k) (side 't'), built once."""
-        key = (side, k)
-        if key not in self._pieces:
-            self._pieces[key] = self._submodules[side].filtration_piece(k).num
-        return self._pieces[key]
+        """Numerator span of S_0^(k) (side 's') or T_0^(k) (side 't')."""
+        return self._submodule(side).filtration_piece(k).num
 
     def eval_bilinear(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         """Table of ell(x)(y) in R: push every x through ell, then pair."""

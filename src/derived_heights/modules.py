@@ -30,12 +30,16 @@ sum_sigma f(sigma .) sigma^{-1}); its dual-basis R-coordinate c_j fills
 block j read through gamma^i -> gamma^{-i} (``groupring._dual_index``).
 Of the exterior algebra on g free generators only the contraction is
 kept, ``contract``, through a cached index table.
+
+``derived`` is the one memo rule: what an object derives from data it
+never changes is built once, in the object's own ``self._memo``, keyed by
+method name and arguments (modules, complexes, pairing data, Stark instances).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -45,10 +49,24 @@ from . import linalg as la
 from .groupring import GroupRingElt, RingCtx, _dual_index, aug_ideal_power, regular_rep
 
 
+def derived(method):
+    """Build the method's result once per object, in its ``self._memo``, by name and arguments."""
+    name = method.__name__
+
+    @wraps(method)
+    def cached(self, *args):
+        key = (name, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return cached
+
+
 class FpModule:
     """Subquotient num/den of (Z/p^n)^dim with gamma-action."""
 
-    __slots__ = ("ring", "dim", "gamma", "num", "den", "free_rank", "_fixed")
+    __slots__ = ("ring", "dim", "gamma", "num", "den", "free_rank", "_memo")
 
     def __init__(self, ring: RingCtx, dim: int, gamma: np.ndarray,
                  num: la.Span, den: la.Span, check: bool = True):
@@ -59,7 +77,7 @@ class FpModule:
         self.num = num
         self.den = den
         self.free_rank: Optional[int] = None  # set by free_module alone
-        self._fixed: Optional[la.Span] = None
+        self._memo: dict[tuple, object] = {}
         if check:
             if not num.contains(den):
                 raise ValueError("denominator is not contained in numerator")
@@ -127,12 +145,11 @@ class FpModule:
         return la.mul_mod(x.coeffs, pows.transpose(1, 0, 2).reshape(self.m, -1),
                           self.m).reshape(dim, dim)
 
+    @derived
     def fixed_point_span(self) -> la.Span:
-        """Numerator span of M^G = ker(gamma - 1) on the subquotient, built once."""
-        if self._fixed is None:
-            gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
-            self._fixed = la.span_intersect(la.preimage(gm1, self.den), self.num)
-        return self._fixed
+        """Numerator span of M^G = ker(gamma - 1) on the subquotient."""
+        gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
+        return la.span_intersect(la.preimage(gm1, self.den), self.num)
 
     def ideal_multiple_span(self, k: int) -> la.Span:
         """Span of I^k M (plus den) inside the ambient."""

@@ -39,11 +39,6 @@ P_LIMIT = 1 << 31
 # a few seconds; 12 x 12 has 14 times as many.
 MINOR_LIMIT = comb(20, 10)
 
-# Declared limit on fitting --imax.  An index above the prime count costs no
-# more than the others (its Stark ideal is that of the spawning scalar): a
-# 2 x 1 instance over (7,2) takes 0.23 s at imax 5, 6 and 7 alike.
-IMAX_LIMIT = 6
-
 
 def _is_prime(p: int) -> bool:
     """Trial division up to the square root of p."""

@@ -13,7 +13,8 @@ Schemas (all entries row-major):
     int-complex   {"p": 3, "d": matrix with modulus "int"}
 
 Parse failures raise InputError carrying a JSONPath-style location, e.g.
-``parse-error at $.ell.entries[3]``.
+``parse-error at $.ell.entries[3]``; files beyond a declared limit raise
+it with kind ``resource-limit``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,17 @@ from .heights import PairingData
 from .modules import FpModule, from_presentation, r_matrix_expand, r_rows_from_scalar
 from .recovery import MINOR_LIMIT, P_LIMIT, IntComplex
 from .stark import StarkInstance
+
+
+# Declared limit on rank_X of a stark file, so on its prime count r <= rank_X,
+# and on fitting --imax.  `stark` with r = rank_X = 6 over (7,2) takes 7.6 s and
+# 184 MB (dense ell); at 7, 29 s, and ell = N I at 8, 44 s and 1.3 GB.
+RANK_LIMIT = 6
+
+# Declared limit on generators * p^n, each term of a complex file.  `spectral`
+# on (7,2) with 6 generators a side (294) takes 7.9 s and 203 MB (random d);
+# with 8 (392), 18 s; C1 alone with 16 (784), 60 s.  Curves are in the README.
+AMBIENT_LIMIT = 300
 
 
 class InputError(ValueError):
@@ -140,7 +152,10 @@ def pairing_to_json(data: PairingData) -> dict:
 
 
 def parse_stark(obj: Any, path: str = "$") -> StarkInstance:
-    ring, _, _, mat = _parse_ell(obj, path, "primes")
+    ring, a, _, mat = _parse_ell(obj, path, "primes")
+    if a > RANK_LIMIT:
+        raise InputError(f"{path}.rank_X", f"limit rank_X <= {RANK_LIMIT}",
+                         kind="resource-limit")
     try:
         return StarkInstance(ring, r_rows_from_scalar(ring, mat))
     except ValueError as exc:
@@ -156,6 +171,9 @@ def parse_fp_module(obj: Any, ring: RingCtx, path: str) -> FpModule:
     g = _int(_get(obj, "generators", path), f"{path}.generators")
     if g < 0:
         raise InputError(f"{path}.generators", "negative generator count")
+    if g * ring.m > AMBIENT_LIMIT:
+        raise InputError(f"{path}.generators", f"limit generators * p^n <= {AMBIENT_LIMIT}",
+                         kind="resource-limit")
     rel_obj = _get(obj, "relations", path)
     rel, mod = parse_matrix(rel_obj, f"{path}.relations")
     if mod is None or mod != ring.m:

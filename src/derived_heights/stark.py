@@ -12,12 +12,14 @@ the dual-module stand-in is W* = coker(ell), and the core rank is
 chi = a - r.
 
 A determinant basis z of the rank-one module wedge-bidual^a(X) (tensor
-the dual local lines, trivialized) spawns the Stark system by the
-transition contractions: eps_m is z contracted by the lambda_q with q
-outside m, in ascending label order.  Transition maps between vertices
-carry the merge-sign of the removed labels against the remaining
-complement, which makes the family strictly compatible and independent
-of the route taken through intermediate vertices.
+the dual local lines, trivialized) spawns the Stark system: eps_top = z,
+and eps_m is the edge step from m + {q}, q the smallest label outside m.
+The edge step n -> n - {q} contracts by lambda_q with the sign -1 to the
+number of labels above q outside n; a transition v_{n,m} is the chain of
+edge steps removing n - m in ascending order, its signs multiplying to
+the merge sign of n - m against the complement of n.  As every transition
+is a chain of edges, compatibility along the r 2^(r-1) covering edges
+m = n - {q} is compatibility along every pair m dividing n.
 
 The headline check: the ideal I_i generated by the images of all
 weight-i Stark elements equals the i-th Fitting ideal of W*.
@@ -36,6 +38,7 @@ from .heights import PairingData, random_ell_matrix
 from .modules import (
     Ideal,
     contract,
+    derived,
     fitting_from_matrix,
     functional_from_rcoords,
     r_matrix_expand,
@@ -46,12 +49,6 @@ from .rng import SplitMix64
 
 class StarkError(ValueError):
     pass
-
-
-def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Sign of merging two disjoint ascending label lists into one."""
-    inv = sum(1 for a in left for b in right if a > b)
-    return -1 if inv % 2 else 1
 
 
 class StarkInstance:
@@ -73,7 +70,7 @@ class StarkInstance:
         self.primes = tuple(range(self.r))
         # lambda_q as an element of X* in dual-basis R-coordinates
         self.fs = [[row[q] for row in ell_rows] for q in range(self.r)]
-        self._h: dict[tuple[int, ...], la.Span] = {}
+        self._memo: dict[tuple, object] = {}
         self.validate()
 
     def validate(self) -> None:
@@ -84,36 +81,28 @@ class StarkInstance:
         # is the pairing datum for ell; its dual exactness is the
         # self-injectivity content a core vertex relies on
         PairingData(self.ring, self.ell).validate()
-        for m1 in self.vertices():
-            for q in self.primes:
-                if q in m1:
-                    continue
-                m2 = tuple(sorted(m1 + (q,)))
-                if not self.h_span(m2).contains(self.h_span(m1)):
-                    raise StarkError("not-a-core-vertex: vertex lattice not monotone")
+        for big, small in self.edges():
+            if not self.h_span(big).contains(self.h_span(small)):
+                raise StarkError("not-a-core-vertex: vertex lattice not monotone")
 
-    def vertices(self, weight: Optional[int] = None):
-        if weight is None:
-            out = []
-            for w in range(self.r + 1):
-                out.extend(tuple(c) for c in combinations(self.primes, w))
-            return out
-        return [tuple(c) for c in combinations(self.primes, weight)]
+    def vertices(self, weight: Optional[int] = None) -> list[tuple[int, ...]]:
+        weights = range(self.r + 1) if weight is None else (weight,)
+        return [v for w in weights for v in combinations(self.primes, w)]
 
+    def edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The covering edges (m + {q}, m), by vertex m, then by label q descending."""
+        return [(tuple(sorted(v + (q,))), v) for v in self.vertices()
+                for q in reversed(self.primes) if q not in v]
+
+    @derived
     def h_span(self, vertex: tuple[int, ...]) -> la.Span:
         """Numerator span of H(vertex) = ker(X -> sum of L_q, q outside)."""
-        vertex = tuple(sorted(vertex))
-        if vertex not in self._h:
-            outside = [q for q in self.primes if q not in vertex]
-            if not outside:
-                self._h[vertex] = la.Span.whole(self.a * self.ring.m, self.ring.p,
-                                                self.ring.n)
-            else:
-                cols = r_matrix_expand(
-                    self.ring, [[row[q] for q in outside] for row in self.ell]
-                )
-                self._h[vertex] = la.kernel(cols, self.ring.p, self.ring.n)
-        return self._h[vertex]
+        ring = self.ring
+        outside = [q for q in self.primes if q not in vertex]
+        if not outside:
+            return la.Span.whole(self.a * ring.m, ring.p, ring.n)
+        cols = r_matrix_expand(ring, [[row[q] for q in outside] for row in self.ell])
+        return la.kernel(cols, ring.p, ring.n)
 
     def w_star_fitting(self, i: int) -> Ideal:
         """Fitt^i of W* = coker(ell), presented by ell itself."""
@@ -123,19 +112,17 @@ class StarkInstance:
 
     def transition(self, src: tuple[int, ...], dst: tuple[int, ...],
                    eps: np.ndarray) -> np.ndarray:
-        """v_{src,dst}: contract by the removed labels, with the merge sign."""
-        src, dst = tuple(sorted(src)), tuple(sorted(dst))
-        if not set(dst) <= set(src):
+        """v_{src,dst}: the signed edge steps removing src - dst, in ascending order."""
+        vertex = tuple(sorted(src))  # the vertex the next edge step leaves
+        if not set(dst) <= set(vertex):
             raise StarkError("transition requires dst dividing src")
-        removed = tuple(q for q in src if q not in dst)
-        complement = tuple(q for q in self.primes if q not in src)
-        level = self.chi + len(src)
-        out = np.asarray(eps, dtype=np.int64)
-        for q in removed:
-            out = contract(self.ring, level, out, self.fs[q])
-            level -= 1
-        sign = merge_sign(complement, removed)
-        return (sign * out) % self.ring.m
+        m = self.ring.m
+        out = np.asarray(eps, dtype=np.int64) % m
+        for q in sorted(set(src) - set(dst)):
+            sign = -1 if sum(l > q for l in self.primes if l not in vertex) % 2 else 1
+            out = (sign * contract(self.ring, self.chi + len(vertex), out, self.fs[q])) % m
+            vertex = tuple(l for l in vertex if l != q)
+        return out
 
     def stark_system(self, c: GroupRingElt) -> "StarkSystem":
         """The compatible family spawned by c times the det-line basis."""
@@ -146,8 +133,10 @@ class StarkInstance:
     def family_from_scalar(self, c: GroupRingElt) -> "StarkSystem":
         """The family spawned by c times the det-line basis, for any c (a module map)."""
         # c times the det-line generator: the degree-a wedge has one block
-        top = functional_from_rcoords(self.ring, [c])
-        eps = {v: self.transition(self.primes, v, top) for v in self.vertices()}
+        eps = {self.primes: functional_from_rcoords(self.ring, [c])}
+        for big, small in reversed(self.edges()):  # parents first, by smallest missing label
+            if small not in eps:
+                eps[small] = self.transition(big, small, eps[big])
         return StarkSystem(self, eps, c)
 
 
@@ -161,16 +150,10 @@ class StarkSystem:
         self.scalar = scalar  # coordinate of the spawning det-line element
 
     def check_compatible(self) -> bool:
-        """v_{n,m}(eps_n) == eps_m for every pair m dividing n."""
-        inst = self.inst
-        for big in inst.vertices():
-            for small in inst.vertices():
-                if not set(small) <= set(big):
-                    continue
-                via = inst.transition(big, small, self.eps[big])
-                if (via % inst.ring.m != self.eps[small] % inst.ring.m).any():
-                    return False
-        return True
+        """v_{n,m}(eps_n) == eps_m along every covering edge, so for every m dividing n."""
+        inst, m = self.inst, self.inst.ring.m
+        return all((inst.transition(big, small, self.eps[big]) == self.eps[small] % m).all()
+                   for big, small in inst.edges())
 
     def check_kills_wedge_kernel(self) -> bool:
         """Each eps_m descends to the exterior bidual of H(m).

@@ -14,7 +14,8 @@ from derived_heights.cli import SUITES, FuzzConfig, main, run_fuzz
 from derived_heights.groupring import RingCtx
 from derived_heights.heights import PairingData
 from derived_heights.modules import r_matrix_expand
-from derived_heights.recovery import IMAX_LIMIT, IntComplex
+from derived_heights.recovery import IntComplex
+from derived_heights.serialize import AMBIENT_LIMIT, RANK_LIMIT
 
 
 def write_json(tmp_path, name, obj):
@@ -277,15 +278,58 @@ def test_imax_beyond_limit_exit_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(StarkInstance, "stark_system", refuse)
     stark = write_json(tmp_path, "stark.json", norm_stark_payload())
-    assert_exit_2_at(["fitting", stark, "--imax", str(IMAX_LIMIT + 1)], capsys,
+    assert_exit_2_at(["fitting", stark, "--imax", str(RANK_LIMIT + 1)], capsys,
                      "resource-limit at $.imax")
 
 
 def test_imax_at_limit_runs_every_index(tmp_path, capsys):
     stark = write_json(tmp_path, "stark.json", norm_stark_payload())
-    assert main(["fitting", stark, "--imax", str(IMAX_LIMIT)]) == 0
+    assert main(["fitting", stark, "--imax", str(RANK_LIMIT)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["pass"] and len(report["records"][0]["fitting"]) == IMAX_LIMIT + 1
+    assert report["pass"] and len(report["records"][0]["fitting"]) == RANK_LIMIT + 1
+
+
+def rank_stark_payload(rank):
+    """X = R^rank over (3,1) with one prime, ell = [N; 0; ...; 0], built without parsing."""
+    ring = RingCtx(3, 1)
+    rows = [[ring.norm()]] + [[ring.zero()]] * (rank - 1)
+    return {"ring": {"p": 3, "n": 1}, "rank_X": rank, "primes": 1,
+            "ell": ser.matrix_to_json(r_matrix_expand(ring, rows), 3)}
+
+
+def test_stark_rank_beyond_limit_exit_2(tmp_path, capsys, monkeypatch):
+    # refused at parse time, before any instance is built
+    def refuse(*args):
+        raise AssertionError("a Stark instance was built")
+
+    monkeypatch.setattr(ser, "StarkInstance", refuse)
+    stark = write_json(tmp_path, "stark.json", rank_stark_payload(RANK_LIMIT + 1))
+    for command in ("stark", "fitting"):
+        assert_exit_2_at([command, stark], capsys, "resource-limit at $.rank_X")
+
+
+def test_stark_rank_at_limit_is_accepted(tmp_path, capsys):
+    stark = write_json(tmp_path, "stark.json", rank_stark_payload(RANK_LIMIT))
+    assert main(["stark", stark]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] and len(report["records"][0]["fitting"]) == RANK_LIMIT + 1
+
+
+def test_complex_generators_beyond_the_ambient_limit_exit_2(tmp_path, capsys, monkeypatch):
+    # each term is refused at parse time, before the complex is built
+    def refuse(*args):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(ser, "TwoTermComplex", refuse)
+    for term, other in (("C1", "C2"), ("C2", "C1")):
+        obj = gamma_minus_one_complex()
+        gens = AMBIENT_LIMIT // 3 + 1
+        obj[term] = {"generators": gens,
+                     "relations": ser.matrix_to_json(np.zeros((0, 3 * gens), dtype=np.int64), 3)}
+        obj[other]["generators"] = 0
+        obj["d"] = ser.matrix_to_json(np.zeros((0, 0), dtype=np.int64), 3)
+        assert_exit_2_at(["spectral", write_json(tmp_path, "cx.json", obj)], capsys,
+                         f"resource-limit at $.{term}.generators")
 
 
 def test_stark_ell_shape_disagreeing_with_primes_exit_2(tmp_path, capsys):

@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 
+import stark_oracle
 from derived_heights import linalg as la
+from derived_heights import stark as st
 from derived_heights.groupring import RingCtx
-from derived_heights.heights import random_unit
+from derived_heights.heights import PairingData, random_ell_matrix, random_unit
 from derived_heights.modules import Ideal, functional_from_rcoords, rcoords_from_functional
 from derived_heights.rng import SplitMix64
 from derived_heights.stark import (
     StarkError,
     StarkInstance,
     StarkSystem,
-    merge_sign,
     random_instance,
     verify_fitting,
 )
+from stark_oracle import merge_sign
 from wedge_oracle import wedge_matrix
 
 R31 = RingCtx(3, 1)
@@ -308,3 +312,106 @@ def test_functional_killed_by_the_first_annihilator_only_is_caught():
                 assert not StarkSystem(inst, eps, system.scalar).check_kills_wedge_kernel()
                 caught += 1
     assert caught
+
+
+# -- edge chains against the direct route ------------------------------------------
+
+EDGE_RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1), RingCtx(7, 1)]
+
+
+def instance_with_primes(ring, r, chi, rng):
+    return StarkInstance(ring, random_ell_matrix(ring, r + chi, r, rng))
+
+
+def random_functional(inst, vertex, rng):
+    ring = inst.ring
+    return rng.below_many(ring.m, comb(inst.a, inst.chi + len(vertex)) * ring.m)
+
+
+@pytest.mark.parametrize("ring", EDGE_RINGS, ids=lambda r: f"{r.p}-{r.n}")
+def test_edge_chain_is_the_direct_transition_on_every_pair(ring):
+    rng = SplitMix64(701 + ring.m)
+    for r in range(5):
+        inst = instance_with_primes(ring, r, (r + 1) % 2, rng)
+        for big in inst.vertices():
+            eps = random_functional(inst, big, rng)
+            for small in inst.vertices():
+                if set(small) <= set(big):
+                    assert (inst.transition(big, small, eps)
+                            == stark_oracle.transition(inst, big, small, eps)).all()
+
+
+@pytest.mark.parametrize("ring", EDGE_RINGS, ids=lambda r: f"{r.p}-{r.n}")
+def test_family_is_the_direct_family(ring):
+    rng = SplitMix64(709 + ring.m)
+    for r in range(5):
+        inst = instance_with_primes(ring, r, r % 2 if r else 1, rng)
+        c = ring.elt(rng.below_many(ring.m, ring.m))
+        fam = inst.family_from_scalar(c).eps
+        oracle = stark_oracle.family(inst, c)
+        assert fam.keys() == oracle.keys()
+        assert all((fam[v] == oracle[v]).all() for v in oracle)
+
+
+def test_edge_compatibility_is_the_all_pairs_verdict():
+    rng = SplitMix64(719)
+    verdicts = {True: 0, False: 0}
+    for ring in EDGE_RINGS[:3]:
+        for r in range(1, 5):
+            inst = instance_with_primes(ring, r, rng.below(2), rng)
+            system = inst.stark_system(random_unit(ring, rng))
+            families = [system.eps]
+            for vertex in inst.vertices():  # the top and the empty vertex included
+                eps = dict(system.eps)
+                eps[vertex] = (eps[vertex] + random_functional(inst, vertex, rng)) % ring.m
+                families.append(eps)
+            families.append({v: random_functional(inst, v, rng) for v in inst.vertices()})
+            for eps in families:
+                verdict = StarkSystem(inst, eps, system.scalar).check_compatible()
+                assert verdict == stark_oracle.all_pairs_compatible(inst, eps)
+                verdicts[verdict] += 1
+            assert StarkSystem(inst, families[0], system.scalar).check_compatible()
+    assert verdicts[False] >= 40
+
+
+def test_contraction_counts_of_building_and_checking_a_family(monkeypatch):
+    calls, original = [], st.contract
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(st, "contract", counting)
+    rng = SplitMix64(727)
+    for r in range(6):
+        inst = instance_with_primes(R31, r, 1, rng)
+        calls.clear()
+        system = inst.stark_system(R31.one())
+        assert len(calls) == 2 ** r - 1
+        calls.clear()
+        assert system.check_compatible()
+        assert len(calls) == r * 2 ** (r - 1) if r else not calls
+
+
+def test_memos_are_per_object():
+    # objects built alike but for ell (or den) answer from their own memos:
+    # each as a fresh object would, and unlike each other
+    ring = R31
+    one_ell, norm_ell = [[ring.one()], [ring.zero()]], [[ring.norm()], [ring.zero()]]
+    first, second = PairingData(ring, one_ell), PairingData(ring, norm_ell)
+    for data in (first, second):
+        fresh = PairingData(ring, [list(row) for row in data.ell])
+        assert (data.dual().d == fresh.dual().d).all()
+        assert (data.complex().d == fresh.complex().d).all()
+        assert data.piece_span("s", 1) == fresh.piece_span("s", 1)
+        assert data.piece_span("t", 2) == fresh.piece_span("t", 2)
+    assert (first.dual().d != second.dual().d).any()
+    assert (first.complex().d != second.complex().d).any()
+    assert first.piece_span("s", 1) != second.piece_span("s", 1)
+    assert not set(map(id, first._memo.values())) & set(map(id, second._memo.values()))
+    first_inst, second_inst = StarkInstance(ring, one_ell), StarkInstance(ring, norm_ell)
+    assert first_inst.h_span(()) != second_inst.h_span(())
+    assert second_inst.h_span(()) == StarkInstance(ring, norm_ell).h_span(())
+    free = first.x
+    quotient = free.quotient(free.ideal_multiple_span(1))
+    assert free.fixed_point_span() != quotient.fixed_point_span() == quotient.num

@@ -97,7 +97,7 @@ MUTANTS = (
            "return _zassenhaus(a, np.eye(a.shape[0], dtype=np.int64), b)",
            "return _zassenhaus(a, 2 * np.eye(a.shape[0], dtype=np.int64), b)",
            INTERSECT_PREIMAGE),
-    # -- the batched Bockstein-square check and the per-complex memo -------------
+    # -- the batched Bockstein-square check and the per-object memo ---------------
     Mutant("relate-drops-last-generator", CX,
            "gens = psi.src.num.h", "gens = psi.src.num.h[:-1]",
            (T_CX + "test_verify_relate_fails_when_one_generator_breaks_the_square",)),
@@ -105,12 +105,19 @@ MUTANTS = (
            "return not beta.tgt.reduce(diff).any()",
            "return not beta.tgt.reduce(diff[:1]).any()",
            (T_CX + "test_verify_relate_fails_when_one_generator_breaks_the_square",)),
-    Mutant("memo-key-without-arguments", CX,
+    Mutant("memo-key-without-arguments", MD,
            "key = (name, *args)", "key = (name,)",
            (T_CX + "test_memo_matches_a_fresh_complex_per_call",)),
-    Mutant("memo-key-without-method", CX,
+    Mutant("memo-key-without-method", MD,
            "key = (name, *args)", "key = tuple(args)",
            (T_CX + "test_memo_matches_a_fresh_complex_per_call",)),
+    Mutant("memo-shared-by-class", MD,
+           "if key not in self._memo:\n            self._memo[key] = method(self, *args)\n"
+           "        return self._memo[key]",
+           "memo = cached.__dict__  # one memo per method, for every object\n"
+           "        if key not in memo:\n            memo[key] = method(self, *args)\n"
+           "        return memo[key]",
+           (T_ST + "test_memos_are_per_object",)),
     Mutant("differential-writable", CX,
            "self._d.setflags(write=False)", "pass",
            (T_CX + "test_differential_is_read_only",)),
@@ -294,6 +301,14 @@ MUTANTS = (
     Mutant("wedge-table-sign-flipped", MD,
            "sgn.setflags(write=False)", "sgn[-1, 0] *= -1\n    sgn.setflags(write=False)",
            (T_MD + "test_wedge_table_matches_the_dense_wedge_oracle",)),
+    Mutant("edge-sign-counts-labels-below", ST,
+           "sum(l > q for l in self.primes if l not in vertex)",
+           "sum(l < q for l in self.primes if l not in vertex)",
+           (T_ST + "test_edge_chain_is_the_direct_transition_on_every_pair",
+            T_ST + "test_family_is_the_direct_family")),
+    Mutant("compatibility-skips-an-edge", ST,
+           "for big, small in inst.edges())", "for big, small in inst.edges()[1:])",
+           (T_ST + "test_edge_compatibility_is_the_all_pairs_verdict",)),
     Mutant("stark-ideal-above-r-ignores-scalar", ST,
            'return Ideal.from_elements(self.inst.ring, [self.scalar])',
            'return Ideal.unit(self.inst.ring)',
