@@ -168,14 +168,12 @@ class TwoTermComplex:
     @derived
     def pi_projection(self, k: int) -> ModuleHom:
         """Natural surjection H^1(C/I^k C) ->> E_k^{0,1} (identity on reps)."""
-        eye = np.eye(self.c1.dim, dtype=np.int64)
-        return ModuleHom(self.h1_mod_ik(k), self.page_entry(k, 0, 1), eye)
+        return ModuleHom(self.h1_mod_ik(k), self.page_entry(k, 0, 1), None)
 
     @derived
     def rho_projection(self, k: int) -> ModuleHom:
-        """Natural surjection H^2(I^k C/I^{k+1} C) ->> E_k^{k,2-k}."""
-        eye = np.eye(self.c2.dim, dtype=np.int64)
-        return ModuleHom(self.h2_ik_step(k), self.page_entry(k, k, 2 - k), eye)
+        """Natural surjection H^2(I^k C/I^{k+1} C) ->> E_k^{k,2-k} (identity on reps)."""
+        return ModuleHom(self.h2_ik_step(k), self.page_entry(k, k, 2 - k), None)
 
     # -- statements as executable checks ----------------------------------------
 

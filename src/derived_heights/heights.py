@@ -262,19 +262,23 @@ class PairingData:
 
         A random s~ in the kernel with (g-1)^(k-1) s~ = target, then x with
         D^(k-1) x = s~; both solves take the ``draws`` stacked copies of the
-        targets in one call, so every copy gets its own kernel draw.
+        targets in one call, so every copy gets its own kernel draw.  At k = 1
+        s~ is the target, unsolved: the membership check before every table
+        puts it in S_0^(1), inside S.  The norm step x N = s~ still draws.
         """
         ring = self.ring
         m = ring.m
-        ker = (self.s_span if side == "s" else self.t_span).h
         free = self.x if side == "s" else self.y
-        gm1 = ring.gamma(gen_exp) - ring.one()
-        tilde_solver = la.Solver(la.mul_mod(ker, free.scale_matrix(gm1 ** (k - 1)), m),
-                                 ring.p, ring.n)
-        coeffs = tilde_solver.random_solution(np.tile(targets, (draws, 1)), rng)
-        if coeffs is None:
-            raise AssertionError("lift-not-found: element not divisible inside the kernel")
-        tilde = la.mul_mod(coeffs, ker, m)
+        tilde = np.tile(targets % m, (draws, 1))
+        if k > 1:
+            ker = (self.s_span if side == "s" else self.t_span).h
+            gm1 = ring.gamma(gen_exp) - ring.one()
+            tilde_solver = la.Solver(la.mul_mod(ker, free.scale_matrix(gm1 ** (k - 1)), m),
+                                     ring.p, ring.n)
+            coeffs = tilde_solver.random_solution(tilde, rng)
+            if coeffs is None:
+                raise AssertionError("lift-not-found: element not divisible inside the kernel")
+            tilde = la.mul_mod(coeffs, ker, m)
         x = _lift_solver(ring, free.dim // m, k, gen_exp).random_solution(tilde, rng)
         if x is None:
             raise AssertionError("lift-not-found: derivative equation unsolvable")

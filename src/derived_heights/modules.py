@@ -172,38 +172,43 @@ class FpModule:
 
 
 class ModuleHom:
-    """Map between subquotients given by an ambient matrix."""
+    """Map between subquotients given by an ambient matrix, or by None for
+    the identity on representatives (no identity matrix is built)."""
 
     __slots__ = ("src", "tgt", "mat")
 
-    def __init__(self, src: FpModule, tgt: FpModule, mat: np.ndarray,
+    def __init__(self, src: FpModule, tgt: FpModule, mat: Optional[np.ndarray],
                  check: bool = True):
         self.src = src
         self.tgt = tgt
-        self.mat = np.asarray(mat, dtype=np.int64) % src.m
+        self.mat = None if mat is None else np.asarray(mat, dtype=np.int64) % src.m
         if check:
             self.check_well_defined()
 
+    def _rows(self, v: np.ndarray) -> np.ndarray:
+        """The ambient images of the rows of v (v itself for the identity)."""
+        return v if self.mat is None else la.mul_mod(v, self.mat, self.src.m)
+
     def check_well_defined(self) -> None:
-        src, tgt, mat, m = self.src, self.tgt, self.mat, self.src.m
-        if not tgt.num.contains(la.mul_mod(src.num.h, mat, m)):
+        src, tgt, m = self.src, self.tgt, self.src.m
+        image = self._rows(src.num.h)
+        if not tgt.num.contains(image):
             raise ValueError("map does not send numerator into numerator")
-        if not tgt.den.contains(la.mul_mod(src.den.h, mat, m)):
+        if not tgt.den.contains(self._rows(src.den.h)):
             raise ValueError("map does not send denominator into denominator")
-        # R-linearity on representatives: commutes with gamma modulo den
-        comm = la.mul_mod(src.gamma, mat, m) - la.mul_mod(mat, tgt.gamma, m)
-        if not tgt.den.contains(la.mul_mod(src.num.h, comm, m)):
-            raise ValueError("map does not commute with the gamma action")
+        # R-linearity on representatives, true of the identity under equal gammas
+        if self.mat is not None or not np.array_equal(src.gamma, tgt.gamma):
+            comm = (la.mul_mod(src.num.h, self._rows(src.gamma), m)
+                    - la.mul_mod(image, tgt.gamma, m))
+            if not tgt.den.contains(comm):
+                raise ValueError("map does not commute with the gamma action")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.tgt.reduce(la.mul_mod(v, self.mat, self.src.m))
-
-    def kernel(self) -> FpModule:
-        pre = la.preimage(self.mat, self.tgt.den)
-        return self.src.submodule(la.span_intersect(pre, self.src.num))
+        return self.tgt.reduce(self._rows(v))
 
     def image(self) -> FpModule:
-        return self.tgt._over_den(la.image_span(self.src.num, self.mat, self.tgt.den))
+        rows = np.vstack([self._rows(self.src.num.h), self.tgt.den.h])
+        return self.tgt._over_den(la.Span(rows, self.src.p, self.src.n))
 
     def is_surjective(self) -> bool:
         return self.image().order() == self.tgt.order()

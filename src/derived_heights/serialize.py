@@ -38,9 +38,10 @@ from .stark import StarkInstance
 # 184 MB (dense ell); at 7, 29 s, and ell = N I at 8, 44 s and 1.3 GB.
 RANK_LIMIT = 6
 
-# Declared limit on generators * p^n, each term of a complex file.  `spectral`
-# on (7,2) with 6 generators a side (294) takes 7.9 s and 203 MB (random d);
-# with 8 (392), 18 s; C1 alone with 16 (784), 60 s.  Curves are in the README.
+# Declared limit on generators * p^n, each term of a complex file, and on
+# rank * p^n of a pairing file's X and Y.  `spectral` on (7,2) with 6
+# generators a side (294) takes 7.9 s and 203 MB (random d); with 8 (392),
+# 18 s; C1 alone with 16 (784), 60 s.  Curves are in the README.
 AMBIENT_LIMIT = 300
 
 
@@ -120,11 +121,16 @@ def matrix_to_json(arr, modulus) -> dict:
     }
 
 
-def _parse_ell(obj: Any, path: str, cols_key: str):
-    """(ring, rank_X, the rank under cols_key, ell) of a pairing or Stark file."""
+def _parse_ell(obj: Any, path: str, cols_key: str, ambient: bool = False):
+    """(ring, rank_X, the rank under cols_key, ell) of a pairing or Stark file;
+    with ``ambient``, each rank * p^n is held to AMBIENT_LIMIT before ell is read."""
     ring = parse_ring(_get(obj, "ring", path), f"{path}.ring")
     a = _int(_get(obj, "rank_X", path), f"{path}.rank_X")
     c = _int(_get(obj, cols_key, path), f"{path}.{cols_key}")
+    for key, rank in (("rank_X", a), (cols_key, c)) if ambient else ():
+        if rank * ring.m > AMBIENT_LIMIT:
+            raise InputError(f"{path}.{key}", f"limit {key} * p^n <= {AMBIENT_LIMIT}",
+                             kind="resource-limit")
     mat, mod = parse_matrix(_get(obj, "ell", path), f"{path}.ell")
     if mod is None or mod != ring.m:
         raise InputError(f"{path}.ell.modulus", f"expected modulus {ring.m}")
@@ -140,7 +146,7 @@ def _ell_to_json(ring: RingCtx, a: int, cols_key: str, c: int, mat: np.ndarray) 
 
 
 def parse_pairing(obj: Any, path: str = "$") -> PairingData:
-    ring, _, _, mat = _parse_ell(obj, path, "rank_Y")
+    ring, _, _, mat = _parse_ell(obj, path, "rank_Y", ambient=True)
     try:
         return PairingData(ring, r_rows_from_scalar(ring, mat))
     except ValueError as exc:

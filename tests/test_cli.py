@@ -206,6 +206,30 @@ def test_fuzz_seed_42_report_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_42_50_SHA256
 
 
+# sha256 of fuzz reports on the rings the default run leaves out, (7,2),
+# (5,2) and (7,1), by suite: (argv, digest); the same rule as above
+WIDE_RING_FUZZ_SHA256 = {
+    "relate,coker": ("--seed 42 --trials 3 --ring 7,2 fuzz --suite relate,coker",
+                     "a7433722def435afddb914ef0b27bd18089218cbebd6431239ac1a4070fa2523"),
+    "stark": ("--seed 5 --trials 6 --ring 7,2 --ring 5,2 fuzz --suite stark",
+              "e7b060e6aee03bd229e5d7d2b1d3d99f8a494331ec13fe727c221ea6fc5eb1ef"),
+    "stark-7,2": ("--seed 42 --trials 6 --ring 7,2 fuzz --suite stark",
+                  "40ccf454004a2cad0936dc63300835d3293a9aef339b6c5dd2c258424a06599b"),
+    "stark-5,2": ("--seed 5 --trials 20 --ring 5,2 fuzz --suite stark",
+                  "4d062550204e871874a3b039e60783c2f26031253087b476de969caa97d553a3"),
+    "compari": ("--seed 42 --trials 4 --ring 5,2 --ring 7,1 fuzz --suite compari",
+                "0f3aa7c151b49ced76704280bbf815d761f560e6530fd5f374792916012c8a5a"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(WIDE_RING_FUZZ_SHA256))
+def test_wide_ring_fuzz_report_is_pinned(suite, capsys):
+    argv, sha256 = WIDE_RING_FUZZ_SHA256[suite]
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_fuzz_all_suites_smoke():
     rep = run_fuzz(FuzzConfig(seed=3, trials=2, rings=[(3, 1)]))
     assert rep["pass"]
@@ -330,6 +354,22 @@ def test_complex_generators_beyond_the_ambient_limit_exit_2(tmp_path, capsys, mo
         obj["d"] = ser.matrix_to_json(np.zeros((0, 0), dtype=np.int64), 3)
         assert_exit_2_at(["spectral", write_json(tmp_path, "cx.json", obj)], capsys,
                          f"resource-limit at $.{term}.generators")
+
+
+def test_pairing_ranks_beyond_the_ambient_limit_exit_2(tmp_path, capsys, monkeypatch):
+    # X and Y are the terms of the pairing's complex: each rank times p^n
+    # is refused at parse time, before the datum is built
+    def refuse(*args):
+        raise AssertionError("a pairing datum was built")
+
+    monkeypatch.setattr(ser, "PairingData", refuse)
+    ring = RingCtx(3, 1)
+    big = AMBIENT_LIMIT // ring.m + 1
+    for key, rows in (("rank_X", [[ring.norm()]] * big), ("rank_Y", [[ring.norm()] * big])):
+        obj = {"ring": {"p": 3, "n": 1}, "rank_X": len(rows), "rank_Y": len(rows[0]),
+               "ell": ser.matrix_to_json(r_matrix_expand(ring, rows), ring.m)}
+        assert_exit_2_at(["pairing", write_json(tmp_path, "big.json", obj)], capsys,
+                         f"resource-limit at $.{key}")
 
 
 def test_stark_ell_shape_disagreeing_with_primes_exit_2(tmp_path, capsys):

@@ -261,13 +261,14 @@ def test_h2_right_exactness():
 
 
 def _derived_objects(c, k):
-    """Every span the two checks at k build, as (shape, bytes)."""
+    """Every span the two checks at k build, as (shape, bytes); a map's
+    matrix is None for the identity on representatives."""
     spans = [c.h2_filtration_quotient(k).num.h, c.h2_filtration_quotient(k).den.h]
     for hom in (c.generalized_bockstein(k), c.derived_bockstein(k),
                 c.pi_projection(k), c.rho_projection(k)):
         spans += [hom.src.num.h, hom.src.den.h, hom.tgt.num.h, hom.tgt.den.h, hom.mat]
     spans += [c.h2_of_quotient(i).den.h for i in range(1, k + 2)]
-    return [(s.shape, s.tobytes()) for s in spans]
+    return [None if s is None else (s.shape, s.tobytes()) for s in spans]
 
 
 def test_memo_matches_a_fresh_complex_per_call():
@@ -318,3 +319,18 @@ def test_differential_is_read_only():
         c.d[0, 0] = 1
     with pytest.raises(AttributeError):
         c.d = np.zeros_like(c.d)
+
+
+def test_projections_are_identities_without_a_matrix():
+    # pi and rho carry no matrix, act as the target's coset reduction, and
+    # the square still commutes
+    rng = SplitMix64(21)
+    for ring in RINGS:
+        c = random_complex(ring, rng, max_rank=2)
+        for k in range(1, ring.p):
+            for hom in (c.pi_projection(k), c.rho_projection(k)):
+                assert hom.mat is None
+                gens = hom.src.num.h
+                assert (hom.apply(gens) == hom.tgt.reduce(gens)).all()
+                assert hom.image().num == hom.src.num + hom.tgt.den
+            assert c.verify_relate(k)

@@ -99,11 +99,20 @@ def test_from_scalar_matrix_rejects_non_equivariant():
 
 
 def test_membership_rejection():
+    # at k = 1 the lift chain takes s~ = s with no solve, so membership must
+    # refuse before any lift: with ell = g - 1, 1 lies outside S = R^G = N R;
+    # with ell = 0, g - 1 lies in S = R but not in S_0^(1) = R^G
+    for ring in RINGS:
+        gm1, norm = ring.gamma() - ring.one(), ring.norm().coeffs
+        for ell, s in ((gm1, ring.one().coeffs), (ring.zero(), gm1.coeffs)):
+            data = mult_data(ring, ell)
+            data._lift_chains = None  # a lift would raise a TypeError
+            with pytest.raises(MembershipError, match="s is not in S_0"):
+                data.bd_pairing(1, s, norm)
+            fresh = mult_data(ring, ell)
+            assert fresh.bd_pairing(1, norm, norm) == fresh.boc_pairing(1, norm, norm)
     data = mult_data(R31, R31.gamma() - R31.one())
-    one = np.zeros(3, dtype=np.int64)
-    one[0] = 1
-    with pytest.raises(MembershipError):
-        data.bd_pairing(1, one, one)  # 1 is not in S_0^(1) = N R
+    one = R31.one().coeffs
     with pytest.raises(MembershipError):
         data.bd_pairing(3, one, one)  # k = p is out of range
 
@@ -174,17 +183,22 @@ def test_shared_solvers_draw_like_fresh_ones():
 
 
 def test_lift_chains_solve_the_equations_of_their_generator():
-    # x D_u^(k-1) (g^u - 1)^(k-1) = s for the chain drawn for gamma^u
+    # x D_u^(k-1) (g^u - 1)^(k-1) = s for the chain drawn for gamma^u; at
+    # k = 1 that is x N = s, where s~ = s is taken without a solve
     rng = SplitMix64(12)
     for ring in RINGS:
         data = mult_data(ring, ring.zero())  # S = X = R
         s_rows = np.array(data.piece_span("s", ring.p - 1).h)
-        for k in range(2, ring.p):
+        for k in range(1, ring.p):
             for u in (1, 2):
                 d_u = data.x.scale_matrix(derivative_op(ring, k - 1, u))
                 g_u = data.x.scale_matrix((ring.gamma(u) - ring.one()) ** (k - 1))
-                for xs in data._lift_chains("s", k, u, s_rows, rng, 2):
+                chains = data._lift_chains("s", k, u, s_rows, rng, 2)
+                for xs in chains:
                     assert ((xs @ d_u @ g_u) % ring.m == s_rows).all()
+                # each chain draws from a nonzero kernel (at k = 1 that of N,
+                # the augmentation ideal), so the two draws differ
+                assert (chains[0] != chains[1]).any(), (ring, k, u)
 
 
 def test_stacked_draws_are_independent_solutions():

@@ -465,6 +465,21 @@ def test_map_checks_reject_each_broken_condition():
         with pytest.raises(ValueError, match="commute with the gamma action"):
             md.ModuleHom(free, free, drop_first)
         md.ModuleHom(aug_quotient(ring), aug_quotient(ring), regular_rep(ring.gamma()))
+        # mat None is the identity on representatives: the same three
+        # conditions, the gamma one only between modules whose gammas differ
+        trivial = trivial_module(ring, m)
+        with pytest.raises(ValueError, match="numerator into numerator"):
+            md.ModuleHom(free, ideal_submodule(ring, 1), None)
+        with pytest.raises(ValueError, match="denominator into denominator"):
+            md.ModuleHom(aug_quotient(ring), free, None)
+        with pytest.raises(ValueError, match="commute with the gamma action"):
+            md.ModuleHom(free, trivial, None)
+        # gamma and the identity agree modulo I, and equal gammas commute
+        md.ModuleHom(aug_quotient(ring), trivial.quotient(aug_ideal_power(ring, 1)), None)
+        hom = md.ModuleHom(free, free, None)
+        v = np.arange(2 * m, dtype=np.int64).reshape(2, m) - m
+        assert (hom.apply(v) == v % m).all()
+        assert hom.image().num == free.num and hom.is_surjective()
 
 
 def test_span_that_is_not_gamma_stable_is_rejected():

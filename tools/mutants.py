@@ -164,8 +164,8 @@ MUTANTS = (
            "_diagonal_copies(self.free_rank, block)", "_diagonal_copies(1, block)",
            (T_UP + "test_free_block_forms_match_the_generic_route",)),
     Mutant("raw-product-in-src", MD,
-           "return self.tgt.reduce(la.mul_mod(v, self.mat, self.src.m))",
-           "return self.tgt.reduce(np.asarray(v, dtype=np.int64) @ self.mat % self.src.m)",
+           "else la.mul_mod(v, self.mat, self.src.m)",
+           "else np.asarray(v, dtype=np.int64) @ self.mat % self.src.m",
            (T_LA + "test_every_matrix_product_in_src_goes_through_mul_mod",)),
     Mutant("tau-doubling-from-zero", RC,
            "kmax = 2 * max(kmax, 1)", "kmax *= 2",
@@ -227,6 +227,12 @@ MUTANTS = (
     Mutant("block-starts-at-zero", RNG,
            "np.arange(1, count + 1, dtype=np.uint64)", "np.arange(0, count, dtype=np.uint64)",
            (T_PR + "test_block_draws_are_the_scalar_draws",)),
+    Mutant("k1-chain-copies-the-first-draw", HT,
+           "tilde = np.tile(targets % m, (draws, 1))",
+           "tilde = np.tile(targets % m, (draws, 1))\n        if k == 1:\n"
+           "            x = _lift_solver(ring, free.dim // m, k, gen_exp).random_solution(targets, rng)\n"
+           "            return np.tile(x, (draws, 1)).reshape(draws, len(targets), -1)",
+           (T_HT + "test_lift_chains_solve_the_equations_of_their_generator",)),
     Mutant("lift-solver-keyed-without-generator", HT,
            "_lift_solver(ring, free.dim // m, k, gen_exp)",
            "_lift_solver(ring, free.dim // m, k, 1)",
@@ -270,14 +276,26 @@ MUTANTS = (
            (T_HT + "test_graded_projection_matches_its_definition",)),
     # -- checks decided on generating rows, and the guarded modular product -------
     Mutant("map-numerator-first-row-only", MD,
-           "tgt.num.contains(la.mul_mod(src.num.h, mat, m))",
-           "tgt.num.contains(la.mul_mod(src.num.h[:1], mat, m))", MAP_CHECKS),
+           "tgt.num.contains(image)", "tgt.num.contains(image[:1])", MAP_CHECKS),
     Mutant("map-denominator-checked-on-numerator", MD,
-           "tgt.den.contains(la.mul_mod(src.den.h, mat, m))",
-           "tgt.den.contains(la.mul_mod(src.num.h, mat, m))", MAP_CHECKS),
+           "tgt.den.contains(self._rows(src.den.h))",
+           "tgt.den.contains(self._rows(src.num.h))", MAP_CHECKS),
     Mutant("map-commutation-on-denominator", MD,
-           "tgt.den.contains(la.mul_mod(src.num.h, comm, m))",
-           "tgt.den.contains(la.mul_mod(src.den.h, comm, m))", MAP_CHECKS),
+           "comm = (la.mul_mod(src.num.h, self._rows(src.gamma), m)\n"
+           "                    - la.mul_mod(image, tgt.gamma, m))",
+           "comm = (la.mul_mod(src.den.h, self._rows(src.gamma), m)\n"
+           "                    - la.mul_mod(self._rows(src.den.h), tgt.gamma, m))", MAP_CHECKS),
+    # -- the identity on representatives (no matrix) -------------------------------
+    Mutant("identity-numerator-unchecked", MD,
+           "if not tgt.num.contains(image):",
+           "if not (self.mat is None or tgt.num.contains(image)):", MAP_CHECKS),
+    Mutant("identity-denominator-unchecked", MD,
+           "if not tgt.den.contains(self._rows(src.den.h)):",
+           "if not (self.mat is None or tgt.den.contains(self._rows(src.den.h))):",
+           MAP_CHECKS),
+    Mutant("identity-commutation-never-checked", MD,
+           "if self.mat is not None or not np.array_equal(src.gamma, tgt.gamma):",
+           "if self.mat is not None:", MAP_CHECKS),
     Mutant("gamma-stability-of-numerator-only", MD,
            "for span in (num, den):", "for span in (num,):",
            (T_MD + "test_span_that_is_not_gamma_stable_is_rejected",)),
