@@ -40,9 +40,10 @@ value tables, one k at a time:
 
 What depends on no datum is built once and shared by all: the free
 modules, the derivative-operator lift solvers and the norm solver.  The
-kernels, filtration pieces and complex stay per datum; the dual datum
-derives its own, for the symmetry flag.  The solvers involving ell are
-built per table call, once for all of its draws.
+kernels S and T, filtration pieces and complex stay per datum, each built
+on first use (``validate`` reads S alone); the dual datum derives its
+own, for the symmetry flag.  The solvers involving ell are built per
+table call, once for all of its draws.
 
 ``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables;
 their ``PairingValue`` keeps the unreduced value and reads its class
@@ -153,11 +154,17 @@ class PairingData:
         self.d = r_matrix_expand(ring, ell_rows)
         self.d_t = r_matrix_expand(ring, [[ell_rows[i][j] for i in range(self.a)]
                                           for j in range(self.b)])
-        self.s_span = la.kernel(self.d, ring.p, ring.n)
-        self.t_span = la.kernel(self.d_t, ring.p, ring.n)
         self._memo: dict[tuple, object] = {}
 
     # -- structure ---------------------------------------------------------------
+
+    @derived
+    def _kernel(self, side: str) -> la.Span:
+        """S = ker ell in X (side 's') or T = ker ell* in Y (side 't'), built on first read."""
+        return la.kernel(self.d if side == "s" else self.d_t, self.ring.p, self.ring.n)
+
+    s_span = property(lambda self: self._kernel("s"))
+    t_span = property(lambda self: self._kernel("t"))
 
     @derived
     def dual(self) -> "PairingData":
@@ -439,23 +446,13 @@ class PairingData:
             gamma_ok = self._bd_table(k, s_rows, t_rows, rng, gen_exp=u, audit=False)[0] == bd
             ok = ok and bool(equal.all() and symmetric.all() and gamma_ok.all())
             reps = graded_projection(ring, k)[1]
-            # each table becomes nested lists once, not once per record
-            bd_l, boc_l, scalars, eq_l, sym_l, gam_l, s_lists, t_lists = (
-                a.tolist() for a in (reps[bd], reps[boc], bd, equal, symmetric, gamma_ok,
-                                     s_rows, t_rows))
-            for i, s in enumerate(s_lists):
-                for j, t in enumerate(t_lists):
-                    records.append({
-                        "k": k,
-                        "s": list(s),
-                        "t": list(t),
-                        "bd": bd_l[i][j],
-                        "boc": boc_l[i][j],
-                        "scalar": scalars[i][j],
-                        "equal": eq_l[i][j],
-                        "symmetric": sym_l[i][j],
-                        "gamma_independent": gam_l[i][j],
-                    })
+            # each table becomes nested lists once; records share the s and t lists
+            t_lists = t_rows.tolist()
+            for s, *row in zip(s_rows.tolist(), *(a.tolist() for a in (
+                    reps[bd], reps[boc], bd, equal, symmetric, gamma_ok))):
+                records += [{"k": k, "s": s, "t": t, "bd": b, "boc": c, "scalar": v,
+                             "equal": e, "symmetric": y, "gamma_independent": g}
+                            for t, b, c, v, e, y, g in zip(t_lists, *row)]
         return {"pass": ok, "records": records}
 
 

@@ -1,4 +1,4 @@
-"""Reference Stark transitions for differential tests: the direct route.
+"""Reference Stark transitions and bidual check for differential tests: the direct routes.
 
 This is the route the library took before its families were built and
 checked along covering edges.  A transition v_{src,dst} contracts by the
@@ -8,13 +8,18 @@ the top functional through the transition to every vertex; and the
 compatibility check compares every pair m dividing n, 3^r of them.  It
 calls ``modules.contract`` and nothing of ``derived_heights.stark`` but
 the instance's data, so the edge chain can be checked against it.
+
+The bidual check is the route the library took before it contracted by
+the R-generators lambda_q: it takes ann H(m) as the kernel of H(m)'s
+transposed Howell form and contracts eps_m by every row of that kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from derived_heights.modules import contract, functional_from_rcoords
+from derived_heights import linalg as la
+from derived_heights.modules import contract, functional_from_rcoords, rcoords_from_functional
 
 
 def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
@@ -53,4 +58,18 @@ def all_pairs_compatible(inst, eps: dict[tuple[int, ...], np.ndarray]) -> bool:
                 via = transition(inst, big, small, eps[big])
                 if (via % m != np.asarray(eps[small]) % m).any():
                     return False
+    return True
+
+
+def kills_wedge_kernel(inst, eps: dict[tuple[int, ...], np.ndarray]) -> bool:
+    """Each eps_m is killed by contraction with every Howell row of ann H(m)."""
+    ring = inst.ring
+    for vertex in inst.vertices():
+        deg = inst.chi + len(vertex)
+        if deg <= 0:
+            continue
+        ann = la.kernel(inst.h_span(vertex).h.T, ring.p, ring.n)
+        for phi in ann.h:
+            if contract(ring, deg, eps[vertex], rcoords_from_functional(ring, phi)).any():
+                return False
     return True

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from derived_heights import cli
 from derived_heights import serialize as ser
 from derived_heights.cli import SUITES, FuzzConfig, main, run_fuzz
 from derived_heights.groupring import RingCtx
@@ -252,6 +253,19 @@ def test_json_out_flag(tmp_path, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert out.read_text() == stdout
+
+
+def test_both_sinks_get_the_indented_sorted_report(tmp_path, capsys, monkeypatch):
+    # a report of many batches of encoder pieces, with nesting, unicode and floats
+    report = {"pass": True, "z": [{"s": list(range(40)), "é": 0.5, "b": None}] * 300,
+              "a": {"nested": [[], {}, "x"]}}
+    monkeypatch.setitem(cli._COMMANDS, "fuzz", lambda args: report)
+    out = tmp_path / "report.json"
+    assert main(["--json-out", str(out), "fuzz"]) == 0
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    assert out.read_text(encoding="utf-8") == expected
+    assert len(expected) > 10 * 4096
 
 
 def assert_exit_2_at(argv, capsys, where):

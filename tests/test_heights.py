@@ -58,6 +58,32 @@ def test_validate_identity_and_zero():
     assert zero.y.submodule(zero.t_span).order() == 27
 
 
+def counting_solvers(monkeypatch) -> list[np.ndarray]:
+    """Record the matrix of every ``la.Solver`` built from now on."""
+    built, original = [], la.Solver.__init__
+
+    def counting(self, a, p, n):
+        built.append(np.array(a) % p ** n)
+        original(self, a, p, n)
+
+    monkeypatch.setattr(la.Solver, "__init__", counting)
+    return built
+
+
+def test_kernels_are_built_on_first_read(monkeypatch):
+    built = counting_solvers(monkeypatch)
+    rng = SplitMix64(53)
+    for ring in RINGS:
+        data = random_pairing_data(ring, rng)
+        assert not built
+        s_span = data.s_span
+        assert len(built) == 1 and (built[0] == data.d % ring.m).all()
+        t_span = data.t_span
+        assert len(built) == 2 and (built[1] == data.d_t % ring.m).all()
+        assert data.s_span is s_span and data.t_span is t_span and len(built) == 2
+        built.clear()
+
+
 def test_validate_fuzz_self_injectivity():
     # random R-linear ell always gives an exact dual sequence: the
     # stated volume is 500 seeded instances across the supported rings

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stark_oracle
+import test_heights
 from derived_heights import linalg as la
 from derived_heights import stark as st
 from derived_heights.groupring import RingCtx
@@ -314,6 +315,91 @@ def test_functional_killed_by_the_first_annihilator_only_is_caught():
     assert caught
 
 
+SIX_RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1), RingCtx(5, 2), RingCtx(7, 1),
+             RingCtx(7, 2)]
+
+
+def test_kill_check_is_the_howell_row_verdict():
+    # valid families, and families with one vertex below the top corrupted
+    rejected = 0
+    for ring in SIX_RINGS:
+        rng = SplitMix64(181 + ring.m)
+        for r in (1, 2, 3):
+            inst = instance_with_primes(ring, r, rng.below(2), rng)
+            system = inst.stark_system(random_unit(ring, rng))
+            families = [system.eps]
+            for vertex in inst.vertices()[:-1]:
+                eps = dict(system.eps)
+                eps[vertex] = random_functional(inst, vertex, rng)
+                families.append(eps)
+            for eps in families:
+                verdict = StarkSystem(inst, eps, system.scalar).check_kills_wedge_kernel()
+                assert verdict == stark_oracle.kills_wedge_kernel(inst, eps)
+                rejected += not verdict
+            assert StarkSystem(inst, families[0], system.scalar).check_kills_wedge_kernel()
+    assert rejected >= 10
+
+
+def test_functional_killed_by_every_label_but_one_is_caught():
+    # at each vertex with two labels outside, and for each label q, a functional
+    # that the contraction by every other lambda kills and by lambda_q does not
+    rng = SplitMix64(191)
+    caught = set()
+    for ring in RINGS:
+        for _ in range(6):
+            inst = instance_with_primes(ring, 3, rng.below(2), rng)
+            system = inst.stark_system(random_unit(ring, rng))
+            for vertex in inst.vertices():
+                outside = [q for q in inst.primes if q not in vertex]
+                deg = inst.chi + len(vertex)
+                if len(outside) < 2 or deg <= 0:
+                    continue
+                checks = {q: wedge_matrix(ring, inst.a, deg - 1, inst.fs[q]) for q in outside}
+                for q in outside:
+                    others = np.hstack([checks[o].T for o in outside if o != q])
+                    bad = [e for e in la.kernel(others, ring.p, ring.n).h
+                           if ((checks[q] @ e) % ring.m).any()]
+                    if not bad:
+                        continue
+                    eps = dict(system.eps)
+                    eps[vertex] = bad[0]
+                    assert not stark_oracle.kills_wedge_kernel(inst, eps)
+                    assert not StarkSystem(inst, eps, system.scalar).check_kills_wedge_kernel()
+                    caught.add(outside.index(q) - len(outside))  # first, middle or last
+    assert caught == {-3, -2, -1}
+
+
+def test_annihilator_count_raises_on_a_proper_sub_span():
+    rng = SplitMix64(193)
+    for ring in RINGS:
+        inst = instance_with_primes(ring, 2, 1, rng)
+        system = inst.stark_system(random_unit(ring, rng))
+        assert system.check_kills_wedge_kernel()
+        whole = inst.h_span
+        inst.h_span = lambda v: la.Span((ring.p * whole(v).h) % ring.m, ring.p, ring.n)
+        with pytest.raises(AssertionError, match="annihilator-count"):
+            system.check_kills_wedge_kernel()
+
+
+def test_kill_check_contracts_once_per_label_outside(monkeypatch):
+    calls, original = [], st.contract
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(st, "contract", counting)
+    rng = SplitMix64(197)
+    for r in range(1, 5):
+        for chi in (0, 1):
+            inst = instance_with_primes(R31, r, chi, rng)
+            system = inst.stark_system(R31.one())
+            calls.clear()
+            assert system.check_kills_wedge_kernel()
+            assert len(calls) == sum(r - len(v) for v in inst.vertices()
+                                     if chi + len(v) > 0)
+
+
 # -- edge chains against the direct route ------------------------------------------
 
 EDGE_RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1), RingCtx(7, 1)]
@@ -391,6 +477,22 @@ def test_contraction_counts_of_building_and_checking_a_family(monkeypatch):
         calls.clear()
         assert system.check_compatible()
         assert len(calls) == r * 2 ** (r - 1) if r else not calls
+
+
+def test_an_instance_builds_no_kernel_of_ell_star(monkeypatch):
+    # S = ker ell, its annihilator, and H(m) below the top: no kernel of
+    # ell*, none of the dual datum's (ker ell* and ker ell again)
+    built = test_heights.counting_solvers(monkeypatch)
+    rng = SplitMix64(199)
+    for ring in RINGS:
+        for r in (1, 2, 3):
+            built.clear()
+            inst = instance_with_primes(ring, r, rng.below(2), rng)
+            data = PairingData(ring, inst.ell)
+            d, d_t = data.d % ring.m, data.d_t % ring.m
+            if d.shape != d_t.shape or (d != d_t).any():  # else ker ell* is ker ell
+                assert not [a for a in built if a.shape == d_t.shape and (a == d_t).all()]
+            assert len(built) == 2 + 2 ** r - 1
 
 
 def test_memos_are_per_object():

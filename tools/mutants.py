@@ -59,8 +59,9 @@ T_ST = "tests/test_stark.py::"
 T_RC = "tests/test_recovery.py::"
 MAP_CHECKS = (T_MD + "test_map_checks_reject_each_broken_condition",)
 WEDGE_KERNEL = (T_ST + "test_functional_outside_the_bidual_is_caught",
-                T_ST + "test_functional_killed_by_the_first_annihilator_only_is_caught")
-WEDGE_TEST = "self.eps[vertex], coords).any():\n                    return False"
+                T_ST + "test_functional_killed_by_the_first_annihilator_only_is_caught",
+                T_ST + "test_functional_killed_by_every_label_but_one_is_caught")
+WEDGE_TEST = "self.eps[vertex], inst.fs[q]).any():\n                    return False"
 
 DESCENT = (T_RC + "test_descent_matches_the_per_k_intersections",
            T_RC + "test_descent_tau_is_the_oracle_tau_at_every_k",
@@ -267,8 +268,8 @@ MUTANTS = (
            "scalars = [t[:, :, 0] for t in tables]", "scalars = [t[:, :, -1] for t in tables]",
            PROJECTION_TABLES),
     Mutant("projection-reps-indexed-off-by-one", HT,
-           "a.tolist() for a in (reps[bd], reps[boc],",
-           "a.tolist() for a in (reps[(bd + 1) % ring.m], reps[(boc + 1) % ring.m],",
+           "reps[bd], reps[boc], bd,",
+           "reps[(bd + 1) % ring.m], reps[(boc + 1) % ring.m], bd,",
            PROJECTION_TABLES),
     Mutant("projection-reps-built-off-by-one", GR,
            "reps = ik1.reduce(np.outer(np.arange(ring.m), gm1k))",
@@ -315,6 +316,14 @@ MUTANTS = (
            WEDGE_TEST, WEDGE_TEST + "\n                break", WEDGE_KERNEL),
     Mutant("wedge-kernel-returns-after-first-functional", ST,
            WEDGE_TEST, WEDGE_TEST + "\n                return True", WEDGE_KERNEL),
+    Mutant("annihilator-count-unchecked", ST,
+           'raise AssertionError("annihilator-count', 'print("annihilator-count',
+           (T_ST + "test_annihilator_count_raises_on_a_proper_sub_span",)),
+    Mutant("kill-check-skips-a-label", ST,
+           "for q in inst.primes:\n                if q not in vertex",
+           "for q in inst.primes[1:]:\n                if q not in vertex",
+           (T_ST + "test_functional_killed_by_every_label_but_one_is_caught",
+            T_ST + "test_kill_check_is_the_howell_row_verdict")),
     # -- the wedge index table and the Stark ideals above the prime count ---------
     Mutant("wedge-table-sign-flipped", MD,
            "sgn.setflags(write=False)", "sgn[-1, 0] *= -1\n    sgn.setflags(write=False)",
