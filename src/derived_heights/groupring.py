@@ -192,12 +192,11 @@ def derivative_op(ring: RingCtx, k: int, gen_exp: int = 1) -> GroupRingElt:
 
 @lru_cache(maxsize=None)
 def _aug_power_cached(p: int, n: int, k: int) -> la.Span:
+    """I^k as I^(k-1) (gamma - 1), from the cached I^(k-1)."""
+    if k == 0:
+        return la.Span.whole(p ** n, p, n)
     ring = RingCtx(p, n)
-    gm1 = regular_rep(ring.gamma() - ring.one())
-    span = la.Span.whole(ring.m, p, n)
-    for _ in range(k):
-        span = la.image_span(span, gm1)
-    return span
+    return la.image_span(_aug_power_cached(p, n, k - 1), regular_rep(ring.gamma() - ring.one()))
 
 
 def aug_ideal_power(ring: RingCtx, k: int) -> la.Span:

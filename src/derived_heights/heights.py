@@ -41,9 +41,10 @@ value tables, one k at a time:
 What depends on no datum is built once and shared by all: the free
 modules, the derivative-operator lift solvers and the norm solver.  The
 kernels S and T, filtration pieces and complex stay per datum, each built
-on first use (``validate`` reads S alone); the dual datum derives its
-own, for the symmetry flag.  The solvers involving ell are built per
-table call, once for all of its draws.
+on first use (``validate`` reads S alone).  The dual datum reads S, T and
+their pieces off the datum, sides swapped (``submodule``), but draws its
+own lifts with its own solvers, for the symmetry flag.  The solvers
+involving ell are built per table call, once for all of its draws.
 
 ``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables;
 their ``PairingValue`` keeps the unreduced value and reads its class
@@ -155,36 +156,37 @@ class PairingData:
         self.d_t = r_matrix_expand(ring, [[ell_rows[i][j] for i in range(self.a)]
                                           for j in range(self.b)])
         self._memo: dict[tuple, object] = {}
+        self._primal: Optional[PairingData] = None  # set on a dual datum alone
 
     # -- structure ---------------------------------------------------------------
 
     @derived
-    def _kernel(self, side: str) -> la.Span:
-        """S = ker ell in X (side 's') or T = ker ell* in Y (side 't'), built on first read."""
-        return la.kernel(self.d if side == "s" else self.d_t, self.ring.p, self.ring.n)
+    def submodule(self, side: str) -> FpModule:
+        """S = ker ell in X (side 's') or T = ker ell* in Y (side 't'), built on first read;
+        a dual datum reads them (with their pieces) off its datum, sides swapped."""
+        if self._primal is not None:
+            return self._primal.submodule("t" if side == "s" else "s")
+        free, d = (self.x, self.d) if side == "s" else (self.y, self.d_t)
+        return free.submodule(la.kernel(d, self.ring.p, self.ring.n))
 
-    s_span = property(lambda self: self._kernel("s"))
-    t_span = property(lambda self: self._kernel("t"))
+    s_span = property(lambda self: self.submodule("s").num)
+    t_span = property(lambda self: self.submodule("t").num)
 
     @derived
     def dual(self) -> "PairingData":
         """The dual datum 0 -> T -> Y -> X* -> S* -> 0 (transposed ell)."""
-        rows = [[self.ell[i][j] for i in range(self.a)] for j in range(self.b)]
-        return PairingData(self.ring, rows)
+        dual = PairingData(self.ring, [[self.ell[i][j] for i in range(self.a)]
+                                       for j in range(self.b)])
+        dual._primal = self
+        return dual
 
     @derived
     def complex(self) -> TwoTermComplex:
         return TwoTermComplex(self.x, self.y, self.d)
 
-    @derived
-    def _submodule(self, side: str) -> FpModule:
-        """S in X (side 's') or T in Y (side 't')."""
-        return self.x.submodule(self.s_span) if side == "s" else self.y.submodule(self.t_span)
-
-    @derived
     def piece_span(self, side: str, k: int) -> la.Span:
         """Numerator span of S_0^(k) (side 's') or T_0^(k) (side 't')."""
-        return self._submodule(side).filtration_piece(k).num
+        return self.submodule(side).filtration_piece(k).num
 
     def eval_bilinear(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         """Table of ell(x)(y) in R: push every x through ell, then pair."""
@@ -278,7 +280,7 @@ class PairingData:
         free = self.x if side == "s" else self.y
         tilde = np.tile(targets % m, (draws, 1))
         if k > 1:
-            ker = (self.s_span if side == "s" else self.t_span).h
+            ker = self.submodule(side).num.h
             gm1 = ring.gamma(gen_exp) - ring.one()
             tilde_solver = la.Solver(la.mul_mod(ker, free.scale_matrix(gm1 ** (k - 1)), m),
                                      ring.p, ring.n)
@@ -458,7 +460,10 @@ class PairingData:
 
 @lru_cache(maxsize=128)
 def _lift_solver(ring: RingCtx, rank: int, k: int, gen_exp: int) -> la.Solver:
-    """Solver of x D^(k-1) = s~ on R^rank, D for the generator gamma^gen_exp."""
+    """Solver of x D^(k-1) = s~ on R^rank, D for the generator gamma^gen_exp;
+    D^(0) is the norm N for every generator, so k = 1 is ``_norm_solver``."""
+    if k == 1:
+        return _norm_solver(ring, rank)
     d = derivative_op(ring, k - 1, gen_exp)
     return la.Solver(free_module(ring, rank).scale_matrix(d), ring.p, ring.n)
 

@@ -48,11 +48,11 @@ Conventions used throughout the package:
     "Algorithms for Matrix Canonical Forms", 2000).  An intersection with
     the whole ambient (a square Howell form with unit diagonal) is the
     other span, with no Howell form
-  * ``howell_form`` is memoized by value (the reduced entries, shape, p
-    and n) in an LRU bounded by entries and by bytes, because the same
-    spans are canonicalized over and over.  Its results are shared
-    between callers and read-only: writing into one raises, so a caller
-    that needs to modify a span copies it first.
+  * ``howell_form`` keeps nothing: each span is built once by the object
+    that owns it (a complex, a module, a pairing datum), not looked up by
+    value.  Its results are read-only, as a span's rows are shared by
+    every object that holds the span: writing into one raises, so a
+    caller that needs to modify a span copies it first.
 
 The Howell form is computed in one pass over the columns, in the manner
 of Storjohann and Mulders ("Fast algorithms for linear algebra modulo
@@ -78,7 +78,6 @@ never through an unreduced power.
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
@@ -110,66 +109,6 @@ def mat_pow_mod(a: np.ndarray, e: int, m: int) -> np.ndarray:
     return out
 
 
-# Bounds of the Howell memo; constants, not settings.  On the spectral
-# benchmark 256 entries give most of the speed-up of 4096 (11.8 against
-# 13.6 trials/s) for +1 MB of peak memory instead of +26 MB.  The byte
-# bound (input key plus Howell form) binds only on wide rings: the three
-# benchmark workloads hold at most 2 MB (entries of 1-3 KB at the median),
-# while a (7,2) relate/coker entry holds 359 KB at the median and up to
-# 1.3 MB, and 256 of them made a 174 MB peak.
-HOWELL_MEMO_SIZE = 256
-HOWELL_MEMO_BYTES = 8 << 20
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-def _lru_by_bytes(fn):
-    """Memoize fn(a, p, n) by the value of a, least recently used first out.
-
-    Bounded by ``HOWELL_MEMO_SIZE`` entries and by ``HOWELL_MEMO_BYTES``
-    held (key plus result).  Results are read-only; ``cache_info`` and
-    ``cache_clear`` work as they do on an ``lru_cache``.  A closure, not a
-    class: callers that empty every cache of a module call ``cache_clear``
-    on each module attribute that has one, and a class's is unbound.
-    """
-    entries: OrderedDict = OrderedDict()
-    stats = {"bytes": 0, "hits": 0, "misses": 0}
-
-    def memo(a: np.ndarray, p: int, n: int) -> np.ndarray:
-        key = (a.tobytes(), a.shape, p, n)
-        out = entries.get(key)
-        if out is not None:
-            stats["hits"] += 1
-            entries.move_to_end(key)
-            return out
-        stats["misses"] += 1
-        out = entries[key] = fn(a, p, n)
-        out.setflags(write=False)
-        stats["bytes"] += len(key[0]) + out.nbytes
-        while len(entries) > HOWELL_MEMO_SIZE or stats["bytes"] > HOWELL_MEMO_BYTES:
-            old, dropped = entries.popitem(last=False)
-            stats["bytes"] -= len(old[0]) + dropped.nbytes
-        return out
-
-    def cache_clear() -> None:
-        entries.clear()
-        stats.update(bytes=0, hits=0, misses=0)
-
-    memo.cache_info = lambda: CacheInfo(stats["hits"], stats["misses"], HOWELL_MEMO_SIZE,
-                                        len(entries))
-    memo.cache_clear = cache_clear
-    return memo
-
-
-def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Unique Howell canonical form of the row span of ``a`` (read-only).
-
-    Memoized by value; the result is shared with every other caller that
-    asks for the same span, so it cannot be written to.
-    """
-    return _howell_memo(np.atleast_2d(np.asarray(a, dtype=np.int64)) % (p ** n), p, n)
-
-
 @lru_cache(maxsize=16)
 def _tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lookup tables for Z/p^n, indexed by the canonical residue x.
@@ -195,8 +134,8 @@ def _tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 HOWELL_GATHER_ENTRIES = 4096
 
 
-def _howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Unique Howell canonical form of the row span of ``a``, unmemoized.
+def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Unique Howell canonical form of the row span of ``a`` (read-only).
 
     One pass over the columns, with deferred reduction (module docstring).
     Rows ``w[:j]`` are placed (pivots in increasing columns) and rows
@@ -248,10 +187,9 @@ def _howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
             if ann.any():
                 w[j + k] = ann
                 k += 1
-    return w[:j] % m
-
-
-_howell_memo = _lru_by_bytes(_howell_form)
+    h = w[:j] % m
+    h.setflags(write=False)
+    return h
 
 
 def _pivot_entries(h: np.ndarray) -> np.ndarray:
@@ -431,7 +369,7 @@ def check_accumulation(terms: int, m: int) -> None:
     """Assert that a residue plus ``terms`` products of residues mod m fits int64.
 
     The batched loop of ``CosetReducer.reduce`` (which every solve goes
-    through) adds one product per pivot, and ``_howell_form`` one per
+    through) adds one product per pivot, and ``howell_form`` one per
     column, then reduce once.
     """
     assert terms * (m - 1) ** 2 + m < 1 << 63, "batched reduction would overflow int64"

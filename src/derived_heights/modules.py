@@ -66,7 +66,7 @@ def derived(method):
 class FpModule:
     """Subquotient num/den of (Z/p^n)^dim with gamma-action."""
 
-    __slots__ = ("ring", "dim", "gamma", "num", "den", "free_rank", "_memo")
+    __slots__ = ("ring", "dim", "gamma", "num", "den", "free_rank", "parent", "_memo")
 
     def __init__(self, ring: RingCtx, dim: int, gamma: np.ndarray,
                  num: la.Span, den: la.Span, check: bool = True):
@@ -77,6 +77,7 @@ class FpModule:
         self.num = num
         self.den = den
         self.free_rank: Optional[int] = None  # set by free_module alone
+        self.parent: Optional[FpModule] = None  # set by submodules alone
         self._memo: dict[tuple, object] = {}
         if check:
             if not num.contains(den):
@@ -129,7 +130,9 @@ class FpModule:
         """The submodule num/den, for a span num that already contains den."""
         if not self.num.contains(num):
             raise ValueError("span does not lie in the module")
-        return FpModule(self.ring, self.dim, self.gamma, num, self.den, check=False)
+        sub = FpModule(self.ring, self.dim, self.gamma, num, self.den, check=False)
+        sub.parent = self
+        return sub
 
     def quotient(self, span: la.Span) -> "FpModule":
         return FpModule(self.ring, self.dim, self.gamma, self.num, span + self.den,
@@ -147,7 +150,10 @@ class FpModule:
 
     @derived
     def fixed_point_span(self) -> la.Span:
-        """Numerator span of M^G = ker(gamma - 1) on the subquotient."""
+        """Numerator span of M^G = ker(gamma - 1) on the subquotient; a submodule
+        shares gamma and den with its parent, so it meets the parent's with its num."""
+        if self.parent is not None:
+            return la.span_intersect(self.parent.fixed_point_span(), self.num)
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
         return la.span_intersect(la.preimage(gm1, self.den), self.num)
 
@@ -159,15 +165,17 @@ class FpModule:
             block = aug_ideal_power(self.ring, k).h
             return la.Span._of_howell(_diagonal_copies(self.free_rank, block), self.p, self.n)
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
-        mat = la.mat_pow_mod(gm1, k, self.m)
-        return la.image_span(self.num, mat) + self.den
+        return la.image_span(self.num, la.mat_pow_mod(gm1, k, self.m), self.den)
 
+    @derived
     def filtration_piece(self, k: int) -> "FpModule":
-        """M_0^(k) = M^G intersected with I^(k-1) M, for 1 <= k <= p-1."""
+        """M_0^(k) = M^G intersected with I^(k-1) M, for 1 <= k <= p-1 (M^G itself at k = 1)."""
         if not 1 <= k <= self.p - 1:
             raise ValueError("filtration piece defined for 1 <= k <= p-1")
         fixed = self.fixed_point_span()
-        num = la.span_intersect(fixed, self.ideal_multiple_span(k - 1)) + self.den
+        if k > 1:
+            fixed = la.span_intersect(fixed, self.ideal_multiple_span(k - 1))
+        num = fixed + self.den
         return FpModule(self.ring, self.dim, self.gamma, num, self.den, check=False)
 
 
@@ -207,6 +215,8 @@ class ModuleHom:
         return self.tgt.reduce(self._rows(v))
 
     def image(self) -> FpModule:
+        if self.mat is None and self.src.num == self.tgt.num:
+            return self.tgt  # the identity onto the same numerator
         rows = np.vstack([self._rows(self.src.num.h), self.tgt.den.h])
         return self.tgt._over_den(la.Span(rows, self.src.p, self.src.n))
 
@@ -344,7 +354,7 @@ class Ideal:
 
     @classmethod
     def unit(cls, ring: RingCtx) -> "Ideal":
-        return cls.from_elements(ring, [ring.one()])
+        return cls(ring, la.Span.whole(ring.m, ring.p, ring.n))
 
     def is_zero(self) -> bool:
         return self.span.h.shape[0] == 0

@@ -82,7 +82,7 @@ class StarkInstance:
         # the four-term sequence 0 -> H(empty) -> X -> sum L_q -> W* -> 0
         # is the pairing datum for ell; its dual exactness is the
         # self-injectivity content a core vertex relies on
-        PairingData(self.ring, self.ell).validate()
+        self.datum().validate()
         for big, small in self.edges():
             if not self.h_span(big).contains(self.h_span(small)):
                 raise StarkError("not-a-core-vertex: vertex lattice not monotone")
@@ -102,11 +102,18 @@ class StarkInstance:
                                            for row in self.ell])
 
     @derived
+    def datum(self) -> PairingData:
+        """The pairing datum of ell: X -> sum of the L_q, whose S is H(empty)."""
+        return PairingData(self.ring, self.ell)
+
+    @derived
     def h_span(self, vertex: tuple[int, ...]) -> la.Span:
         """Numerator span of H(vertex) = ker(X -> sum of L_q, q outside)."""
         ring = self.ring
         if len(vertex) == self.r:
             return la.Span.whole(self.a * ring.m, ring.p, ring.n)
+        if not vertex:
+            return self.datum().s_span
         return la.kernel(self.localization(vertex), ring.p, ring.n)
 
     def w_star_fitting(self, i: int) -> Ideal:

@@ -84,6 +84,21 @@ def test_kernels_are_built_on_first_read(monkeypatch):
         built.clear()
 
 
+def test_dual_datum_reads_the_swapped_sides():
+    # the dual's S and T are the datum's T and S, the same objects, and
+    # they are the kernels of the dual's own maps
+    rng = SplitMix64(59)
+    for ring in RINGS:
+        for _ in range(4):
+            data = random_pairing_data(ring, rng)
+            dual = data.dual()
+            assert dual.submodule("s") is data.submodule("t")
+            assert dual.submodule("t") is data.submodule("s")
+            assert dual.s_span == la.kernel(dual.d, ring.p, ring.n)
+            assert dual.t_span == la.kernel(dual.d_t, ring.p, ring.n)
+            assert dual.piece_span("s", 1) is data.piece_span("t", 1)
+
+
 def test_validate_fuzz_self_injectivity():
     # random R-linear ell always gives an exact dual sequence: the
     # stated volume is 500 seeded instances across the supported rings

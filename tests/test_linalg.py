@@ -241,7 +241,7 @@ def test_kernel_unchanged_by_howell():
                 assert k1.h.shape == k2.h.shape and (k1.h == k2.h).all()
 
 
-# -- the Howell memo ---------------------------------------------------------
+# -- Howell forms: no memo, read-only results ---------------------------------
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (7, 1), (2, 3)])
@@ -252,9 +252,9 @@ def test_memoized_howell_matches_unmemoized(p, n):
              np.array([rng.below(m) for _ in range(5)], dtype=np.int64)]
     for _ in range(60):
         rows, cols = 1 + rng.below(6), 1 + rng.below(7)
-        # entries outside [0, m) too, so the reduction before the lookup is exercised
+        # entries outside [0, m) too, so the reduction of the input is exercised
         cases.append(rand_mat(rng, rows, cols, 3 * m) - m)
-    for a in cases + cases:  # the second round is answered from the memo
+    for a in cases + cases:  # the second round: a call keeps no state
         h = la.howell_form(a, p, n)
         ref = howell_oracle.howell_form(a, p, n)
         assert h.shape == ref.shape and (h == ref).all()
@@ -269,7 +269,7 @@ def test_howell_matches_the_fixpoint_oracle_at_benchmark_shapes(rows, cols):
     a = rand_mat(rng, rows, cols, 9)
     a[::2, : cols // 2] = 3 * a[::2, : cols // 2] % 9
     a[-1] = (a[0] + 2 * a[1]) % 9
-    h = la._howell_form(a, 3, 2)
+    h = la.howell_form(a, 3, 2)
     ref = howell_oracle.howell_form(a, 3, 2)
     assert h.shape == ref.shape and (h == ref).all()
 
@@ -311,7 +311,7 @@ def _structured_inputs(p, n, rng):
 def test_howell_kernel_matches_the_oracle_on_structured_inputs(p, n):
     rng = SplitMix64(5300 + 10 * p + n)
     for a in _structured_inputs(p, n, rng):
-        h = la._howell_form(a, p, n)
+        h = la.howell_form(a, p, n)
         ref = howell_oracle.howell_form(a, p, n)
         assert h.shape == ref.shape and (h == ref).all()
 
@@ -321,10 +321,10 @@ def test_howell_kernel_bound_is_asserted(monkeypatch):
     # scaled by a unit inverse before it is reduced; near m = 2^62 even one
     # column is too many, and the assertion comes before any table is built
     with pytest.raises(AssertionError, match="overflow"):
-        la._howell_form(np.array([[1, 0]], dtype=np.int64), 2 ** 31 - 1, 2)
+        la.howell_form(np.array([[1, 0]], dtype=np.int64), 2 ** 31 - 1, 2)
     seen = []
     monkeypatch.setattr(la, "check_accumulation", lambda terms, m: seen.append((terms, m)))
-    la._howell_form(np.ones((3, 5), dtype=np.int64), 3, 2)
+    la.howell_form(np.ones((3, 5), dtype=np.int64), 3, 2)
     assert seen == [(5 * 9, 9)]
 
 
@@ -347,20 +347,6 @@ def test_memo_ignores_later_changes_to_the_input():
     b = np.array([[2, 4, 1], [1, 1, 1]], dtype=np.int64)
     assert (la.howell_form(b, 5, 1) == first).all()
     assert la.howell_form(a, 5, 1).shape == (0, 3)
-
-
-def test_memo_is_a_clearable_module_attribute():
-    # callers that empty every lru_cache of a module find it by cache_clear
-    memo = la._howell_memo
-    assert callable(memo.cache_clear)
-    la.howell_form(np.eye(2, dtype=np.int64), 3, 1)
-    memo.cache_clear()
-    assert memo.cache_info().currsize == 0
-    assert memo.cache_info().maxsize == la.HOWELL_MEMO_SIZE
-    la.howell_form(np.eye(2, dtype=np.int64), 3, 1)
-    la.howell_form(np.eye(2, dtype=np.int64), 3, 1)
-    info = memo.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 # -- the Span value -------------------------------------------------------------

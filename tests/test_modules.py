@@ -156,6 +156,23 @@ def test_shared_free_module_is_read_only():
         free.fixed_point_span().h[0, 0] = 1
 
 
+def test_submodule_fixed_points_are_the_parents_met_with_its_numerator():
+    # a submodule keeps its parent and reads its fixed points off the
+    # parent's; they must be the ones computed afresh from its own num/den,
+    # for submodules of free modules and of a quotient with a denominator
+    rng = SplitMix64(163)
+    for ring in RINGS:
+        free = md.free_module(ring, 2)
+        quot = free.quotient(la.image_span(free.num, free.scale_matrix(ring.norm())))
+        for parent in (free, quot):
+            for _ in range(3):
+                sub = parent.submodule(_random_span(ring, rng))
+                assert sub.parent is parent
+                gm1 = (sub.gamma - np.eye(sub.dim, dtype=np.int64)) % ring.m
+                fresh = la.span_intersect(la.preimage(gm1, sub.den), sub.num)
+                assert sub.fixed_point_span() == fresh
+
+
 def test_kept_fixed_point_span_is_a_fresh_computation():
     # M = R^2 / I R^2: gamma acts trivially, so M^G is all of M, while
     # ker(gamma - 1) on the ambient alone is only N R^2
@@ -168,6 +185,18 @@ def test_kept_fixed_point_span_is_a_fresh_computation():
         assert mod.fixed_point_span() == fresh == mod.num
         assert mod.fixed_point_span() is mod.fixed_point_span()
         assert free.fixed_point_span().size() == ring.m ** 2
+
+
+def test_identity_image_is_the_target_only_on_equal_numerators():
+    # the identity on representatives is onto when the numerators agree, and
+    # from a proper submodule its image is that submodule
+    for ring in RINGS:
+        free = md.free_module(ring, 1)
+        sub = ideal_submodule(ring, 1)
+        inclusion = md.ModuleHom(sub, free, None)
+        assert inclusion.image().num == sub.num and not inclusion.is_surjective()
+        onto = md.ModuleHom(free, free.quotient(aug_ideal_power(ring, 1)), None)
+        assert onto.image().num == free.num and onto.is_surjective()
 
 
 def test_kept_image_is_a_fresh_image():

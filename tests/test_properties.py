@@ -76,7 +76,7 @@ def wide_matrices(draw):
 @given(wide_matrices())
 def test_howell_form_equals_the_fixpoint_oracle(case):
     p, n, a = case
-    h = la._howell_form(a, p, n)
+    h = la.howell_form(a, p, n)
     ref = howell_oracle.howell_form(a, p, n)
     assert h.shape == ref.shape and (h == ref).all()
 

@@ -480,8 +480,9 @@ def test_contraction_counts_of_building_and_checking_a_family(monkeypatch):
 
 
 def test_an_instance_builds_no_kernel_of_ell_star(monkeypatch):
-    # S = ker ell, its annihilator, and H(m) below the top: no kernel of
-    # ell*, none of the dual datum's (ker ell* and ker ell again)
+    # S = ker ell, its annihilator, and H(m) strictly between the bottom and
+    # the top (H(empty) is the validated datum's S): no kernel of ell*,
+    # none of the dual datum's (ker ell* and ker ell again)
     built = test_heights.counting_solvers(monkeypatch)
     rng = SplitMix64(199)
     for ring in RINGS:
@@ -492,7 +493,7 @@ def test_an_instance_builds_no_kernel_of_ell_star(monkeypatch):
             d, d_t = data.d % ring.m, data.d_t % ring.m
             if d.shape != d_t.shape or (d != d_t).any():  # else ker ell* is ker ell
                 assert not [a for a in built if a.shape == d_t.shape and (a == d_t).all()]
-            assert len(built) == 2 + 2 ** r - 1
+            assert len(built) == 2 ** r
 
 
 def test_memos_are_per_object():

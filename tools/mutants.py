@@ -173,7 +173,7 @@ MUTANTS = (
            (T_RC + "test_profile_from_kmax_zero_returns",)),
     # -- the Howell kernel's pivot step, with deferred reduction ---------------------
     Mutant("howell-final-reduction-dropped", LA,
-           "return w[:j] % m", "return w[:j]", HOWELL_KERNEL),
+           "h = w[:j] % m", "h = w[:j]", HOWELL_KERNEL),
     Mutant("howell-zero-run-jump-one-too-far", LA,
            "c += 1 + int(live[0])", "c += 2 + int(live[0])", HOWELL_KERNEL),
     Mutant("howell-bound-unchecked", LA,
@@ -352,6 +352,57 @@ MUTANTS = (
            "a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)",
            (T_LA + "test_modular_product_bound_is_asserted_at_its_boundary",
             T_PR + "test_convolve_is_the_double_loop_convolution")),
+    # -- each span built once, by the object that owns it -------------------------
+    Mutant("h1-mod-ik-cycles-one-step-deeper", CX,
+           "self.c1.gamma, self.z_span(k, 0, 1),", "self.c1.gamma, self.z_span(k + 1, 0, 1),",
+           (T_CX + "test_verify_relate_fuzz",)),
+    Mutant("d-image-one-power-up", CX,
+           "return la.image_span(self.ideal_span1(j), self.d)",
+           "return la.image_span(self.ideal_span1(j + 1), self.d)",
+           (T_CX + "test_coker_isos_fuzz",)),
+    Mutant("h2-filtration-den-at-k", CX,
+           "self.h2_of_quotient(k + 1).den, check=False)",
+           "self.h2_of_quotient(k).den, check=False)",
+           (T_CX + "test_coker_isos_fuzz",)),
+    Mutant("coker-kernel-meets-the-target-numerator", CX,
+           "meet = la.span_intersect(num, target.den)",
+           "meet = la.span_intersect(num, target.num)",
+           (T_CX + "test_coker_isos_fuzz",)),
+    Mutant("generic-ideal-multiple-drops-den", MD,
+           "la.mat_pow_mod(gm1, k, self.m), self.den)", "la.mat_pow_mod(gm1, k, self.m))",
+           (T_CX + "test_h2_right_exactness",)),
+    Mutant("aug-power-skips-a-step", GR,
+           "_aug_power_cached(p, n, k - 1)", "_aug_power_cached(p, n, max(k - 2, 0))",
+           ("tests/test_groupring.py::test_aug_ideal_sizes_31",)),
+    Mutant("filtration-piece-skips-the-meet-at-two", MD,
+           "if k > 1:\n            fixed = la.span_intersect",
+           "if k > 2:\n            fixed = la.span_intersect",
+           (T_MD + "test_filtration_piece_cases_31",)),
+    Mutant("submodule-fixed-points-are-the-parents", MD,
+           "return la.span_intersect(self.parent.fixed_point_span(), self.num)",
+           "return self.parent.fixed_point_span()",
+           (T_MD + "test_submodule_fixed_points_are_the_parents_met_with_its_numerator",)),
+    Mutant("dual-reads-its-own-side", HT,
+           'return self._primal.submodule("t" if side == "s" else "s")',
+           "return self._primal.submodule(side)",
+           (T_HT + "test_dual_datum_reads_the_swapped_sides",)),
+    Mutant("bottom-vertex-reads-the-datum-t", ST,
+           "return self.datum().s_span", "return self.datum().t_span",
+           (T_ST + "test_an_instance_builds_no_kernel_of_ell_star",)),
+    Mutant("lift-solver-norm-beyond-k1", HT,
+           "if k == 1:\n        return _norm_solver(ring, rank)",
+           "if k <= 2:\n        return _norm_solver(ring, rank)",
+           (T_HT + "test_lift_chains_solve_the_equations_of_their_generator",)),
+    Mutant("identity-image-ignores-numerators", MD,
+           "if self.mat is None and self.src.num == self.tgt.num:", "if self.mat is None:",
+           (T_MD + "test_identity_image_is_the_target_only_on_equal_numerators",)),
+    Mutant("image-of-any-map-onto-equal-numerators", MD,
+           "if self.mat is None and self.src.num == self.tgt.num:",
+           "if self.src.num == self.tgt.num:",
+           (T_MD + "test_kept_image_is_a_fresh_image",)),
+    Mutant("unit-ideal-is-zero", MD,
+           "return cls(ring, la.Span.whole(ring.m, ring.p, ring.n))", "return cls.zero(ring)",
+           (T_ST + "test_stark_identity_gives_unit_ideals",)),
     # -- the lattice descent of the tau profile ------------------------------------
     Mutant("descent-drops-p-multiples", RC,
            "il.int_echelon([[p * x for x in row] for row in basis] + lifts)",
