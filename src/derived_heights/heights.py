@@ -27,7 +27,7 @@ Both pairings are bilinear in (s, t), so ``compare`` evaluates them as
 value tables, one k at a time:
 
   * membership of every s and every t is one batched coset reduction
-    against the filtration pieces, on the datum and on its dual;
+    against the filtration pieces;
   * each table draws the lifts of all its elements at once: one
     ``Solver`` call per solver on the stacked copies of all targets, one
     copy per draw (two when the table is audited, one otherwise);
@@ -35,16 +35,16 @@ value tables, one k at a time:
     regular representations of the lifted arguments, projected into Q^k
     by ``graded_projection``'s [phi | Psi]: phi reads the scalar, Psi
     vanishes exactly on I^k;
-  * the audit, equality, symmetry (against the transposed table of the
-    dual datum) and generator-independence flags compare whole tables.
+  * the audit, equality, symmetry and generator-independence flags
+    compare whole tables.  The symmetry table is the one of the dual
+    sequence 0 -> T -> Y -> X* -> S* -> 0: the same datum with its sides
+    swapped and ell* for ell (``_bd_table(dual=True)``), transposed.
 
 What depends on no datum is built once and shared by all: the free
 modules, the derivative-operator lift solvers and the norm solver.  The
 kernels S and T, filtration pieces and complex stay per datum, each built
-on first use (``validate`` reads S alone).  The dual datum reads S, T and
-their pieces off the datum, sides swapped (``submodule``), but draws its
-own lifts with its own solvers, for the symmetry flag.  The solvers
-involving ell are built per table call, once for all of its draws.
+on first use (``validate`` reads S alone).  The solvers involving ell are
+built per table call, once for all of its draws.
 
 ``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables;
 their ``PairingValue`` keeps the unreduced value and reads its class
@@ -63,7 +63,6 @@ from .complexes import TwoTermComplex
 from .groupring import (
     GroupRingElt,
     RingCtx,
-    _dual_index,
     _rep_index,
     derivative_op,
     graded_projection,
@@ -156,29 +155,17 @@ class PairingData:
         self.d_t = r_matrix_expand(ring, [[ell_rows[i][j] for i in range(self.a)]
                                           for j in range(self.b)])
         self._memo: dict[tuple, object] = {}
-        self._primal: Optional[PairingData] = None  # set on a dual datum alone
 
     # -- structure ---------------------------------------------------------------
 
     @derived
     def submodule(self, side: str) -> FpModule:
-        """S = ker ell in X (side 's') or T = ker ell* in Y (side 't'), built on first read;
-        a dual datum reads them (with their pieces) off its datum, sides swapped."""
-        if self._primal is not None:
-            return self._primal.submodule("t" if side == "s" else "s")
+        """S = ker ell in X (side 's') or T = ker ell* in Y (side 't'), built on first read."""
         free, d = (self.x, self.d) if side == "s" else (self.y, self.d_t)
         return free.submodule(la.kernel(d, self.ring.p, self.ring.n))
 
     s_span = property(lambda self: self.submodule("s").num)
     t_span = property(lambda self: self.submodule("t").num)
-
-    @derived
-    def dual(self) -> "PairingData":
-        """The dual datum 0 -> T -> Y -> X* -> S* -> 0 (transposed ell)."""
-        dual = PairingData(self.ring, [[self.ell[i][j] for i in range(self.a)]
-                                       for j in range(self.b)])
-        dual._primal = self
-        return dual
 
     @derived
     def complex(self) -> TwoTermComplex:
@@ -199,7 +186,8 @@ class PairingData:
 
         wv and yv hold one vector per row (a 1-D argument is one row); the
         result has shape (rows of wv, rows of yv, m), entry [s, t] being
-        the coefficient vector of w_s(y_t) in R.  The products w_j y_j are
+        the coefficient vector of w_s(y_t) in R (b is read off the width of
+        yv: Y* with Y, or X* with X for ell*).  The products w_j y_j are
         cyclic convolutions, so the table is one matrix product of the w
         rows against the gathered operand Y[(j, i), (t, c)] = y_t[j, c - i]
         of shape (b*m) x (T*m).  The operand is built in blocks of t rows,
@@ -207,7 +195,7 @@ class PairingData:
         block is one ``mul_mod``, exact while b * m * (m - 1)^2 < 2^63.  An
         m x q proj is folded into each block first: the table holds value @ proj.
         """
-        b, m = self.b, self.ring.m
+        b, m = np.shape(yv)[-1] // self.ring.m, self.ring.m
         q = m if proj is None else proj.shape[1]
         wm = np.atleast_2d(np.asarray(wv, dtype=np.int64)).reshape(-1, b * m)
         ym = np.atleast_2d(np.asarray(yv, dtype=np.int64)).reshape(-1, b, m)
@@ -227,41 +215,24 @@ class PairingData:
     def validate(self) -> None:
         """Certify exactness of the sequence and its dual.
 
-        The primal sequence is exact by construction (S and T* are
-        derived); the content is the dual sequence, equivalent to the
-        annihilator of S being exactly the image of ell*, plus the order
-        bookkeeping for surjectivity onto S*.
+        The primal sequence is exact by construction (S and T* are derived);
+        the content is the dual one at X*: the image of ell* is ann(S), and
+        so X* surjects onto S*.  Read through the gamma^0 coefficient, the
+        ell*(e_i) and their shifts are the columns of d, so this is
+        ``la.spans_annihilator(d, S)``.  The adjunction is checked on basis pairs.
         """
-        ring = self.ring
-        m = ring.m
-        ann = self._annihilator_of(self.s_span, self.a)
-        if ann != la.Span(self.d_t, ring.p, ring.n):
+        m = self.ring.m
+        if not la.spans_annihilator(self.d, self.s_span):
             raise PairingError("not-exact: image of ell* differs from ann(S) at X*")
-        if m ** (self.a * m) // ann.size() != self.s_span.size():
-            raise PairingError("not-exact: X* does not surject onto S*")
         # adjunction on basis pairs: ell*(e_j)(e_i) = ell(e_i)(e_j)
         x_basis = np.eye(self.a * m, dtype=np.int64)[::m]
         y_basis = np.eye(self.b * m, dtype=np.int64)[::m]
         lhs = self.eval_bilinear(x_basis, y_basis)
-        rhs = self.dual().eval_bilinear(y_basis, x_basis).transpose(1, 0, 2)
+        rhs = self.eval_functional(la.mul_mod(y_basis, self.d_t, m), x_basis).transpose(1, 0, 2)
         bad = np.argwhere((lhs != rhs).any(axis=2))
         if bad.size:
             i, j = bad[0]
             raise PairingError(f"adjunction-failure at basis pair ({i}, {j})")
-
-    def _annihilator_of(self, span: la.Span, rank: int) -> la.Span:
-        """Functionals in the dual-basis model vanishing on a span in R^rank.
-
-        The span must be gamma-stable, as S = ker ell and T = ker ell* are
-        (ell is R-linear): coefficient j of phi(v) is the gamma^0 one of
-        phi(gamma^-j v), so phi kills the span once it kills the gamma^0
-        coefficient of each row.  Column t is row t read in the dual basis:
-        entry [(r, i), t] is row t's slot r at -i.
-        """
-        m = self.ring.m
-        blocks = span.h.reshape(-1, rank, m)[:, :, _dual_index(m)]
-        return la.kernel(blocks.transpose(1, 2, 0).reshape(rank * m, -1),
-                         self.ring.p, self.ring.n)
 
     # -- per-table lifts ----------------------------------------------------------------
 
@@ -356,15 +327,18 @@ class PairingData:
         return scalars[0], (ws[0], ys[0])
 
     def _bd_table(self, k: int, s_rows: np.ndarray, t_rows: np.ndarray,
-                  rng: SplitMix64, gen_exp: int = 1, audit: bool = True):
+                  rng: SplitMix64, gen_exp: int = 1, audit: bool = True,
+                  dual: bool = False):
         """Derivative-lift scalars of ell(x_s)(y_t) for every (s, t), and (ell(x_s), y_t).
 
         The audit recomputes the table from a second, independently drawn
-        chain of every element.
+        chain of every element.  ``dual`` is the table of the dual sequence
+        0 -> T -> Y -> X* -> S* -> 0: the rows lift on sides 't', 's', through ell*.
         """
-        xs = self._lift_chains("s", k, gen_exp, s_rows, rng, 1 + audit)
-        ys = self._lift_chains("t", k, gen_exp, t_rows, rng, 1 + audit)
-        ws = la.mul_mod(xs, self.d, self.ring.m)
+        sides, d = (("t", "s"), self.d_t) if dual else (("s", "t"), self.d)
+        xs = self._lift_chains(sides[0], k, gen_exp, s_rows, rng, 1 + audit)
+        ys = self._lift_chains(sides[1], k, gen_exp, t_rows, rng, 1 + audit)
+        ws = la.mul_mod(xs, d, self.ring.m)
         return self._audited(k, ws, ys, "derivative-lift pairing depended on lift choices")
 
     def _boc_table(self, k: int, s_rows: np.ndarray, t_rows: np.ndarray,
@@ -423,7 +397,6 @@ class PairingData:
         """
         ring = self.ring
         rng = rng or SplitMix64(0)
-        dual = self.dual()
         units = [u for u in range(2, ring.m) if u % ring.p]
         records = []
         ok = True
@@ -440,10 +413,9 @@ class PairingData:
                 s_rows, t_rows = np.array(s_span.h), np.array(t_span.h)
             u = units[rng.below(len(units))]  # never empty: p is odd, so 2 is a unit
             self._check_membership(k, s_rows, t_rows)
-            dual._check_membership(k, t_rows, s_rows)
             bd, _ = self._bd_table(k, s_rows, t_rows, rng, audit=audit)
             boc, _ = self._boc_table(k, s_rows, t_rows, rng, audit=audit)
-            sym, _ = dual._bd_table(k, t_rows, s_rows, rng, audit=False)
+            sym, _ = self._bd_table(k, t_rows, s_rows, rng, audit=False, dual=True)
             equal, symmetric = bd == boc, sym.T == bd
             gamma_ok = self._bd_table(k, s_rows, t_rows, rng, gen_exp=u, audit=False)[0] == bd
             ok = ok and bool(equal.all() and symmetric.all() and gamma_ok.all())

@@ -305,6 +305,14 @@ def kernel(a: np.ndarray, p: int, n: int) -> Span:
     return Solver(a, p, n).ker
 
 
+def spans_annihilator(cols: np.ndarray, span: Span) -> bool:
+    """True iff the columns of ``cols``, as functionals, span the annihilator of the span:
+    they kill its rows (one product), and |Span(cols^T)| * |span| = m^rows, as
+    Z/p^n is self-injective (the annihilator has m^rows / |span| elements)."""
+    return (not mul_mod(span.h, cols, span.m).any()
+            and Span(cols.T, span.p, span.n).size() * span.size() == span.m ** len(cols))
+
+
 def _vanishing_tail(h: np.ndarray, cols: int) -> np.ndarray:
     """Right block of the rows of a Howell form that vanish on its first cols.
 

@@ -238,5 +238,5 @@ def load_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputError("$", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past int()'s digit limit
         raise InputError("$", f"invalid JSON: {exc}") from exc

@@ -445,6 +445,19 @@ def test_structure_shape_beyond_minor_limit_exit_2(tmp_path, capsys):
         ser.parse_int_complex({"p": 3, "d": ser.matrix_to_json([r + [0] for r in ten], None)})
 
 
+def test_structure_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": 3, "note": "caf\xe9"}')
+    assert_exit_2_at(["structure", str(path)], capsys, "parse-error at $")
+
+
+def test_structure_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # Python refuses int strings of more than 4,300 digits by default
+    path = tmp_path / "long_int.json"
+    path.write_text('{"p": 3, "d": ' + "7" * 5000 + "}")
+    assert_exit_2_at(["structure", str(path)], capsys, "parse-error at $")
+
+
 def test_structure_p_beyond_limit_exit_2(tmp_path, capsys):
     obj = {"p": 10 ** 18 + 9, "d": ser.matrix_to_json([[6]], None)}
     path = write_json(tmp_path, "huge_p.json", obj)

@@ -84,19 +84,58 @@ def test_kernels_are_built_on_first_read(monkeypatch):
         built.clear()
 
 
-def test_dual_datum_reads_the_swapped_sides():
-    # the dual's S and T are the datum's T and S, the same objects, and
-    # they are the kernels of the dual's own maps
-    rng = SplitMix64(59)
+def test_validate_builds_one_solver_and_compare_no_second_datum(monkeypatch):
+    # validate builds S's kernel and proves ann(S) by a product and a count,
+    # with no kernel of its own; compare makes its symmetry table on the
+    # datum itself, so no PairingData is constructed after the first
+    built = counting_solvers(monkeypatch)
+    constructed, init = [], PairingData.__init__
+
+    def counting_init(self, *args):
+        constructed.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(PairingData, "__init__", counting_init)
+    rng = SplitMix64(61)
     for ring in RINGS:
-        for _ in range(4):
+        for _ in range(3):
+            built.clear()
+            constructed.clear()
             data = random_pairing_data(ring, rng)
-            dual = data.dual()
-            assert dual.submodule("s") is data.submodule("t")
-            assert dual.submodule("t") is data.submodule("s")
-            assert dual.s_span == la.kernel(dual.d, ring.p, ring.n)
-            assert dual.t_span == la.kernel(dual.d_t, ring.p, ring.n)
-            assert dual.piece_span("s", 1) is data.piece_span("t", 1)
+            data.validate()
+            assert len(built) == 1
+            data.compare(ring.p - 1, rng=rng, max_card=200)
+            assert len(constructed) == 1
+
+
+ALL_RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1), RingCtx(5, 2), RingCtx(7, 1),
+             RingCtx(7, 2)]
+
+
+def test_dual_table_is_the_transposed_datums_table():
+    # the dual sequence's table on the datum draws and computes exactly as
+    # the table of a fresh datum of the transposed ell, given equal seeds
+    for ring in ALL_RINGS:
+        rng = SplitMix64(601 + ring.m)
+        higher = 0
+        for i in range(12):
+            data = random_pairing_data(ring, rng)
+            fresh = PairingData(ring, [list(col) for col in zip(*data.ell)])
+            for k in range(1, ring.p):
+                s_rows, t_rows = data.piece_span("s", k).h, data.piece_span("t", k).h
+                if not (len(s_rows) and len(t_rows)):
+                    continue
+                higher += k > 1
+                seed = 1000 * i + k
+                ours, theirs = SplitMix64(seed), SplitMix64(seed)
+                audit = bool(seed % 2)
+                table, (w, y) = data._bd_table(k, t_rows, s_rows, ours, audit=audit, dual=True)
+                fresh_table, (fresh_w, fresh_y) = fresh._bd_table(k, t_rows, s_rows, theirs,
+                                                                  audit=audit)
+                assert (table == fresh_table).all()
+                assert (w == fresh_w).all() and (y == fresh_y).all()
+                assert ours.state == theirs.state
+        assert higher, ring
 
 
 def test_validate_fuzz_self_injectivity():
@@ -120,16 +159,21 @@ def _annihilator_by_shifts(ring, span, rank):
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
 def test_annihilator_reads_the_rows_alone_like_every_shift(p, n):
-    # S and T are gamma-stable, so the annihilator read off their rows in
-    # the dual basis is the one of every gamma-shift of every row
+    # the image of ell* is the annihilator of every gamma-shift of every
+    # row of S, and that of ell the one of T: spans_annihilator accepts
+    # the columns of d on S (and of d_t on T), and rejects p times them
     ring = RingCtx(p, n)
     rng = SplitMix64(191 + ring.m)
     data = [random_pairing_data(ring, rng, max_rank=3) for _ in range(8)]
     if ring == RingCtx(7, 2):
         data.append(PairingData(ring, [[ring.norm()], [ring.zero()], [ring.zero()]]))
     for datum in data:
-        for span, rank in ((datum.s_span, datum.a), (datum.t_span, datum.b)):
-            assert datum._annihilator_of(span, rank) == _annihilator_by_shifts(ring, span, rank)
+        for span, rank, ann, cols in ((datum.s_span, datum.a, datum.d_t, datum.d),
+                                      (datum.t_span, datum.b, datum.d, datum.d_t)):
+            assert la.Span(ann, p, n) == _annihilator_by_shifts(ring, span, rank)
+            assert la.spans_annihilator(cols, span)
+            if (cols % ring.m).any():  # p times the columns span a proper sub-span
+                assert not la.spans_annihilator(p * cols, span)
 
 
 def test_from_scalar_matrix_rejects_non_equivariant():
@@ -484,17 +528,18 @@ def _shift(v, elt):
     return (v + np.pad(elt.coeffs, (0, v.size - m))) % m
 
 
-def _corrupt(monkeypatch, name, owner, draw, target, elt, side=None):
+def _corrupt(monkeypatch, name, owner, draw, target, elt, side=None, when=lambda: True):
     """Make owner's draw method ``name`` shift draw ``draw`` of target's row by elt.
 
-    side restricts ``_lift_chains`` to the chains of that side.
+    side restricts ``_lift_chains`` to the chains of that side, and the
+    shift is made only while ``when()`` holds.
     """
     method = getattr(PairingData, name)
 
     def corrupted(self, *args):
         out = method(self, *args)
         rows = next(a for a in args if isinstance(a, np.ndarray))
-        if self is owner and draw < len(out) and side in (None, args[0]):
+        if self is owner and draw < len(out) and side in (None, args[0]) and when():
             for i in np.flatnonzero((rows == target).all(axis=1)):
                 out[draw, i] = _shift(out[draw, i], elt)
         return out
@@ -523,7 +568,19 @@ def test_audit_detects_one_corrupted_second_draw(kind, message, monkeypatch):
 def test_symmetry_flag_detects_one_corrupted_dual_chain(monkeypatch):
     ring, data, rep = _norm_line_data()
     t0 = rep["records"][3]["t"]
-    _corrupt(monkeypatch, "_lift_chains", data.dual(), 0, t0, ring.one(), side="s")
+    # only the dual table's chains of t: the datum's own tables lift t alike
+    dual_calls, table = [], PairingData._bd_table
+
+    def flagged(self, *args, dual=False, **kwargs):
+        dual_calls.append(dual)
+        try:
+            return table(self, *args, dual=dual, **kwargs)
+        finally:
+            dual_calls.pop()
+
+    monkeypatch.setattr(PairingData, "_bd_table", flagged)
+    _corrupt(monkeypatch, "_lift_chains", data, 0, t0, ring.one(), side="t",
+             when=lambda: dual_calls == [True])
     again = data.compare(2, rng=SplitMix64(5))
     assert not again["pass"]
     assert [r["symmetric"] for r in again["records"]] == [

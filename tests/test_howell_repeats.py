@@ -65,9 +65,9 @@ def test_complex_checks_repeats_pinned(howell_inputs):
 
 
 def test_pairing_compare_repeats_pinned(howell_inputs):
-    # the dual datum reads S, T and their pieces off the datum; the two
-    # repeats are its k = 2 tilde solver matrices, the datum's with the
-    # sides swapped, as it draws its own lifts for the symmetry flag
+    # the symmetry table is the datum's own with its sides swapped; the two
+    # repeats are its k = 2 tilde solver matrices, built again per table
+    # call as it draws its own lifts for the symmetry flag
     ring = RingCtx(3, 2)
     data = PairingData(ring, random_ell_matrix(ring, 2, 2, SplitMix64(7)))
     data.validate()

@@ -141,6 +141,26 @@ def test_kernel_annihilator_of_p():
         assert k.shape == (1, 1) and k[0, 0] == p
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 1)])
+def test_spans_annihilator_needs_the_product_and_the_count(p, n):
+    # the functional x_0 on (Z/p^n)^2 spans the annihilator of the line of
+    # e_1; p x_0 kills it but spans a proper sub-span; x_0 against the line
+    # of e_0 has the right count, but the product does not vanish
+    e0, e1 = la.Span([[1, 0]], p, n), la.Span([[0, 1]], p, n)
+    x0 = np.array([[1], [0]], dtype=np.int64)
+    assert la.spans_annihilator(x0, e1)
+    assert not la.spans_annihilator(p * x0, e1)
+    assert not la.spans_annihilator(x0, e0)
+    # against enumeration: a kernel's annihilator is spanned by the matrix's columns
+    rng = SplitMix64(223 + p ** n)
+    for _ in range(10):
+        a = rng.below_many(p ** n, 9).reshape(3, 3)
+        ker = la.kernel(a, p, n)
+        assert la.spans_annihilator(a, ker)
+        brute = brute_span(a.T, p, n)
+        assert len(brute) * ker.size() == p ** (3 * n)
+
+
 def test_kernel_of_identity_is_zero():
     k = la.kernel(np.eye(3, dtype=np.int64), 3, 2)
     assert k.h.shape[0] == 0

@@ -252,11 +252,10 @@ MUTANTS = (
            "la.preimage(gm1, self.den), self.num)",
            "la.preimage(gm1, la.Span.zero(self.dim, self.p, self.n)), self.num)",
            (T_MD + "test_kept_fixed_point_span_is_a_fresh_computation",)),
-    Mutant("annihilator-without-involution", HT,
-           "blocks = span.h.reshape(-1, rank, m)[:, :, _dual_index(m)]",
-           "blocks = span.h.reshape(-1, rank, m)",
-           (T_HT + "test_validate_fuzz_self_injectivity",
-            T_HT + "test_annihilator_reads_the_rows_alone_like_every_shift")),
+    Mutant("annihilator-skips-the-product", LA,
+           "return (not mul_mod(span.h, cols, span.m).any()\n            and Span(",
+           "return (True\n            and Span(",
+           (T_LA + "test_spans_annihilator_needs_the_product_and_the_count",)),
     Mutant("contraction-block-drops-last-row", HT,
            "for t0 in range(0, cols, step):", "for t0 in range(0, cols - 1, step):",
            (T_HT + "test_value_table_equals_the_per_shift_loop",)),
@@ -382,10 +381,12 @@ MUTANTS = (
            "return la.span_intersect(self.parent.fixed_point_span(), self.num)",
            "return self.parent.fixed_point_span()",
            (T_MD + "test_submodule_fixed_points_are_the_parents_met_with_its_numerator",)),
-    Mutant("dual-reads-its-own-side", HT,
-           'return self._primal.submodule("t" if side == "s" else "s")',
-           "return self._primal.submodule(side)",
-           (T_HT + "test_dual_datum_reads_the_swapped_sides",)),
+    Mutant("dual-table-pushes-through-ell", HT,
+           'sides, d = (("t", "s"), self.d_t) if dual', 'sides, d = (("t", "s"), self.d) if dual',
+           (T_HT + "test_dual_table_is_the_transposed_datums_table",)),
+    Mutant("dual-table-keeps-the-sides", HT,
+           'sides, d = (("t", "s"), self.d_t) if dual', 'sides, d = (("s", "t"), self.d_t) if dual',
+           (T_HT + "test_dual_table_is_the_transposed_datums_table",)),
     Mutant("bottom-vertex-reads-the-datum-t", ST,
            "return self.datum().s_span", "return self.datum().t_span",
            (T_ST + "test_an_instance_builds_no_kernel_of_ell_star",)),
