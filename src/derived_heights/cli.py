@@ -38,6 +38,7 @@ from .modules import r_matrix_expand
 from .recovery import IntComplex, verify_recovery
 from .rng import SplitMix64, trial_rng
 from .serialize import (
+    AMBIENT_LIMIT,
     RANK_LIMIT,
     InputError,
     int_complex_to_json,
@@ -314,9 +315,12 @@ def cmd_fuzz(args) -> dict:
         raise InputError("$.time_budget", "must be nonnegative")
     for i, (p, n) in enumerate(args.rings):
         try:
-            RingCtx(p, n)
+            m = RingCtx(p, n).m
         except ValueError as exc:
             raise InputError(f"$.rings[{i}]", str(exc)) from exc
+        if args.max_rank * m > AMBIENT_LIMIT:  # a generated complex or datum as a file would be
+            raise InputError("$.max_rank", f"limit max_rank * p^n <= {AMBIENT_LIMIT} on ring "
+                             f"{p},{n}", kind="resource-limit")
     return run_fuzz(FuzzConfig(seed=args.seed, trials=args.trials, rings=args.rings,
                                suites=suites, max_rank=args.max_rank, max_card=args.max_card,
                                time_budget=args.time_budget))
@@ -383,6 +387,8 @@ def main(argv=None) -> int:
     if args.rings is None:
         args.rings = [(3, 1), (3, 2), (5, 1)]
     try:
+        if args.max_card < 0:  # no cardinality is below it
+            raise InputError("$.max_card", "must be nonnegative")
         report = _COMMANDS[args.command](args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

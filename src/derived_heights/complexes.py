@@ -61,11 +61,9 @@ class TwoTermComplex:
 
     # -- filtration spans ------------------------------------------------------
 
-    @derived
-    def ideal_span1(self, i: int) -> la.Span:
+    def ideal_span1(self, i: int) -> la.Span:  # kept by the module
         return self.c1.ideal_multiple_span(i)
 
-    @derived
     def ideal_span2(self, i: int) -> la.Span:
         return self.c2.ideal_multiple_span(i)
 

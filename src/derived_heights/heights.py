@@ -42,9 +42,11 @@ value tables, one k at a time:
 
 What depends on no datum is built once and shared by all: the free
 modules, the derivative-operator lift solvers and the norm solver.  The
-kernels S and T, filtration pieces and complex stay per datum, each built
-on first use (``validate`` reads S alone).  The solvers involving ell are
-built per table call, once for all of its draws.
+kernels S and T, filtration pieces, complex and k >= 2 tilde solvers (one
+per side, k and generator, so the symmetry table draws through the
+derivative-lift table's) stay per datum, each built on first use:
+``validate`` reads S alone, and ``compare`` stops at the first zero piece.
+The Bockstein solver is built per table call, once for all of its draws.
 
 ``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables;
 their ``PairingValue`` keeps the unreduced value and reads its class
@@ -248,21 +250,26 @@ class PairingData:
         """
         ring = self.ring
         m = ring.m
-        free = self.x if side == "s" else self.y
         tilde = np.tile(targets % m, (draws, 1))
         if k > 1:
-            ker = self.submodule(side).num.h
-            gm1 = ring.gamma(gen_exp) - ring.one()
-            tilde_solver = la.Solver(la.mul_mod(ker, free.scale_matrix(gm1 ** (k - 1)), m),
-                                     ring.p, ring.n)
-            coeffs = tilde_solver.random_solution(tilde, rng)
+            coeffs = self._tilde_solver(side, k, gen_exp).random_solution(tilde, rng)
             if coeffs is None:
                 raise AssertionError("lift-not-found: element not divisible inside the kernel")
-            tilde = la.mul_mod(coeffs, ker, m)
-        x = _lift_solver(ring, free.dim // m, k, gen_exp).random_solution(tilde, rng)
+            tilde = la.mul_mod(coeffs, self.submodule(side).num.h, m)
+        x = _lift_solver(ring, tilde.shape[1] // m, k, gen_exp).random_solution(tilde, rng)
         if x is None:
             raise AssertionError("lift-not-found: derivative equation unsolvable")
         return x.reshape(draws, len(targets), -1)
+
+    @derived
+    def _tilde_solver(self, side: str, k: int, gen_exp: int) -> la.Solver:
+        """Solver of c K (g-1)^(k-1) = s~ on the rows K of the kernel, g = gamma^gen_exp;
+        one per key, so the symmetry table reuses the derivative-lift table's two."""
+        ring, ker = self.ring, self.submodule(side).num.h
+        free = self.x if side == "s" else self.y
+        gm1 = ring.gamma(gen_exp) - ring.one()
+        return la.Solver(la.mul_mod(ker, free.scale_matrix(gm1 ** (k - 1)), ring.m),
+                         ring.p, ring.n)
 
     def _boc_functionals(self, k: int, s_rows: np.ndarray, rng: SplitMix64,
                          draws: int) -> np.ndarray:
@@ -394,6 +401,9 @@ class PairingData:
         two values, the equality flag, the dual-sequence symmetry flag
         and a generator-substitution flag.  Per k, every pairing is one
         value table over all (s, t) and the flags compare whole tables.
+        The pieces decrease in k, so it stops at the first k where S_0^(k),
+        read first (T is built only past a nonzero one), or T_0^(k) is zero,
+        before that k draws: the stream is that of a loop over every k.
         """
         ring = self.ring
         rng = rng or SplitMix64(0)
@@ -401,12 +411,10 @@ class PairingData:
         records = []
         ok = True
         for k in range(1, min(kmax, ring.p - 1) + 1):
-            s_span = self.piece_span("s", k)
-            t_span = self.piece_span("t", k)
-            s_size, t_size = s_span.size(), t_span.size()
-            if s_size == 1 or t_size == 1:
-                continue
-            if s_size * t_size <= max_card:
+            s_span = self.piece_span("s", k)  # T and its pieces only past a nonzero S_0^(k)
+            if s_span.size() == 1 or (t_span := self.piece_span("t", k)).size() == 1:
+                break  # the pieces decrease in k, so every later one is zero too
+            if s_span.size() * t_span.size() <= max_card:
                 s_rows = np.array([v for v in la.span_elements(s_span) if v.any()])
                 t_rows = np.array([v for v in la.span_elements(t_span) if v.any()])
             else:

@@ -47,7 +47,8 @@ Conventions used throughout the package:
     on the left block are already the canonical answer (Storjohann,
     "Algorithms for Matrix Canonical Forms", 2000).  An intersection with
     the whole ambient (a square Howell form with unit diagonal) is the
-    other span, with no Howell form
+    other span, and one with the zero span is the zero span, with no
+    Howell form
   * ``howell_form`` keeps nothing: each span is built once by the object
     that owns it (a complex, a module, a pairing datum), not looked up by
     value.  Its results are read-only, as a span's rows are shared by
@@ -348,9 +349,9 @@ def span_intersect(a: Span, b: Span) -> Span:
     x @ a = -(y @ b), which is every element of the intersection.
     """
     _same_ring(a, b)
-    if _is_whole(a):
+    if _is_whole(a) or not b.h.shape[0]:
         return b
-    if _is_whole(b):
+    if _is_whole(b) or not a.h.shape[0]:
         return a
     return _zassenhaus(a.h, a.h, b)
 

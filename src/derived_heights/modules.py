@@ -22,7 +22,9 @@ such a module takes its scale matrices as kron(I_g, regular_rep(x)) and
 I^k M as g diagonal copies of the Howell form of I^k, with no dense gamma
 power and no Howell form of its own.  Any other module scales by one
 product of x against the gamma orbit of its ambient basis, the orbit that
-also spans relations and ideals.
+also spans relations and ideals, and chains I^k M + den as
+(I^(k-1) M + den)(gamma - 1) + den, one step from the kept one before;
+M_0^(k) is likewise M_0^(k-1) met with I^(k-1) M.
 
 Duality: an R-valued functional on R^g is kept as a scalar one, through
 the identification of Hom_R(M, R) with Hom_{Z/p^n}(M, Z/p^n) (f maps to
@@ -157,25 +159,29 @@ class FpModule:
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
         return la.span_intersect(la.preimage(gm1, self.den), self.num)
 
+    @derived
     def ideal_multiple_span(self, k: int) -> la.Span:
-        """Span of I^k M (plus den) inside the ambient."""
+        """Span of I^k M (plus den) inside the ambient: (I^(k-1) M + den)(gamma - 1) + den,
+        which is the span before it once two in a row are equal."""
         if k <= 0:
             return self.num
         if self.free_rank is not None:  # r diagonal copies of I^k, a Howell form
             block = aug_ideal_power(self.ring, k).h
             return la.Span._of_howell(_diagonal_copies(self.free_rank, block), self.p, self.n)
+        prev = self.ideal_multiple_span(k - 1)
+        if k > 1 and prev == self.ideal_multiple_span(k - 2):
+            return prev
         gm1 = (self.gamma - np.eye(self.dim, dtype=np.int64)) % self.m
-        return la.image_span(self.num, la.mat_pow_mod(gm1, k, self.m), self.den)
+        return la.image_span(prev, gm1, self.den)
 
     @derived
     def filtration_piece(self, k: int) -> "FpModule":
-        """M_0^(k) = M^G intersected with I^(k-1) M, for 1 <= k <= p-1 (M^G itself at k = 1)."""
+        """M_0^(k) = M^G intersected with I^(k-1) M, for 1 <= k <= p-1: M^G itself at
+        k = 1, then M_0^(k-1) met with I^(k-1) M (den lies in both, so no sum)."""
         if not 1 <= k <= self.p - 1:
             raise ValueError("filtration piece defined for 1 <= k <= p-1")
-        fixed = self.fixed_point_span()
-        if k > 1:
-            fixed = la.span_intersect(fixed, self.ideal_multiple_span(k - 1))
-        num = fixed + self.den
+        num = (self.fixed_point_span() + self.den if k == 1 else
+               la.span_intersect(self.filtration_piece(k - 1).num, self.ideal_multiple_span(k - 1)))
         return FpModule(self.ring, self.dim, self.gamma, num, self.den, check=False)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from derived_heights.heights import PairingData
 from derived_heights.modules import r_matrix_expand
 from derived_heights.recovery import IntComplex
 from derived_heights.serialize import AMBIENT_LIMIT, RANK_LIMIT
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_json(tmp_path, name, obj):
@@ -231,6 +234,28 @@ def test_wide_ring_fuzz_report_is_pinned(suite, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of the `pairing` report on each file of tests/corpus, one datum per
+# ring written by tools/pairing_corpus.py (SEED = 25); run from the repository
+# root, since the report embeds the relative file argument.  The same rule as above
+PAIRING_CORPUS_SHA256 = {
+    "pairing_3_1": "68ec28eb9423edd79fa24635d1af75b6531f8b10600d4f8057a0286ff5718124",
+    "pairing_3_2": "db10bdb91053bd0922ad07acab0724e1fd9b738f3eacba688686b799ca03242e",
+    "pairing_5_1": "4e7449916ad17481ba63f31671d9c134ac10575e5a6c3ff100a9ff02188caf13",
+    "pairing_5_2": "65b708075276991e3711307b6202fac0107e68a19c6cbd0e78f2a030a0516849",
+    "pairing_7_1": "1cbe1e7221917497e38feaf65a9e2b5a2693a774bebf0b3709384d4956cd253a",
+    "pairing_7_2": "6695d0c55564ffb4de1c63ef52a52095511cbad0862823d2a8da565cda5bf00a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRING_CORPUS_SHA256))
+def test_pairing_corpus_report_is_pinned(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(["pairing", f"tests/corpus/{name}.json"]) == 0
+    out = capsys.readouterr().out
+    assert any(r["k"] >= 2 for r in json.loads(out)["records"][0]["table"])
+    assert hashlib.sha256(out.encode()).hexdigest() == PAIRING_CORPUS_SHA256[name]
+
+
 def test_fuzz_all_suites_smoke():
     rep = run_fuzz(FuzzConfig(seed=3, trials=2, rings=[(3, 1)]))
     assert rep["pass"]
@@ -284,6 +309,28 @@ def assert_exit_2_at(argv, capsys, where):
 ])
 def test_fuzz_bad_options_exit_2(argv, where, capsys):
     assert_exit_2_at(argv, capsys, where)
+
+
+def test_fuzz_max_rank_beyond_the_ambient_limit_exit_2(capsys):
+    # one trial of this ran for hours: 40 * 49 generators a term over (7,2)
+    assert_exit_2_at(["--max-rank", "40", "--ring", "7,2", "--trials", "1", "fuzz",
+                      "--suite", "relate"], capsys, "resource-limit at $.max_rank")
+    # the limit holds on every requested ring, the widest deciding
+    top = AMBIENT_LIMIT // 49
+    assert_exit_2_at(["--max-rank", str(top + 1), "--ring", "3,1", "--ring", "7,2",
+                      "--trials", "0", "fuzz"], capsys, "resource-limit at $.max_rank")
+    assert main(["--max-rank", str(top), "--ring", "3,1", "--ring", "7,2",
+                 "--trials", "0", "fuzz"]) == 0
+
+
+def test_negative_max_card_exit_2(tmp_path, capsys):
+    assert_exit_2_at(["--max-card", "-1", "--trials", "0", "fuzz"], capsys,
+                     "parse-error at $.max_card")
+    ring = RingCtx(3, 1)
+    pairing = write_json(tmp_path, "norm.json", pairing_payload(ring, [[ring.norm()]]))
+    assert_exit_2_at(["--max-card", "-1", "pairing", pairing], capsys,
+                     "parse-error at $.max_card")
+    assert main(["--max-card", "0", "pairing", pairing]) == 0
 
 
 def test_negative_kmax_and_imax_exit_2(tmp_path, capsys):

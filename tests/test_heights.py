@@ -512,6 +512,77 @@ def test_compare_records_match_the_golden_digest():
     assert hashlib.sha256(blob.encode()).hexdigest() == COMPARE_CORPUS_SHA256
 
 
+def _reference_tables(data, kmax, rng, max_card=10 ** 4):
+    """compare's four tables per k as compare drew them before it stopped early:
+    every piece of both sides built, a k with a zero piece skipped, and a fresh
+    tilde solver for each table."""
+    ring = data.ring
+    units = [u for u in range(2, ring.m) if u % ring.p]
+    out = []
+    for k in range(1, min(kmax, ring.p - 1) + 1):
+        s_span, t_span = data.piece_span("s", k), data.piece_span("t", k)
+        if s_span.size() == 1 or t_span.size() == 1:
+            continue
+        if s_span.size() * t_span.size() <= max_card:
+            s_rows, t_rows = (np.array([v for v in la.span_elements(x) if v.any()])
+                              for x in (s_span, t_span))
+        else:
+            s_rows, t_rows = np.array(s_span.h), np.array(t_span.h)
+        u = units[rng.below(len(units))]
+        tables = []
+        for table in (lambda: data._bd_table(k, s_rows, t_rows, rng),
+                      lambda: data._boc_table(k, s_rows, t_rows, rng),
+                      lambda: data._bd_table(k, t_rows, s_rows, rng, audit=False, dual=True),
+                      lambda: data._bd_table(k, s_rows, t_rows, rng, gen_exp=u, audit=False)):
+            for key in [key for key in data._memo if key[0] == "_tilde_solver"]:
+                del data._memo[key]
+            tables.append(table()[0])
+        out.append((k, tables))
+    return out
+
+
+def test_compare_stops_at_the_first_zero_piece():
+    # the pieces decrease in k, so compare stops at the first k where S_0^(k)
+    # (read first) or T_0^(k) is zero: it builds no piece above that k, and no
+    # T at all when S_0^(1) = 0.  Its records and final rng state are those of
+    # the reference loop, which builds every piece and every tilde solver afresh
+    seen = set()
+    for ring in RINGS + [RingCtx(7, 1)]:
+        p = ring.p
+        for i in range(10):
+            ell = random_pairing_data(ring, trial_rng(2525, 10 * ring.m + i), max_rank=2).ell
+            data, ref = PairingData(ring, ell), PairingData(ring, ell)
+            ours, theirs = SplitMix64(i), SplitMix64(i)
+            records = data.compare(p - 1, rng=ours)["records"]
+            tables = _reference_tables(ref, p - 1, theirs)
+            assert ours.state == theirs.state
+            assert len(records) == sum(bd.size for _, (bd, *_) in tables)
+            for k, (bd, boc, sym, gam) in tables:
+                recs = [r for r in records if r["k"] == k]
+                for name, flat in (("scalar", bd), ("equal", bd == boc),
+                                   ("symmetric", sym.T == bd), ("gamma_independent", gam == bd)):
+                    assert [r[name] for r in recs] == flat.ravel().tolist()
+
+            def zero(side, k):
+                return ref.piece_span(side, k).size() == 1
+
+            stop = next((k for k in range(1, p) if zero("s", k) or zero("t", k)), p - 1)
+            for side, last in (("s", stop), ("t", stop - 1 if zero("s", stop) else stop)):
+                if not last:
+                    assert ("submodule", side) not in data._memo
+                    continue
+                memo = data.submodule(side)._memo
+                assert sorted(key[1] for key in memo if key[0] == "filtration_piece") == \
+                    list(range(1, last + 1))
+                assert max((key[1] for key in memo if key[0] == "ideal_multiple_span"),
+                           default=0) <= last - 1
+            if zero("s", 1):
+                seen.add("S_0^(1) = 0")
+            elif stop > 1 and zero("t", stop) and not zero("s", stop):
+                seen.add("T_0^(k) = 0, k > 1")
+    assert {"S_0^(1) = 0", "T_0^(k) = 0, k > 1"} <= seen, seen
+
+
 def _norm_line_data():
     """ell = gamma - 1 over (3,2): S_0^(1) = T_0^(1) = N R, eight nonzero
     elements each, and only k = 1 pairs."""

@@ -9,8 +9,10 @@ import pytest
 
 from derived_heights import linalg as la
 from derived_heights import modules as md
+from derived_heights.complexes import TwoTermComplex
 from derived_heights.groupring import RingCtx, aug_ideal_power, regular_rep
 from derived_heights.heights import random_ell_matrix
+from derived_heights.modules import r_matrix_expand
 from derived_heights.rng import SplitMix64
 from derived_heights.stark import StarkInstance, StarkSystem
 from fitting_oracle import annihilates, dual, fitting_ideal, presentation
@@ -234,6 +236,58 @@ def test_filtration_pieces_decrease():
             mod = md.free_module(ring, 2).submodule(_random_span(ring, rng))
             orders = [mod.filtration_piece(k).order() for k in range(1, ring.p)]
             assert all(a >= b for a, b in zip(orders, orders[1:]))
+
+
+def _direct_ideal_multiple(mod, k):
+    """I^k M + den from the definition: num times one dense power (gamma - 1)^k, plus den."""
+    gm1 = (mod.gamma - np.eye(mod.dim, dtype=np.int64)) % mod.m
+    return la.image_span(mod.num, la.mat_pow_mod(gm1, k, mod.m), mod.den)
+
+
+def _chain_test_modules(ring, rng):
+    """Free-module submodules (a kernel among them), quotients of a presentation
+    with den != 0, a submodule of one, and the H^2 of a free complex; of rank 1
+    over (7,2), where a rank-2 ambient has 98 columns."""
+    rank = 1 if ring.m > 25 else 2
+    free = md.free_module(ring, rank)
+    gm1 = ring.gamma() - ring.one()
+
+    def span(x):  # the R-span of two random rows, times x
+        rows = free.gamma_orbit(rng.below_many(ring.m, 2 * free.dim).reshape(2, -1))
+        return la.Span(la.mul_mod(rows, free.scale_matrix(x), ring.m), ring.p, ring.n)
+
+    ell = [random_ell_matrix(ring, rank, rank, rng) for _ in range(2)]
+    out = [free.submodule(span(gm1 ** j)) for j in (0, 1)]
+    out.append(free.submodule(la.kernel(r_matrix_expand(ring, ell[0]), ring.p, ring.n)))
+    for x in (gm1 ** 2, ring.norm()):
+        quot = md.from_presentation(ring, rank, span(x).h[:1])
+        assert quot.den.h.shape[0] and quot.den != quot.num
+        out += [quot, quot.submodule(span(ring.one()))]
+    out.append(TwoTermComplex.free(ring, rank, rank, r_matrix_expand(ring, ell[1])).h2())
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_chained_pieces_match_the_direct_definitions(p, n):
+    # I^k M is chained as (I^(k-1) M + den)(gamma - 1) + den, and M_0^(k) as
+    # M_0^(k-1) met with I^(k-1) M; both must be the spans of the definitions,
+    # M_0^(k) = M^G meet (num (gamma - 1)^(k-1) + den), plus den.  Once two
+    # steps of the chain are equal, every later one is that span, not rebuilt
+    ring = RingCtx(p, n)
+    rng = SplitMix64(907 + ring.m)
+    higher = stationary = 0
+    for mod in _chain_test_modules(ring, rng):
+        for k in range(2 * p):  # past p - 1 too: the complexes read I^p
+            assert mod.ideal_multiple_span(k) == _direct_ideal_multiple(mod, k), k
+            if k > 1 and mod.ideal_multiple_span(k - 1) == mod.ideal_multiple_span(k - 2):
+                assert mod.ideal_multiple_span(k) is mod.ideal_multiple_span(k - 1)
+                stationary += 1
+        for k in range(1, p):
+            direct = la.span_intersect(mod.fixed_point_span(),
+                                       _direct_ideal_multiple(mod, k - 1)) + mod.den
+            assert mod.filtration_piece(k).num == direct, k
+            higher += k > 1 and direct != mod.den
+    assert higher and stationary
 
 
 def test_filtration_piece_range_check():

@@ -10,7 +10,7 @@ their block structure; both must equal the generic route through the
 gamma orbit and a Howell form, and the generic scale matrix must equal
 its definition, a sum of dense gamma powers.  The free flag comes from
 ``free_module`` alone, and ``span_intersect`` skips its Howell form only
-when one argument is the whole ambient.
+when one argument is the whole ambient or the zero span.
 """
 
 from __future__ import annotations
@@ -168,3 +168,18 @@ def test_intersection_with_the_whole_ambient_is_the_other_span(p, n):
         zass = la._zassenhaus(scaled.h, scaled.h, b)
         assert la.span_intersect(scaled, b) == zass == la.span_intersect(b, scaled)
     assert la.span_intersect(scaled, whole) == scaled == la.span_intersect(whole, scaled)
+
+
+@pytest.mark.parametrize("p,n", RINGS)
+def test_intersection_with_the_zero_span_is_it_with_no_howell_form(p, n, monkeypatch):
+    rng = SplitMix64(37 * p + n)
+    zero = la.Span.zero(4, p, n)
+    others = [la.Span(scaled_matrix(rng, 3, 4, p, n), p, n) for _ in range(5)]
+    others += [la.Span.whole(4, p, n), la.Span.zero(4, p, n)]
+
+    def no_howell(*args):
+        raise AssertionError("a Howell form of an intersection with the zero span")
+
+    monkeypatch.setattr(la, "howell_form", no_howell)
+    for b in others:
+        assert la.span_intersect(zero, b) == zero == la.span_intersect(b, zero)

@@ -235,8 +235,8 @@ MUTANTS = (
            "            return np.tile(x, (draws, 1)).reshape(draws, len(targets), -1)",
            (T_HT + "test_lift_chains_solve_the_equations_of_their_generator",)),
     Mutant("lift-solver-keyed-without-generator", HT,
-           "_lift_solver(ring, free.dim // m, k, gen_exp)",
-           "_lift_solver(ring, free.dim // m, k, 1)",
+           "_lift_solver(ring, tilde.shape[1] // m, k, gen_exp)",
+           "_lift_solver(ring, tilde.shape[1] // m, k, 1)",
            (T_HT + "test_lift_chains_solve_the_equations_of_their_generator",)),
     Mutant("stacked-draws-copy-the-first", HT,
            "random_solution(np.tile(t_rows, (draws, 1)), rng)",
@@ -368,14 +368,17 @@ MUTANTS = (
            "meet = la.span_intersect(num, target.num)",
            (T_CX + "test_coker_isos_fuzz",)),
     Mutant("generic-ideal-multiple-drops-den", MD,
-           "la.mat_pow_mod(gm1, k, self.m), self.den)", "la.mat_pow_mod(gm1, k, self.m))",
+           "la.image_span(prev, gm1, self.den)", "la.image_span(prev, gm1)",
            (T_CX + "test_h2_right_exactness",)),
+    Mutant("ideal-multiple-stationary-from-the-start", MD,
+           "if k > 1 and prev == self.ideal_multiple_span(k - 2):",
+           "if k > 0 and prev == self.ideal_multiple_span(k - 2):",
+           (T_MD + "test_chained_pieces_match_the_direct_definitions",)),
     Mutant("aug-power-skips-a-step", GR,
            "_aug_power_cached(p, n, k - 1)", "_aug_power_cached(p, n, max(k - 2, 0))",
            ("tests/test_groupring.py::test_aug_ideal_sizes_31",)),
     Mutant("filtration-piece-skips-the-meet-at-two", MD,
-           "if k > 1:\n            fixed = la.span_intersect",
-           "if k > 2:\n            fixed = la.span_intersect",
+           "self.den if k == 1 else", "self.den if k <= 2 else",
            (T_MD + "test_filtration_piece_cases_31",)),
     Mutant("submodule-fixed-points-are-the-parents", MD,
            "return la.span_intersect(self.parent.fixed_point_span(), self.num)",
@@ -387,6 +390,17 @@ MUTANTS = (
     Mutant("dual-table-keeps-the-sides", HT,
            'sides, d = (("t", "s"), self.d_t) if dual', 'sides, d = (("s", "t"), self.d_t) if dual',
            (T_HT + "test_dual_table_is_the_transposed_datums_table",)),
+    Mutant("compare-stops-at-a-nonzero-piece", HT,
+           '(t_span := self.piece_span("t", k)).size() == 1',
+           '(t_span := self.piece_span("t", k)).size() <= ring.p',
+           (T_HT + "test_compare_stops_at_the_first_zero_piece",)),
+    Mutant("tilde-solver-keyed-without-generator", HT,
+           "self._tilde_solver(side, k, gen_exp)", "self._tilde_solver(side, k, 1)",
+           (T_HT + "test_lift_chains_solve_the_equations_of_their_generator",)),
+    Mutant("intersect-zero-returns-the-other", LA,
+           "if _is_whole(b) or not a.h.shape[0]:\n        return a",
+           "if _is_whole(b):\n        return a\n    if not a.h.shape[0]:\n        return b",
+           (T_UP + "test_intersection_with_the_zero_span_is_it_with_no_howell_form",)),
     Mutant("bottom-vertex-reads-the-datum-t", ST,
            "return self.datum().s_span", "return self.datum().t_span",
            (T_ST + "test_an_instance_builds_no_kernel_of_ell_star",)),
