@@ -47,8 +47,10 @@ def _dual_index(m: int) -> np.ndarray:
 
 
 def convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Cyclic convolution of coefficient vectors mod m: a times the regular rep of b."""
-    return la.mul_mod(a, np.asarray(b, dtype=np.int64)[_rep_index(m)], m)
+    """Cyclic convolution of coefficient vectors mod m: a times the regular rep of b.
+    Either may be unreduced; both are reduced once, as ``la.mul_mod`` does not."""
+    a, b = np.asarray(a, dtype=np.int64) % m, np.asarray(b, dtype=np.int64) % m
+    return la.mul_mod(a, b[_rep_index(m)], m)
 
 
 class RingCtx:

@@ -38,7 +38,9 @@ value tables, one k at a time:
   * the audit, equality, symmetry and generator-independence flags
     compare whole tables.  The symmetry table is the one of the dual
     sequence 0 -> T -> Y -> X* -> S* -> 0: the same datum with its sides
-    swapped and ell* for ell (``_bd_table(dual=True)``), transposed.
+    swapped and ell* for ell (``_bd_table(dual=True)``), transposed;
+  * records share lists: the s and t rows, and per scalar c of Z/p^n the
+    representative of c (gamma-1)^k mod I^(k+1) (``reps.tolist()``, once per k).
 
 What depends on no datum is built once and shared by all: the free
 modules, the derivative-operator lift solvers and the norm solver.  The
@@ -427,14 +429,13 @@ class PairingData:
             equal, symmetric = bd == boc, sym.T == bd
             gamma_ok = self._bd_table(k, s_rows, t_rows, rng, gen_exp=u, audit=False)[0] == bd
             ok = ok and bool(equal.all() and symmetric.all() and gamma_ok.all())
-            reps = graded_projection(ring, k)[1]
-            # each table becomes nested lists once; records share the s and t lists
-            t_lists = t_rows.tolist()
+            # tables become nested lists once; records share the s, t and representative lists
+            rep_lists, t_lists = graded_projection(ring, k)[1].tolist(), t_rows.tolist()
             for s, *row in zip(s_rows.tolist(), *(a.tolist() for a in (
-                    reps[bd], reps[boc], bd, equal, symmetric, gamma_ok))):
-                records += [{"k": k, "s": s, "t": t, "bd": b, "boc": c, "scalar": v,
-                             "equal": e, "symmetric": y, "gamma_independent": g}
-                            for t, b, c, v, e, y, g in zip(t_lists, *row)]
+                    bd, boc, equal, symmetric, gamma_ok))):
+                records += [{"k": k, "s": s, "t": t, "bd": rep_lists[v], "boc": rep_lists[c],
+                             "scalar": v, "equal": e, "symmetric": y, "gamma_independent": g}
+                            for t, v, c, e, y, g in zip(t_lists, *row)]
         return {"pass": ok, "records": records}
 
 

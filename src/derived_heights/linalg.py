@@ -45,10 +45,10 @@ Conventions used throughout the package:
   * ``span_intersect`` and ``preimage`` are one Howell form each, of
     [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus): its rows that vanish
     on the left block are already the canonical answer (Storjohann,
-    "Algorithms for Matrix Canonical Forms", 2000).  An intersection with
-    the whole ambient (a square Howell form with unit diagonal) is the
-    other span, and one with the zero span is the zero span, with no
-    Howell form
+    "Algorithms for Matrix Canonical Forms", 2000).  An intersection (a
+    sum) with the whole ambient, a square Howell form with unit diagonal,
+    is the other span (the whole), and one with the zero span is the zero
+    span (the other), with no Howell form
   * ``howell_form`` keeps nothing: each span is built once by the object
     that owns it (a complex, a module, a pairing datum), not looked up by
     value.  Its results are read-only, as a span's rows are shared by
@@ -71,10 +71,15 @@ Valuations, inverses of unit parts and the powers of p come from
 per-(p, n) lookup tables (``_tables``, one entry per residue).
 
 Arithmetic is on int64 arrays, reduced mod p^n after every product.
-A product of two reduced matrices sums terms below (p^n)^2, so it is
-exact while the inner dimension times (p^n - 1)^2 stays below 2^63;
-``mul_mod`` asserts that, and matrix powers go through ``mat_pow_mod``,
-never through an unreduced power.
+``mul_mod``, the one product, takes its factors reduced by contract
+(every entry in (-p^n, p^n)) and does not reduce them: stored matrices
+are reduced when built, ``modules.contract``'s signed gather stays
+inside, and ``groupring.convolve`` and ``spans_annihilator`` reduce
+their caller arrays once.  Each entry then sums terms of size at most
+(p^n - 1)^2, exact while the inner dimension times (p^n - 1)^2 stays
+below 2^63; ``mul_mod`` asserts that, and the tier-1 tests check the
+contract on every product (``tests/conftest.py``).  Matrix powers go
+through ``mat_pow_mod``, never through an unreduced power.
 """
 
 from __future__ import annotations
@@ -87,12 +92,9 @@ import numpy as np
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """(a @ b) mod m, exact: both factors are reduced first.
-
-    Each entry then sums terms below m^2, which fits int64 while
-    inner * (m - 1)^2 < 2^63; that is asserted.
-    """
-    a, b = np.asarray(a, dtype=np.int64) % m, np.asarray(b, dtype=np.int64) % m
+    """(a @ b) mod m for factors reduced by contract (every entry |x| < m; not
+    reduced here): exact while inner * (m - 1)^2 < 2^63, which is asserted."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     assert a.shape[-1] * (m - 1) ** 2 < 1 << 63, "matrix product would overflow int64"
     return a @ b % m
 
@@ -263,11 +265,11 @@ class Span:
         return f"Span(p={self.p}, n={self.n}, h={self.h.tolist()})"
 
     def __add__(self, other: "Span") -> "Span":
-        """The sum of two spans over the same ring."""
+        """The sum of two spans over the same ring; a whole or zero summand decides it."""
         _same_ring(self, other)
-        if not other.h.shape[0]:
+        if _is_whole(self) or not other.h.shape[0]:
             return self
-        if not self.h.shape[0]:
+        if _is_whole(other) or not self.h.shape[0]:
             return other
         return Span(np.vstack([self.h, other.h]), self.p, self.n)
 
@@ -310,6 +312,7 @@ def spans_annihilator(cols: np.ndarray, span: Span) -> bool:
     """True iff the columns of ``cols``, as functionals, span the annihilator of the span:
     they kill its rows (one product), and |Span(cols^T)| * |span| = m^rows, as
     Z/p^n is self-injective (the annihilator has m^rows / |span| elements)."""
+    cols = np.asarray(cols, dtype=np.int64) % span.m
     return (not mul_mod(span.h, cols, span.m).any()
             and Span(cols.T, span.p, span.n).size() * span.size() == span.m ** len(cols))
 

@@ -122,13 +122,15 @@ def matrix_to_json(arr, modulus) -> dict:
 
 
 def _parse_ell(obj: Any, path: str, cols_key: str, ambient: bool = False):
-    """(ring, rank_X, the rank under cols_key, ell) of a pairing or Stark file;
-    with ``ambient``, each rank * p^n is held to AMBIENT_LIMIT before ell is read."""
+    """(ring, rank_X, the rank under cols_key, ell) of a pairing or Stark file.  Before ell is
+    read, rank_X >= 1; with ``ambient``, every rank r has 1 <= r and r * p^n <= AMBIENT_LIMIT."""
     ring = parse_ring(_get(obj, "ring", path), f"{path}.ring")
     a = _int(_get(obj, "rank_X", path), f"{path}.rank_X")
     c = _int(_get(obj, cols_key, path), f"{path}.{cols_key}")
-    for key, rank in (("rank_X", a), (cols_key, c)) if ambient else ():
-        if rank * ring.m > AMBIENT_LIMIT:
+    for key, rank in (("rank_X", a), (cols_key, c))[:1 + ambient]:
+        if rank < 1:
+            raise InputError(f"{path}.{key}", f"{key} must be at least 1")
+        if ambient and rank * ring.m > AMBIENT_LIMIT:
             raise InputError(f"{path}.{key}", f"limit {key} * p^n <= {AMBIENT_LIMIT}",
                              kind="resource-limit")
     mat, mod = parse_matrix(_get(obj, "ell", path), f"{path}.ell")

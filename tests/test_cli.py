@@ -440,6 +440,42 @@ def test_stark_ell_shape_disagreeing_with_primes_exit_2(tmp_path, capsys):
                      "parse-error at $.ell")
 
 
+def zero_rank_payload(p, n, cols_key, zero_key):
+    """A pairing or Stark file over (p, n) with zero_key 0, the other rank 1, ell to match."""
+    m = p ** n
+    ranks = {"rank_X": 1, cols_key: 1, zero_key: 0}
+    ell = np.zeros((ranks["rank_X"] * m, ranks[cols_key] * m), dtype=np.int64)
+    return {"ring": {"p": p, "n": n}, **ranks, "ell": ser.matrix_to_json(ell, m)}
+
+
+def assert_zero_rank_refused(argv, capsys, key):
+    # refused at the rank, by the library's own message: no numpy text leaks out
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"parse-error at $.{key}: {key} must be at least 1" in captured.err
+    assert not any(word in captured.err for word in ("broadcast", "shapes", "Traceback"))
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2)])
+def test_pairing_zero_rank_exit_2(p, n, tmp_path, capsys):
+    for key in ("rank_X", "rank_Y"):
+        path = write_json(tmp_path, "zero.json", zero_rank_payload(p, n, "rank_Y", key))
+        assert_zero_rank_refused(["pairing", path], capsys, key)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2)])
+def test_stark_zero_rank_exit_2(p, n, tmp_path, capsys):
+    path = write_json(tmp_path, "zero.json", zero_rank_payload(p, n, "primes", "rank_X"))
+    assert_zero_rank_refused(["stark", path], capsys, "rank_X")
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2)])
+def test_fitting_zero_rank_exit_2(p, n, tmp_path, capsys):
+    path = write_json(tmp_path, "zero.json", zero_rank_payload(p, n, "primes", "rank_X"))
+    assert_zero_rank_refused(["fitting", path], capsys, "rank_X")
+
+
 def test_kmax_above_p_minus_one_exit_2(tmp_path, capsys):
     # beyond p - 1 the graded pieces are not free of rank one, and checks
     # there would be reported as passes

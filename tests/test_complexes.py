@@ -260,6 +260,19 @@ def test_h2_right_exactness():
                 assert c.h2_of_quotient(i).order() == c._h2_mod_ideal_order(i)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_h2_right_exact_reads_every_step_through_k_plus_one(ring, monkeypatch):
+    # the order of H^2 / I^i H^2 made wrong at one step i: the report fails
+    # exactly when i is among the steps 1 .. k + 1 it certifies
+    true_order = TwoTermComplex._h2_mod_ideal_order
+    for k in sorted({1, ring.p - 1}):
+        for wrong, exact in ((k + 1, False), (k + 2, True)):
+            monkeypatch.setattr(TwoTermComplex, "_h2_mod_ideal_order",
+                                lambda self, i, wrong=wrong: true_order(self, i) + (i == wrong))
+            rep = zero_complex(ring).coker_iso_reports(k)
+            assert rep["h2_right_exact"] is exact and rep["psi"] and rep["beta"], (k, wrong)
+
+
 def _derived_objects(c, k):
     """Every span the two checks at k build, as (shape, bytes); a map's
     matrix is None for the identity on representatives."""

@@ -489,9 +489,24 @@ def test_modular_product_bound_is_asserted_at_its_boundary():
         la.mul_mod(np.full((1, 2), m - 1), np.full((2, 1), m - 1), m)
     # one below it two products fit: 2 * (2^31 - 1)^2 < 2^63
     assert la.mul_mod(np.full((1, 2), m - 2), np.full((2, 1), m - 2), m - 1).tolist() == [[2]]
-    # factors are reduced before the product, so unreduced input is exact
+    # factors are reduced by contract, not by mul_mod: a signed factor inside
+    # (-m, m) is exact, and the tier-1 probe (conftest) rejects an unreduced one
+    signed = np.array([[48, -48]], dtype=np.int64)
+    assert la.mul_mod(signed, -signed.T, 49).tolist() == [[-2 * 48 ** 2 % 49]]
     big = np.array([[2 ** 62, -(2 ** 62)]], dtype=np.int64)
-    assert la.mul_mod(big, big.T, 49).tolist() == [[2 * (2 ** 62 % 49) ** 2 % 49]]
+    with pytest.raises(pytest.fail.Exception, match="factor outside"):
+        la.mul_mod(big, big.T, 49)
+
+
+@pytest.mark.parametrize("m", [3, 49, 343])
+def test_product_probe_rejects_a_factor_at_the_modulus(m):
+    # the contract is the open interval (-m, m): m - 1 and 1 - m pass, m and -m fail
+    edge = np.array([[m - 1, 1 - m]], dtype=np.int64)
+    assert la.mul_mod(edge, edge.T, m).tolist() == [[2 * (m - 1) ** 2 % m]]
+    for bad in (m, -m):
+        for a, b in ((np.array([[bad]]), np.array([[1]])), (np.array([[1]]), np.array([[bad]]))):
+            with pytest.raises(pytest.fail.Exception, match=r"factor outside .*\btest_product_probe"):
+                la.mul_mod(a, b, m)
 
 
 def test_every_matrix_product_in_src_goes_through_mul_mod():

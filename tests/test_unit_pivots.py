@@ -9,8 +9,9 @@ Free modules build ``scale_matrix`` and ``ideal_multiple_span`` from
 their block structure; both must equal the generic route through the
 gamma orbit and a Howell form, and the generic scale matrix must equal
 its definition, a sum of dense gamma powers.  The free flag comes from
-``free_module`` alone, and ``span_intersect`` skips its Howell form only
-when one argument is the whole ambient or the zero span.
+``free_module`` alone, and ``span_intersect`` and ``Span.__add__`` skip
+their Howell form only when one argument is the whole ambient or the zero
+span.
 """
 
 from __future__ import annotations
@@ -183,3 +184,24 @@ def test_intersection_with_the_zero_span_is_it_with_no_howell_form(p, n, monkeyp
     monkeypatch.setattr(la, "howell_form", no_howell)
     for b in others:
         assert la.span_intersect(zero, b) == zero == la.span_intersect(b, zero)
+
+
+@pytest.mark.parametrize("p,n", RINGS)
+def test_sum_with_a_whole_or_zero_summand_is_it_with_no_howell_form(p, n, monkeypatch):
+    rng = SplitMix64(41 * p + n)
+    whole, zero = la.Span.whole(4, p, n), la.Span.zero(4, p, n)
+    scaled = la.Span(np.diag([1, 1, 1, p]), p, n)  # not whole; square for n > 1
+    others = [la.Span(scaled_matrix(rng, 3, 4, p, n), p, n) for _ in range(5)]
+    identity = la.Span(np.eye(4, dtype=np.int64), p, n)  # whole, built by a Howell form
+
+    def no_howell(*args):
+        raise AssertionError("a Howell form of a sum")
+
+    monkeypatch.setattr(la, "howell_form", no_howell)
+    for b in others + [scaled, whole, zero]:
+        assert whole + b is whole and b + identity == identity == whole
+        assert b + zero is b and zero + b == b
+    # every other sum is canonicalized: a square summand is not whole by its shape alone
+    for b in (b for b in others if b.h.shape[0]):
+        with pytest.raises(AssertionError, match="a Howell form of a sum"):
+            scaled + b

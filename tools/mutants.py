@@ -203,8 +203,8 @@ MUTANTS = (
            "        return out",
            SPAN_ALGEBRA),
     Mutant("sum-with-zero-returns-zero", LA,
-           "if not other.h.shape[0]:\n            return self",
-           "if not other.h.shape[0]:\n            return other",
+           "if _is_whole(self) or not other.h.shape[0]:\n            return self",
+           "if _is_whole(self) or not other.h.shape[0]:\n            return other",
            SPAN_ALGEBRA),
     Mutant("size-ignores-pivot-valuation", LA,
            "self.p ** (self.n * len(self.h) - v)", "self.p ** (self.n * len(self.h))",
@@ -267,8 +267,8 @@ MUTANTS = (
            "scalars = [t[:, :, 0] for t in tables]", "scalars = [t[:, :, -1] for t in tables]",
            PROJECTION_TABLES),
     Mutant("projection-reps-indexed-off-by-one", HT,
-           "reps[bd], reps[boc], bd,",
-           "reps[(bd + 1) % ring.m], reps[(boc + 1) % ring.m], bd,",
+           '"bd": rep_lists[v], "boc": rep_lists[c],',
+           '"bd": rep_lists[(v + 1) % ring.m], "boc": rep_lists[(c + 1) % ring.m],',
            PROJECTION_TABLES),
     Mutant("projection-reps-built-off-by-one", GR,
            "reps = ik1.reduce(np.outer(np.arange(ring.m), gm1k))",
@@ -340,17 +340,25 @@ MUTANTS = (
            'return Ideal.unit(self.inst.ring)',
            (T_ST + "test_ideals_above_the_prime_count_match_the_fresh_prime_recursion",)),
     Mutant("convolve-correlates", GR,
-           "np.asarray(b, dtype=np.int64)[_rep_index(m)]",
-           "np.asarray(b, dtype=np.int64)[_rep_index(m).T]",
+           "la.mul_mod(a, b[_rep_index(m)], m)", "la.mul_mod(a, b[_rep_index(m).T], m)",
            (T_PR + "test_convolve_is_the_double_loop_convolution",)),
     Mutant("product-bound-without-squares", LA,
            "a.shape[-1] * (m - 1) ** 2 < 1 << 63", "a.shape[-1] * (m - 1) < 1 << 63",
            (T_LA + "test_modular_product_bound_is_asserted_at_its_boundary",)),
-    Mutant("product-factors-unreduced", LA,
+    # mul_mod takes reduced factors by contract; the probe in tests/conftest.py
+    # checks it, and the two entry points that take caller arrays reduce them
+    Mutant("product-factors-unreduced", GR,
            "a, b = np.asarray(a, dtype=np.int64) % m, np.asarray(b, dtype=np.int64) % m",
            "a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)",
-           (T_LA + "test_modular_product_bound_is_asserted_at_its_boundary",
-            T_PR + "test_convolve_is_the_double_loop_convolution")),
+           (T_PR + "test_convolve_is_the_double_loop_convolution",)),
+    Mutant("spans-annihilator-cols-unreduced", LA,
+           "cols = np.asarray(cols, dtype=np.int64) % span.m",
+           "cols = np.asarray(cols, dtype=np.int64)",
+           (T_LA + "test_spans_annihilator_needs_the_product_and_the_count",)),
+    Mutant("mul-mod-probe-admits-m", "tests/conftest.py",
+           "not (-m < factor.min() and factor.max() < m)",
+           "not (-m <= factor.min() and factor.max() <= m)",
+           (T_LA + "test_product_probe_rejects_a_factor_at_the_modulus",)),
     # -- each span built once, by the object that owns it -------------------------
     Mutant("h1-mod-ik-cycles-one-step-deeper", CX,
            "self.c1.gamma, self.z_span(k, 0, 1),", "self.c1.gamma, self.z_span(k + 1, 0, 1),",
@@ -367,6 +375,9 @@ MUTANTS = (
            "meet = la.span_intersect(num, target.den)",
            "meet = la.span_intersect(num, target.num)",
            (T_CX + "test_coker_isos_fuzz",)),
+    Mutant("h2-right-exact-range-shrunk", CX,
+           "for i in range(1, k + 2)", "for i in range(1, k - 2)",
+           (T_CX + "test_h2_right_exact_reads_every_step_through_k_plus_one",)),
     Mutant("generic-ideal-multiple-drops-den", MD,
            "la.image_span(prev, gm1, self.den)", "la.image_span(prev, gm1)",
            (T_CX + "test_h2_right_exactness",)),
@@ -384,6 +395,9 @@ MUTANTS = (
            "return la.span_intersect(self.parent.fixed_point_span(), self.num)",
            "return self.parent.fixed_point_span()",
            (T_MD + "test_submodule_fixed_points_are_the_parents_met_with_its_numerator",)),
+    Mutant("sum-canonicalizes-a-whole-summand", LA,
+           "if _is_whole(self) or not other.h.shape[0]:", "if not other.h.shape[0]:",
+           (T_UP + "test_sum_with_a_whole_or_zero_summand_is_it_with_no_howell_form",)),
     Mutant("dual-table-pushes-through-ell", HT,
            'sides, d = (("t", "s"), self.d_t) if dual', 'sides, d = (("t", "s"), self.d) if dual',
            (T_HT + "test_dual_table_is_the_transposed_datums_table",)),
