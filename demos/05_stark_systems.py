@@ -7,18 +7,29 @@ the vertex lattice; the ideals generated by their images recover every
 Fitting ideal of the dual-module stand-in W* = coker(ell).
 """
 
+from derived_heights import linalg as la
 from derived_heights.groupring import RingCtx
 from derived_heights.rng import SplitMix64
 from derived_heights.stark import StarkInstance, random_instance, verify_fitting
 
 ring = RingCtx(3, 1)
 
+
+def show(ideal: la.Span) -> str:
+    """An ideal of R by the ring elements of its Howell rows, (0) and (1) by name."""
+    if not ideal.h.shape[0]:
+        return "Ideal(0)"
+    if ideal == la.Span.whole(ring.m, ring.p, ring.n):
+        return "Ideal(1)"
+    return "Ideal(" + ", ".join(repr(ring.elt(row)) for row in ideal.h) + ")"
+
+
 print("== one prime, ell = (N): the worked example ==")
 inst = StarkInstance(ring, [[ring.norm()]])
 system = inst.stark_system(ring.one())
 print("compatible family:", system.check_compatible())
-print("I_0 =", system.ideal(0), "  (the norm line)")
-print("I_1 =", system.ideal(1), "  (relaxing the prime frees the module)")
+print("I_0 =", show(system.ideal(0)), "  (the norm line)")
+print("I_1 =", show(system.ideal(1)), "  (relaxing the prime frees the module)")
 print("Fitting comparison:", verify_fitting(inst, system, 1)["pass"])
 
 print("\n== diag(N, 1): two primes, mixed degeneracy ==")

@@ -122,8 +122,8 @@ class GroupRingElt:
         return GroupRingElt(self.ring, self.coeffs - other.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElt(self.ring, self.coeffs * other)
+        if isinstance(other, (int, np.integer)):  # reduced first: an int64 product would wrap
+            return GroupRingElt(self.ring, self.coeffs * (other % self.ring.m))
         return GroupRingElt(
             self.ring, convolve(self.coeffs, other.coeffs, self.ring.m)
         )

@@ -10,8 +10,10 @@ modulo den is ``den.reduce``, with the reducer the span keeps.  Fitting
 ideals are read off a given relation matrix.  Containment is decided on
 generating rows (a map is checked on ``num.h @ mat``); only spans that
 are kept are canonicalized.
-An ``Ideal`` is likewise the ``Span`` of its coefficient vectors, which
-carries (p, n), so ideals over different rings never compare equal.
+An ideal of R is likewise a ``Span``, of its coefficient vectors
+(``ideal_span``); it carries (p, n), so ideals over different rings never
+compare equal, and as Howell forms are unique, span equality is ideal
+equality.
 
 R-modules expand R-coordinates to scalars: a free R-module of rank g has
 ambient dimension g * p^n, scalar slot g*m + i holding the coefficient
@@ -40,7 +42,6 @@ method name and arguments (modules, complexes, pairing data, Stark instances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Iterable, Optional
@@ -339,59 +340,23 @@ def det_r(ring: RingCtx, rows: list[list[GroupRingElt]]) -> GroupRingElt:
     return out
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """Ideal of R as the span of its coefficient vectors."""
-
-    ring: RingCtx
-    span: la.Span
-
-    @classmethod
-    def from_elements(cls, ring: RingCtx, elems: Iterable[GroupRingElt]) -> "Ideal":
-        # row i of regular_rep(e) is gamma^i * e
-        rows = [regular_rep(e) for e in elems]
-        if not rows:
-            return cls.zero(ring)
-        return cls(ring, la.Span(np.vstack(rows), ring.p, ring.n))
-
-    @classmethod
-    def zero(cls, ring: RingCtx) -> "Ideal":
-        return cls(ring, la.Span.zero(ring.m, ring.p, ring.n))
-
-    @classmethod
-    def unit(cls, ring: RingCtx) -> "Ideal":
-        return cls(ring, la.Span.whole(ring.m, ring.p, ring.n))
-
-    def is_zero(self) -> bool:
-        return self.span.h.shape[0] == 0
-
-    def is_whole_ring(self) -> bool:
-        return self.span.size() == self.ring.m ** self.ring.m
-
-    def plus(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, self.span + other.span)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Ideal(0)"
-        if self.is_whole_ring():
-            return "Ideal(1)"
-        return "Ideal(" + ", ".join(repr(self.ring.elt(r)) for r in self.span.h) + ")"
+def ideal_span(ring: RingCtx, elems: Iterable[GroupRingElt]) -> la.Span:
+    """The ideal of R that elems generate, as the span of its coefficient vectors."""
+    # row i of regular_rep(e) is gamma^i * e
+    rows = np.array([regular_rep(e) for e in elems], dtype=np.int64).reshape(-1, ring.m)
+    return la.Span(rows, ring.p, ring.n)
 
 
 def fitting_from_matrix(ring: RingCtx, g: int, rel_rows: list[list[GroupRingElt]],
-                        i: int) -> Ideal:
+                        i: int) -> la.Span:
     size = g - i
     if size <= 0:
-        return Ideal.unit(ring)
+        return la.Span.whole(ring.m, ring.p, ring.n)
     if size > len(rel_rows):
-        return Ideal.zero(ring)
-    minors = []
-    for rsel in combinations(range(len(rel_rows)), size):
-        for csel in combinations(range(g), size):
-            sub = [[rel_rows[r][c] for c in csel] for r in rsel]
-            minors.append(det_r(ring, sub))
-    return Ideal.from_elements(ring, minors)
+        return la.Span.zero(ring.m, ring.p, ring.n)
+    return ideal_span(ring, (det_r(ring, [[rel_rows[r][c] for c in csel] for r in rsel])
+                             for rsel in combinations(range(len(rel_rows)), size)
+                             for csel in combinations(range(g), size)))
 
 
 # -- exterior powers ------------------------------------------------------------

@@ -38,11 +38,11 @@ from . import linalg as la
 from .groupring import GroupRingElt, RingCtx
 from .heights import PairingData, random_ell_matrix
 from .modules import (
-    Ideal,
     contract,
     derived,
     fitting_from_matrix,
     functional_from_rcoords,
+    ideal_span,
     r_matrix_expand,
     rcoords_from_functional,
 )
@@ -116,7 +116,7 @@ class StarkInstance:
             return self.datum().s_span
         return la.kernel(self.localization(vertex), ring.p, ring.n)
 
-    def w_star_fitting(self, i: int) -> Ideal:
+    def w_star_fitting(self, i: int) -> la.Span:
         """Fitt^i of W* = coker(ell), presented by ell itself."""
         return fitting_from_matrix(self.ring, self.r, self.ell, i)
 
@@ -192,14 +192,9 @@ class StarkSystem:
                     return False
         return True
 
-    def image_ideal(self, vertex: tuple[int, ...]) -> Ideal:
-        """Ideal of values of eps_vertex on the wedge generators: its R-coordinates."""
-        inst = self.inst
-        eps = self.eps[tuple(sorted(vertex))]
-        return Ideal.from_elements(inst.ring, rcoords_from_functional(inst.ring, eps))
-
-    def ideal(self, i: int) -> Ideal:
-        """I_i: sum of the image ideals over the weight-i vertices.
+    def ideal(self, i: int) -> la.Span:
+        """I_i, the ideal of the values of the weight-i eps_m on the wedge
+        generators: one ``ideal_span`` of the R-coordinates of all of them.
 
         The defining sum runs over all vertices of the infinite prime
         pool; a synthetic instance holds r of its primes.  For i > r the
@@ -211,12 +206,11 @@ class StarkSystem:
         """
         if i < 0:
             raise ValueError("ideal index must be nonnegative")
+        ring = self.inst.ring
         if i > self.inst.r:
-            return Ideal.from_elements(self.inst.ring, [self.scalar])
-        out = Ideal.zero(self.inst.ring)
-        for vertex in self.inst.vertices(weight=i):
-            out = out.plus(self.image_ideal(vertex))
-        return out
+            return ideal_span(ring, [self.scalar])
+        return ideal_span(ring, [c for vertex in self.inst.vertices(weight=i)
+                                 for c in rcoords_from_functional(ring, self.eps[vertex])])
 
 
 def verify_fitting(inst: StarkInstance, system: StarkSystem, imax: int) -> dict:
@@ -230,8 +224,8 @@ def verify_fitting(inst: StarkInstance, system: StarkSystem, imax: int) -> dict:
         ok = ok and equal
         records.append({
             "i": i,
-            "fitting": fit.span.h.tolist(),
-            "stark": stark.span.h.tolist(),
+            "fitting": fit.h.tolist(),
+            "stark": stark.h.tolist(),
             "equal": equal,
         })
     return {"pass": ok, "records": records}

@@ -19,7 +19,7 @@ import numpy as np
 
 from derived_heights import linalg as la
 from derived_heights.groupring import GroupRingElt, RingCtx
-from derived_heights.modules import FpModule, Ideal, fitting_from_matrix, free_module
+from derived_heights.modules import FpModule, fitting_from_matrix, free_module
 
 
 def r_generators(mod: FpModule) -> list[np.ndarray]:
@@ -65,7 +65,7 @@ def presentation(mod: FpModule) -> Presentation:
     return Presentation(mod.ring, gens, la.preimage(gmat, mod.den))
 
 
-def fitting_ideal(mod: FpModule, i: int) -> Ideal:
+def fitting_ideal(mod: FpModule, i: int) -> la.Span:
     """i-th Fitting ideal: (g - i) x (g - i) minors of a presentation."""
     if i < 0:
         raise ValueError("Fitting index must be nonnegative")
@@ -73,10 +73,10 @@ def fitting_ideal(mod: FpModule, i: int) -> Ideal:
     return fitting_from_matrix(mod.ring, pres.g, pres.relation_rows_r(), i)
 
 
-def annihilates(ideal: Ideal, mod: FpModule) -> bool:
-    """Whether every generator of the ideal kills every generator of the module."""
-    for row in ideal.span.h:
-        x = ideal.ring.elt(row)
+def annihilates(ideal: la.Span, mod: FpModule) -> bool:
+    """Whether every generator of the ideal of R kills every generator of the module."""
+    for row in ideal.h:
+        x = mod.ring.elt(row)
         if not mod.den.contains(la.mul_mod(mod.num.h, mod.scale_matrix(x), mod.m)):
             return False
     return True

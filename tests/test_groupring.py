@@ -40,6 +40,21 @@ def test_augmentation_is_multiplicative():
             assert (x * y).augmentation() == (x.augmentation() * y.augmentation()) % ring.m
 
 
+def test_product_by_a_large_or_negative_int_is_exact():
+    # the int is reduced mod p^n before the int64 product, so 2^62 and 2^64
+    # neither wrap nor overflow, on either side of the product; a numpy
+    # integer is taken as an int
+    for ring in RINGS + [RingCtx(7, 1)]:
+        x = ring.elt(np.arange(ring.m) + ring.m - 1)
+        for k in (2 ** 62, 2 ** 64, -5, -(2 ** 64) - 1, np.int64(2 ** 62), np.int64(-3)):
+            want = [c * int(k) % ring.m for c in x.coeffs.tolist()]
+            assert (x * k).coeffs.tolist() == want
+            assert (k * x).coeffs.tolist() == want
+    ring = RingCtx(7, 1)
+    assert (ring.scalar(6) * 2 ** 62).coeffs[0] == 3
+    assert (2 ** 64 * ring.scalar(6)).coeffs[0] == 6 * 2 ** 64 % 7
+
+
 def test_derivative_op_values_31():
     ring = RingCtx(3, 1)
     assert derivative_op(ring, 0) == ring.norm()  # 1 + g + g^2

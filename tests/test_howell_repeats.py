@@ -78,8 +78,8 @@ def test_pairing_compare_repeats_pinned(howell_inputs):
 
 def test_stark_checks_repeat_pinned(howell_inputs):
     # H(empty) is the validated datum's S and the unit ideal has no Howell
-    # form; the one repeat is I_3 = (c), equal to the image ideal of the
-    # top vertex, where eps is c times the det-line basis
+    # form; the one repeat is I_3 = (c), built from the rows of I_2, whose
+    # one weight-2 vertex is the top, where eps is c times the det-line basis
     ring = RingCtx(3, 1)
     inst = StarkInstance(ring, random_ell_matrix(ring, 3, 2, SplitMix64(31)))
     system = inst.stark_system(ring.one())

@@ -13,7 +13,7 @@ from derived_heights import linalg as la
 from derived_heights import stark as st
 from derived_heights.groupring import RingCtx
 from derived_heights.heights import PairingData, random_ell_matrix, random_unit
-from derived_heights.modules import Ideal, functional_from_rcoords, rcoords_from_functional
+from derived_heights.modules import functional_from_rcoords, ideal_span, rcoords_from_functional
 from derived_heights.rng import SplitMix64
 from derived_heights.stark import (
     StarkError,
@@ -27,6 +27,12 @@ from wedge_oracle import wedge_matrix
 
 R31 = RingCtx(3, 1)
 RINGS = [RingCtx(3, 1), RingCtx(3, 2), RingCtx(5, 1)]
+ALL_RINGS = RINGS + [RingCtx(5, 2), RingCtx(7, 1), RingCtx(7, 2)]
+
+
+def whole(ring):
+    """The unit ideal of R."""
+    return la.Span.whole(ring.m, ring.p, ring.n)
 
 
 def identity_instance(ring, r):
@@ -50,7 +56,7 @@ def test_identity_instance_shape():
     inst = identity_instance(R31, 2)
     assert inst.chi == 0
     assert inst.h_span(()).size() == 1  # H(empty) = 0
-    assert inst.w_star_fitting(0).is_whole_ring()
+    assert inst.w_star_fitting(0) == whole(R31)
 
 
 def test_norm_instance_vertex_modules():
@@ -62,7 +68,7 @@ def test_norm_instance_vertex_modules():
 
     assert h_empty == aug_ideal_power(R31, 1)
     f0 = inst.w_star_fitting(0)
-    assert f0 == Ideal.from_elements(R31, [R31.norm()])
+    assert f0 == ideal_span(R31, [R31.norm()])
 
 
 def test_vertex_lattice_against_brute_force():
@@ -87,8 +93,8 @@ def test_stark_identity_gives_unit_ideals():
     sys0 = inst.stark_system(R31.one())
     assert sys0.check_compatible()
     for i in range(3):
-        assert sys0.ideal(i).is_whole_ring()
-        assert inst.w_star_fitting(i).is_whole_ring()
+        assert sys0.ideal(i) == whole(R31)
+        assert inst.w_star_fitting(i) == whole(R31)
 
 
 def test_stark_norm_instance_worked_values():
@@ -97,8 +103,8 @@ def test_stark_norm_instance_worked_values():
     system = inst.stark_system(R31.one())
     assert system.check_compatible()
     i0 = system.ideal(0)
-    assert i0 == Ideal.from_elements(R31, [R31.norm()])
-    assert system.ideal(1).is_whole_ring()
+    assert i0 == ideal_span(R31, [R31.norm()])
+    assert system.ideal(1) == whole(R31)
     rep = verify_fitting(inst, system, 1)
     assert rep["pass"]
 
@@ -111,8 +117,8 @@ def test_stark_diag_norm_one():
     system = inst.stark_system(ring.one())
     rep = verify_fitting(inst, system, 2)
     assert rep["pass"]
-    assert system.ideal(0) == Ideal.from_elements(ring, [ring.norm()])
-    assert system.ideal(1).is_whole_ring()
+    assert system.ideal(0) == ideal_span(ring, [ring.norm()])
+    assert system.ideal(1) == whole(ring)
 
 
 def test_non_generator_rejected():
@@ -184,7 +190,7 @@ def test_ideals_increase():
         for i in range(inst.a + 1):
             cur = system.ideal(i)
             if prev is not None:
-                assert cur.span.contains(prev.span)
+                assert cur.contains(prev)
             prev = cur
 
 
@@ -230,11 +236,13 @@ def test_vertex_extension_preserves_everything():
 
 
 def _ideal_by_fresh_primes(inst, scalar, i):
-    """I_i by adjoining fresh primes until there are i, then summing.
+    """I_i by adjoining fresh primes until there are i, then summing one
+    span per weight-i vertex (below the prime count, no prime is adjoined).
 
     Each fresh prime is zero on the old generators with a unit basis on
     a fresh generator.  Every extension is built as a StarkInstance, so
-    it is validated, and it keeps the Fitting ideals of W*.
+    it is validated, and it keeps the Fitting ideals of W*.  The sum never
+    calls ``StarkSystem.ideal``, so it is a second route to I_i.
     """
     ring = inst.ring
     while inst.r < i:
@@ -244,9 +252,9 @@ def _ideal_by_fresh_primes(inst, scalar, i):
         assert ext.w_star_fitting(i) == inst.w_star_fitting(i)
         inst = ext
     system = inst.family_from_scalar(scalar)
-    out = Ideal.zero(ring)
+    out = la.Span.zero(ring.m, ring.p, ring.n)
     for vertex in inst.vertices(weight=i):
-        out = out.plus(system.image_ideal(vertex))
+        out = out + ideal_span(ring, rcoords_from_functional(ring, system.eps[vertex]))
     return out
 
 
@@ -261,6 +269,21 @@ def test_ideals_above_the_prime_count_match_the_fresh_prime_recursion():
             assert not non_unit.is_unit()
             for system in (inst.stark_system(u), inst.family_from_scalar(non_unit)):
                 for i in range(inst.r + 1, inst.a + 3):
+                    assert system.ideal(i) == _ideal_by_fresh_primes(inst, system.scalar, i)
+
+
+def test_one_span_ideal_is_the_sum_of_the_per_vertex_spans():
+    # I_i, one span of every weight-i generator, against the sum of one span
+    # per weight-i vertex (over the fresh-prime extension above the prime
+    # count), for a unit and a non-unit spawning scalar, on every ring
+    rng = SplitMix64(197)
+    for ring in ALL_RINGS:
+        for trial in range(2):
+            inst = random_instance(ring, rng)
+            u = random_unit(ring, rng)
+            non_unit = [(ring.gamma() - ring.one()) * u, ring.scalar(ring.p) * u][trial]
+            for system in (inst.stark_system(u), inst.family_from_scalar(non_unit)):
+                for i in range(inst.a + 2):
                     assert system.ideal(i) == _ideal_by_fresh_primes(inst, system.scalar, i)
 
 

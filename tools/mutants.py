@@ -309,7 +309,7 @@ MUTANTS = (
            (T_MD + "test_relations_close_under_the_given_gamma_action",
             "tests/test_cli.py::test_spectral_relations_close_under_the_given_gamma_action")),
     Mutant("ideal-rows-transposed", MD,
-           "rows = [regular_rep(e) for e in elems]", "rows = [regular_rep(e).T for e in elems]",
+           "[regular_rep(e) for e in elems]", "[regular_rep(e).T for e in elems]",
            (T_MD + "test_ideal_of_elements_is_spanned_by_their_gamma_multiples",)),
     Mutant("wedge-kernel-first-functional-per-vertex", ST,
            WEDGE_TEST, WEDGE_TEST + "\n                break", WEDGE_KERNEL),
@@ -336,9 +336,14 @@ MUTANTS = (
            "for big, small in inst.edges())", "for big, small in inst.edges()[1:])",
            (T_ST + "test_edge_compatibility_is_the_all_pairs_verdict",)),
     Mutant("stark-ideal-above-r-ignores-scalar", ST,
-           'return Ideal.from_elements(self.inst.ring, [self.scalar])',
-           'return Ideal.unit(self.inst.ring)',
+           "return ideal_span(ring, [self.scalar])",
+           "return la.Span.whole(ring.m, ring.p, ring.n)",
            (T_ST + "test_ideals_above_the_prime_count_match_the_fresh_prime_recursion",)),
+    # below the prime count only a non-unit scalar's family shows it
+    Mutant("stark-ideal-below-r-ignores-scalar", ST,
+           "rcoords_from_functional(ring, self.eps[vertex])",
+           "rcoords_from_functional(ring, self.inst.family_from_scalar(ring.one()).eps[vertex])",
+           (T_ST + "test_one_span_ideal_is_the_sum_of_the_per_vertex_spans",)),
     Mutant("convolve-correlates", GR,
            "la.mul_mod(a, b[_rep_index(m)], m)", "la.mul_mod(a, b[_rep_index(m).T], m)",
            (T_PR + "test_convolve_is_the_double_loop_convolution",)),
@@ -430,7 +435,7 @@ MUTANTS = (
            "if self.src.num == self.tgt.num:",
            (T_MD + "test_kept_image_is_a_fresh_image",)),
     Mutant("unit-ideal-is-zero", MD,
-           "return cls(ring, la.Span.whole(ring.m, ring.p, ring.n))", "return cls.zero(ring)",
+           "return la.Span.whole(ring.m, ring.p, ring.n)", "return la.Span.zero(ring.m, ring.p, ring.n)",
            (T_ST + "test_stark_identity_gives_unit_ideals",)),
     # -- the lattice descent of the tau profile ------------------------------------
     Mutant("descent-drops-p-multiples", RC,
