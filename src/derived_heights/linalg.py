@@ -32,8 +32,9 @@ Conventions used throughout the package:
     span of some rows exactly when it contains each row.  Sum, containment,
     equality and size are ``Span`` members; intersection, preimage,
     image and enumeration take ``Span`` arguments and read (p, n) off
-    them.  The zero span has shape (0, cols), and every primitive
-    accepts and returns it with the right width
+    them.  A sum is the Howell form of the smaller summand's rows on the
+    larger summand as its base (below).  The zero span has shape (0, cols),
+    and every primitive accepts and returns it with the right width
   * ``Solver.solve``, ``Solver.random_solution`` and
     ``CosetReducer.reduce`` take a matrix of vectors, one per row; a
     vector is the one-row case, with no branch.  A pivot 1 has a column
@@ -43,9 +44,11 @@ Conventions used throughout the package:
     product; only the non-unit pivots are walked in order (none at n = 1).
     The result is the same as a walk over every pivot
   * ``span_intersect`` and ``preimage`` are one Howell form each, of
-    [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus): its rows that vanish
-    on the left block are already the canonical answer (Storjohann,
-    "Algorithms for Matrix Canonical Forms", 2000).  An intersection (a
+    [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus), with [b, 0] as its
+    base (the larger of the two spans as b, for an intersection): its rows
+    that vanish on the left block are already the canonical answer
+    (Storjohann, "Algorithms for Matrix Canonical Forms", 2000).  An
+    image plus a span has that span as its base.  An intersection (a
     sum) with the whole ambient, a square Howell form with unit diagonal,
     is the other span (the whole), and one with the zero span is the zero
     span (the other), with no Howell form
@@ -61,7 +64,10 @@ N", 1998): at each column the active row of least p-valuation v becomes
 the pivot, one in-place outer-product update clears the column from the
 active rows and from the rows already placed, and for v > 0 the
 annihilator row p^(n-v) * pivot row rejoins the active rows, which
-gives the Howell property without a second pass.  Reduction is
+gives the Howell property without a second pass.  A base, a span whose
+Howell form heads the generating set, reduces the new rows by its
+reducer, which zeroes them at its unit pivots' columns; its unit-pivot
+rows start out placed, so no step is taken at those columns.  Reduction is
 deferred: between steps the entries are only congruent mod p^n, the
 pivot column is reduced as it is read and the placed rows once, at the
 end.  An entry takes at most one update per column, so it stays below
@@ -137,8 +143,8 @@ def _tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 HOWELL_GATHER_ENTRIES = 4096
 
 
-def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Unique Howell canonical form of the row span of ``a`` (read-only).
+def howell_form(a: np.ndarray, p: int, n: int, base: Optional["Span"] = None) -> np.ndarray:
+    """Unique Howell canonical form of the row span of ``a``, plus ``base`` (read-only).
 
     One pass over the columns, with deferred reduction (module docstring).
     Rows ``w[:j]`` are placed (pivots in increasing columns) and rows
@@ -150,18 +156,28 @@ def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
     column c, and with the other active rows it spans every element of
     the span vanishing on columns <= c, which gives the Howell property.
     A column zero on every active row is skipped with the run after it.
+    A base's unit-pivot rows start out placed, its other rows and those of
+    ``a`` reduced by its reducer are the active rows (module docstring), and
+    the placed rows are sorted by pivot column at the end.
     """
     m = p ** n
     a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % m
+    placed = a[:0]
+    if base is not None:
+        if (base.p, base.n, base.h.shape[1]) != (p, n, a.shape[1]):
+            raise ValueError(f"a base over Z/{base.p}^{base.n} of width {base.h.shape[1]} "
+                             f"for rows over Z/{p}^{n} of width {a.shape[1]}")
+        r = base.reducer
+        placed, a = r.unit_rows, np.vstack([r.h[[i for i, _, _ in r.pivots]], r.reduce(a)])
     a = a[a.any(axis=1)]
-    k, cols = a.shape
+    (k, cols), j = a.shape, len(placed)
     check_accumulation(cols * m, m)  # deferred entries times a unit inverse
     val, inv, pw = _tables(p, n)
     # at most one annihilator row joins per pivot, and there is at most
     # one pivot per column
-    w = np.zeros((k + cols, cols), dtype=np.int64)
-    w[:k] = a
-    j = c = 0
+    w = np.zeros((j + k + cols, cols), dtype=np.int64)
+    w[:j], w[j:j + k] = placed, a
+    c = 0
     while k and c < cols:
         col = w[:j + k, c] % m
         vc = val[col[j:]]
@@ -191,6 +207,8 @@ def howell_form(a: np.ndarray, p: int, n: int) -> np.ndarray:
                 w[j + k] = ann
                 k += 1
     h = w[:j] % m
+    if base is not None and j:
+        h = h[(h != 0).argmax(axis=1).argsort()]
     h.setflags(write=False)
     return h
 
@@ -221,9 +239,9 @@ class Span:
 
     __slots__ = ("h", "p", "n", "_reducer", "_size")
 
-    def __init__(self, rows: np.ndarray, p: int, n: int):
-        """The span of arbitrary rows (a 1-D argument is one row)."""
-        self._set(howell_form(rows, p, n), p, n)
+    def __init__(self, rows: np.ndarray, p: int, n: int, base: Optional["Span"] = None):
+        """The span of arbitrary rows (a 1-D argument is one row), plus ``base``."""
+        self._set(howell_form(rows, p, n, base), p, n)
 
     @classmethod
     def _of_howell(cls, h: np.ndarray, p: int, n: int) -> "Span":
@@ -271,7 +289,8 @@ class Span:
             return self
         if _is_whole(other) or not self.h.shape[0]:
             return other
-        return Span(np.vstack([self.h, other.h]), self.p, self.n)
+        base, rows = (self, other) if len(self.h) >= len(other.h) else (other, self)
+        return Span(rows.h, self.p, self.n, base)
 
     @property
     def reducer(self) -> "CosetReducer":
@@ -326,12 +345,13 @@ def _vanishing_tail(h: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _zassenhaus(top_left: np.ndarray, top_right: np.ndarray, bottom: Span) -> Span:
-    """``_vanishing_tail`` of the Howell form of [[top_left, top_right], [bottom, 0]]."""
-    (r, cols), s = top_left.shape, bottom.h.shape[0]
-    w = np.zeros((r + s, cols + top_right.shape[1]), dtype=np.int64)
-    w[:r, :cols], w[:r, cols:], w[r:, :cols] = top_left, top_right, bottom.h
+    """``_vanishing_tail`` of the Howell form of [[top_left, top_right], [bottom, 0]],
+    with [bottom, 0], a Howell form, as its base."""
     p, n = bottom.p, bottom.n
-    return Span._of_howell(_vanishing_tail(howell_form(w, p, n), cols), p, n)
+    right = np.zeros((len(bottom.h), top_right.shape[1]), dtype=np.int64)
+    base = Span._of_howell(np.hstack([bottom.h, right]), p, n)
+    h = howell_form(np.hstack([top_left, top_right]), p, n, base)
+    return Span._of_howell(_vanishing_tail(h, top_left.shape[1]), p, n)
 
 
 def preimage(a: np.ndarray, b: Span) -> Span:
@@ -356,6 +376,7 @@ def span_intersect(a: Span, b: Span) -> Span:
         return b
     if _is_whole(b) or not a.h.shape[0]:
         return a
+    a, b = sorted((a, b), key=lambda span: len(span.h))  # the larger, b, is the base
     return _zassenhaus(a.h, a.h, b)
 
 
@@ -369,12 +390,8 @@ def _is_whole(span: Span) -> bool:
 
 
 def image_span(span: Span, a: np.ndarray, plus: Optional[Span] = None) -> Span:
-    """The span {v @ a : v in span}, plus the span ``plus`` in the same Howell form."""
-    rows = mul_mod(span.h, a, span.m)
-    if plus is not None:
-        _same_ring(span, plus)
-        rows = np.vstack([rows, plus.h])
-    return Span(rows, span.p, span.n)
+    """The span {v @ a : v in span}, plus the span ``plus`` (the base) in the same Howell form."""
+    return Span(mul_mod(span.h, a, span.m), span.p, span.n, plus)
 
 
 def check_accumulation(terms: int, m: int) -> None:

@@ -224,8 +224,8 @@ class ModuleHom:
     def image(self) -> FpModule:
         if self.mat is None and self.src.num == self.tgt.num:
             return self.tgt  # the identity onto the same numerator
-        rows = np.vstack([self._rows(self.src.num.h), self.tgt.den.h])
-        return self.tgt._over_den(la.Span(rows, self.src.p, self.src.n))
+        return self.tgt._over_den(la.Span(self._rows(self.src.num.h), self.src.p, self.src.n,
+                                          self.tgt.den))
 
     def is_surjective(self) -> bool:
         return self.image().order() == self.tgt.order()

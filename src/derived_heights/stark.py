@@ -160,6 +160,7 @@ class StarkSystem:
         self.inst = inst
         self.eps = eps
         self.scalar = scalar  # coordinate of the spawning det-line element
+        self._memo: dict[tuple, object] = {}
 
     def check_compatible(self) -> bool:
         """v_{n,m}(eps_n) == eps_m along every covering edge, so for every m dividing n."""
@@ -192,6 +193,7 @@ class StarkSystem:
                     return False
         return True
 
+    @derived
     def ideal(self, i: int) -> la.Span:
         """I_i, the ideal of the values of the weight-i eps_m on the wedge
         generators: one ``ideal_span`` of the R-coordinates of all of them.
@@ -202,13 +204,14 @@ class StarkSystem:
         generators with a unit basis on a fresh generator, which leaves
         W* and so every Fitting ideal unchanged.  The extension has one
         weight-i vertex, its top, where eps is c times the det basis with
-        no contraction, so I_i = (c) for the spawning scalar c.
+        no contraction, so I_i = (c) for the spawning scalar c: that is I_r,
+        built once (its one vertex is the top) and returned for every i > r.
         """
         if i < 0:
             raise ValueError("ideal index must be nonnegative")
-        ring = self.inst.ring
         if i > self.inst.r:
-            return ideal_span(ring, [self.scalar])
+            return self.ideal(self.inst.r)
+        ring = self.inst.ring
         return ideal_span(ring, [c for vertex in self.inst.vertices(weight=i)
                                  for c in rcoords_from_functional(ring, self.eps[vertex])])
 

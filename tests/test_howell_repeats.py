@@ -25,7 +25,8 @@ from derived_heights.stark import StarkInstance, verify_fitting
 
 @pytest.fixture
 def howell_inputs(monkeypatch):
-    """Every ``howell_form`` input from now on, counted by (bytes, shape, p, n).
+    """Every ``howell_form`` input from now on, counted by (bytes, shape, p, n)
+    of its whole generating set: the base's rows, then the new rows.
 
     The package's lru caches are emptied first, so the count does not
     depend on which tests ran before.
@@ -37,10 +38,11 @@ def howell_inputs(monkeypatch):
     seen: Counter = Counter()
     original = la.howell_form
 
-    def counting(a, p, n):
+    def counting(a, p, n, base=None):
         a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p ** n
-        seen[a.tobytes(), a.shape, p, n] += 1
-        return original(a, p, n)
+        rows = a if base is None else np.vstack([base.h, a])
+        seen[rows.tobytes(), rows.shape, p, n] += 1
+        return original(a, p, n, base)
 
     monkeypatch.setattr(la, "howell_form", counting)
     return seen
@@ -78,11 +80,11 @@ def test_pairing_compare_repeats_pinned(howell_inputs):
 
 def test_stark_checks_repeat_pinned(howell_inputs):
     # H(empty) is the validated datum's S and the unit ideal has no Howell
-    # form; the one repeat is I_3 = (c), built from the rows of I_2, whose
-    # one weight-2 vertex is the top, where eps is c times the det-line basis
+    # form; I_3 = (c) is I_2, whose one weight-2 vertex is the top, where eps
+    # is c times the det-line basis, and the system builds it once
     ring = RingCtx(3, 1)
     inst = StarkInstance(ring, random_ell_matrix(ring, 3, 2, SplitMix64(31)))
     system = inst.stark_system(ring.one())
     assert verify_fitting(inst, system, inst.a)["pass"]
     assert system.check_compatible() and system.check_kills_wedge_kernel()
-    assert repeats(howell_inputs) == 1
+    assert repeats(howell_inputs) == 0

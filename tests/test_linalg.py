@@ -336,6 +336,45 @@ def test_howell_kernel_matches_the_oracle_on_structured_inputs(p, n):
         assert h.shape == ref.shape and (h == ref).all()
 
 
+def _base_cases(p, n, rng):
+    """(base, rows) pairs: scaled bases (non-unit pivots), the zero span and
+    the whole ambient as bases, zero-row inputs, and rows inside the base."""
+    m = p ** n
+    cases = []
+    for rows, cols in ((2, 4), (5, 6), (7, 12), (3, 16)):
+        b = rand_mat(rng, rows, cols, m)
+        b[1::2] = p * b[1::2] % m
+        b[::3, :cols // 2] = p * b[::3, :cols // 2] % m
+        base = la.Span(b, p, n)
+        a = rand_mat(rng, rows + 1, cols, 3 * m) - m  # entries outside [0, m) too
+        a[::2] = p * a[::2]
+        inside = la.mul_mod(rand_mat(rng, 3, len(base.h), m), base.h, m)
+        cases += [(base, a), (base, a[:0]), (base, inside), (base, np.vstack([inside, a[:1]])),
+                  (la.Span.zero(cols, p, n), a), (la.Span.whole(cols, p, n), a),
+                  (la.Span.zero(cols, p, n), a[:0])]
+    cases.append((la.Span.zero(0, p, n), np.zeros((0, 0), dtype=np.int64)))
+    return cases
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (2, 3)])
+def test_howell_form_on_a_base_is_the_stacked_form(p, n):
+    rng = SplitMix64(5400 + 10 * p + n)
+    non_unit = 0
+    for base, a in _base_cases(p, n, rng):
+        non_unit += len(base.reducer.pivots)
+        stacked = np.vstack([base.h, a % p ** n])
+        h = la.howell_form(a, p, n, base)
+        for ref in (la.howell_form(stacked, p, n), howell_oracle.howell_form(stacked, p, n)):
+            assert h.shape == ref.shape and (h == ref).all()
+        assert not h.flags.writeable
+    assert non_unit or n == 1
+    a = np.ones((2, 4), dtype=np.int64)
+    for base in (la.Span.whole(4, p, n + 1), la.Span.whole(4, p + 2, n), la.Span.zero(4, p, n + 1),
+                 la.Span.whole(3, p, n), la.Span.zero(5, p, n)):
+        with pytest.raises(ValueError, match="a base over"):
+            la.howell_form(a, p, n, base)
+
+
 def test_howell_kernel_bound_is_asserted(monkeypatch):
     # deferred entries stay below m + cols * (m - 1)^2 and a pivot row is
     # scaled by a unit inverse before it is reduced; near m = 2^62 even one

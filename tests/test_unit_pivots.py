@@ -178,7 +178,7 @@ def test_intersection_with_the_zero_span_is_it_with_no_howell_form(p, n, monkeyp
     others = [la.Span(scaled_matrix(rng, 3, 4, p, n), p, n) for _ in range(5)]
     others += [la.Span.whole(4, p, n), la.Span.zero(4, p, n)]
 
-    def no_howell(*args):
+    def no_howell(*args, **kwargs):
         raise AssertionError("a Howell form of an intersection with the zero span")
 
     monkeypatch.setattr(la, "howell_form", no_howell)
@@ -194,7 +194,7 @@ def test_sum_with_a_whole_or_zero_summand_is_it_with_no_howell_form(p, n, monkey
     others = [la.Span(scaled_matrix(rng, 3, 4, p, n), p, n) for _ in range(5)]
     identity = la.Span(np.eye(4, dtype=np.int64), p, n)  # whole, built by a Howell form
 
-    def no_howell(*args):
+    def no_howell(*args, **kwargs):
         raise AssertionError("a Howell form of a sum")
 
     monkeypatch.setattr(la, "howell_form", no_howell)

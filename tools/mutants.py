@@ -73,6 +73,7 @@ SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
                 T_LA + "test_span_reducer_is_built_once_and_is_its_own")
 
 HOWELL_KERNEL = (T_LA + "test_howell_kernel_matches_the_oracle_on_structured_inputs",)
+HOWELL_BASE = (T_LA + "test_howell_form_on_a_base_is_the_stacked_form",)
 
 PROJECTION_TABLES = (T_HT + "test_one_by_one_pairings_keep_the_unreduced_value",
                      T_HT + "test_compare_records_match_the_golden_digest")
@@ -182,6 +183,22 @@ MUTANTS = (
     Mutant("howell-swap-skipped", LA,
            "if i != j:\n            w[i], col[i] = w[j], col[j]",
            "if i == j:\n            w[i], col[i] = w[j], col[j]", HOWELL_KERNEL),
+    # -- a Howell form extended from a base span -----------------------------------
+    # the first three survive every other tier-1 test; the last two are the
+    # base mechanism's own faults, which the span checks downstream catch too
+    Mutant("howell-base-ring-unchecked", LA,
+           "if (base.p, base.n, base.h.shape[1]) != (p, n, a.shape[1]):",
+           "if base.h.shape[1] != a.shape[1]:", HOWELL_BASE),
+    Mutant("howell-base-width-unchecked", LA,
+           "if (base.p, base.n, base.h.shape[1]) != (p, n, a.shape[1]):",
+           "if (base.p, base.n) != (p, n):", HOWELL_BASE),
+    Mutant("howell-base-sort-on-zero-width", LA,
+           "if base is not None and j:", "if base is not None:", HOWELL_BASE),
+    Mutant("howell-base-pivots-unsorted", LA,
+           "h = h[(h != 0).argmax(axis=1).argsort()]", "pass", HOWELL_BASE),
+    Mutant("howell-base-non-unit-rows-placed", LA,
+           "placed, a = r.unit_rows, np.vstack([r.h[[i for i, _, _ in r.pivots]], r.reduce(a)])",
+           "placed, a = r.h, r.reduce(a)", HOWELL_BASE),
     # -- the Span value -----------------------------------------------------------------
     Mutant("span-equality-by-shape", LA,
            "self.h.shape == other.h.shape\n                and bool((self.h == other.h).all()))",
@@ -193,12 +210,12 @@ MUTANTS = (
            (T_LA + "test_span_equality_and_hash_include_the_ring",
             "tests/test_modules.py::test_ideals_over_different_rings_are_not_equal")),
     Mutant("sum-skips-canonicalization", LA,
-           "return Span(np.vstack([self.h, other.h]), self.p, self.n)",
-           "return Span._of_howell(np.vstack([self.h, other.h]), self.p, self.n)",
+           "return Span(rows.h, self.p, self.n, base)",
+           "return Span._of_howell(np.vstack([base.h, rows.h]), self.p, self.n)",
            SPAN_ALGEBRA),
     Mutant("sum-keeps-summand-reducer", LA,
-           "return Span(np.vstack([self.h, other.h]), self.p, self.n)",
-           "out = Span(np.vstack([self.h, other.h]), self.p, self.n)\n"
+           "return Span(rows.h, self.p, self.n, base)",
+           "out = Span(rows.h, self.p, self.n, base)\n"
            "        object.__setattr__(out, '_reducer', self._reducer)\n"
            "        return out",
            SPAN_ALGEBRA),
@@ -336,8 +353,8 @@ MUTANTS = (
            "for big, small in inst.edges())", "for big, small in inst.edges()[1:])",
            (T_ST + "test_edge_compatibility_is_the_all_pairs_verdict",)),
     Mutant("stark-ideal-above-r-ignores-scalar", ST,
-           "return ideal_span(ring, [self.scalar])",
-           "return la.Span.whole(ring.m, ring.p, ring.n)",
+           "return self.ideal(self.inst.r)",
+           "return la.Span.whole(self.inst.ring.m, self.inst.ring.p, self.inst.ring.n)",
            (T_ST + "test_ideals_above_the_prime_count_match_the_fresh_prime_recursion",)),
     # below the prime count only a non-unit scalar's family shows it
     Mutant("stark-ideal-below-r-ignores-scalar", ST,
