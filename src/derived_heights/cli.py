@@ -58,7 +58,7 @@ STRUCTURE_PRIMES = (2, 3, 5)
 
 def write_json(obj, sinks) -> None:
     """obj as sorted JSON indented by 2, then a newline, to every sink, in batches of pieces."""
-    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    pieces = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).iterencode(obj)
     while text := "".join(islice(pieces, 4096)):  # one write per piece doubles the time
         for fh in sinks:
             fh.write(text)
@@ -67,7 +67,7 @@ def write_json(obj, sinks) -> None:
 
 
 def digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -311,8 +311,8 @@ def cmd_fuzz(args) -> dict:
         raise InputError("$.trials", "must be nonnegative")
     if args.max_rank < 1:
         raise InputError("$.max_rank", "must be at least 1")
-    if args.time_budget is not None and args.time_budget < 0:
-        raise InputError("$.time_budget", "must be nonnegative")
+    if args.time_budget is not None and not 0 <= args.time_budget < float("inf"):
+        raise InputError("$.time_budget", "must be finite and nonnegative")
     for i, (p, n) in enumerate(args.rings):
         try:
             m = RingCtx(p, n).m

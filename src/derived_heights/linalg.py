@@ -44,14 +44,14 @@ Conventions used throughout the package:
     product; only the non-unit pivots are walked in order (none at n = 1).
     The result is the same as a walk over every pivot
   * ``span_intersect`` and ``preimage`` are one Howell form each, of
-    [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus), with [b, 0] as its
-    base (the larger of the two spans as b, for an intersection): its rows
+    [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus), with b as its base
+    (the larger span, by rows and then size, for an intersection): its rows
     that vanish on the left block are already the canonical answer
-    (Storjohann, "Algorithms for Matrix Canonical Forms", 2000).  An
-    image plus a span has that span as its base.  An intersection (a
-    sum) with the whole ambient, a square Howell form with unit diagonal,
-    is the other span (the whole), and one with the zero span is the zero
-    span (the other), with no Howell form
+    (Storjohann, "Algorithms for Matrix Canonical Forms", 2000), a (the
+    whole ambient) when b's reduction clears a.  An image plus a span has
+    that span as its base.  An intersection (a sum) with the whole ambient,
+    a square Howell form with unit diagonal, is the other span (the whole),
+    and one with the zero span is the zero span (the other), with no Howell form
   * ``howell_form`` keeps nothing: each span is built once by the object
     that owns it (a complex, a module, a pairing datum), not looked up by
     value.  Its results are read-only, as a span's rows are shared by
@@ -65,11 +65,12 @@ the pivot, one in-place outer-product update clears the column from the
 active rows and from the rows already placed, and for v > 0 the
 annihilator row p^(n-v) * pivot row rejoins the active rows, which
 gives the Howell property without a second pass.  A base, a span whose
-Howell form heads the generating set, reduces the new rows by its
-reducer, which zeroes them at its unit pivots' columns; its unit-pivot
-rows start out placed, so no step is taken at those columns.  Reduction is
-deferred: between steps the entries are only congruent mod p^n, the
-pivot column is reduced as it is read and the placed rows once, at the
+Howell form (padded with zero columns) heads the generating set, reduces
+the new rows before the call (``_on_base``), zeroing them at its unit
+pivots' columns; if all vanish, the base is the span, with no form.  Its
+unit-pivot rows start out placed, so no step is taken at those columns.
+Reduction is deferred: between steps the entries are only congruent mod
+p^n, the pivot column is reduced as it is read and the placed rows once, at the
 end.  An entry takes at most one update per column, so it stays below
 p^n + cols * (p^n - 1)^2, and ``check_accumulation`` asserts that this
 bound times a unit inverse (a pivot row is scaled unreduced) fits int64.
@@ -156,27 +157,25 @@ def howell_form(a: np.ndarray, p: int, n: int, base: Optional["Span"] = None) ->
     column c, and with the other active rows it spans every element of
     the span vanishing on columns <= c, which gives the Howell property.
     A column zero on every active row is skipped with the run after it.
-    A base's unit-pivot rows start out placed, its other rows and those of
-    ``a`` reduced by its reducer are the active rows (module docstring), and
-    the placed rows are sorted by pivot column at the end.
+    A base, no wider than ``a`` and padded with zero columns, has its
+    unit-pivot rows placed and its other rows active, ``a`` reduced by it
+    (``_on_base``); the placed rows are sorted by pivot column at the end.
     """
     m = p ** n
     a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % m
-    placed = a[:0]
-    if base is not None:
-        if (base.p, base.n, base.h.shape[1]) != (p, n, a.shape[1]):
-            raise ValueError(f"a base over Z/{base.p}^{base.n} of width {base.h.shape[1]} "
-                             f"for rows over Z/{p}^{n} of width {a.shape[1]}")
-        r = base.reducer
-        placed, a = r.unit_rows, np.vstack([r.h[[i for i, _, _ in r.pivots]], r.reduce(a)])
     a = a[a.any(axis=1)]
-    (k, cols), j = a.shape, len(placed)
+    placed = rest = a[:0, :0]
+    if base is not None:
+        r = base.reducer
+        placed, rest = r.unit_rows, r.h[[i for i, _, _ in r.pivots]]
+    j, k, cols = len(placed), len(rest) + len(a), a.shape[1]
     check_accumulation(cols * m, m)  # deferred entries times a unit inverse
     val, inv, pw = _tables(p, n)
     # at most one annihilator row joins per pivot, and there is at most
     # one pivot per column
     w = np.zeros((j + k + cols, cols), dtype=np.int64)
-    w[:j], w[j:j + k] = placed, a
+    w[:j, :placed.shape[1]], w[j:j + len(rest), :rest.shape[1]] = placed, rest
+    w[j + len(rest):j + k] = a
     c = 0
     while k and c < cols:
         col = w[:j + k, c] % m
@@ -241,6 +240,11 @@ class Span:
 
     def __init__(self, rows: np.ndarray, p: int, n: int, base: Optional["Span"] = None):
         """The span of arbitrary rows (a 1-D argument is one row), plus ``base``."""
+        if base is not None:
+            rows = _on_base(rows, p, n, base)
+            if not rows.any():
+                self._set(base.h, p, n, base.reducer, base._size)
+                return
         self._set(howell_form(rows, p, n, base), p, n)
 
     @classmethod
@@ -258,9 +262,9 @@ class Span:
     def whole(cls, cols: int, p: int, n: int) -> "Span":
         return cls._of_howell(np.eye(cols, dtype=np.int64), p, n)
 
-    def _set(self, h: np.ndarray, p: int, n: int) -> None:
+    def _set(self, h: np.ndarray, p: int, n: int, reducer=None, size=None) -> None:
         h.setflags(write=False)
-        for name, value in zip(self.__slots__, (h, p, n, None, None)):
+        for name, value in zip(self.__slots__, (h, p, n, reducer, size)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -344,14 +348,25 @@ def _vanishing_tail(h: np.ndarray, cols: int) -> np.ndarray:
     return h[int(h[:, :cols].any(axis=1).sum()):, cols:]
 
 
-def _zassenhaus(top_left: np.ndarray, top_right: np.ndarray, bottom: Span) -> Span:
-    """``_vanishing_tail`` of the Howell form of [[top_left, top_right], [bottom, 0]],
-    with [bottom, 0], a Howell form, as its base."""
+def _on_base(rows: np.ndarray, p: int, n: int, base: Span) -> np.ndarray:
+    """The rows (2-D) reduced by ``base``, a span over Z/p^n of their width:
+    the new rows of a Howell form on that base, zero where it holds them."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    if (base.p, base.n, base.h.shape[1]) != (p, n, rows.shape[1]):
+        raise ValueError(f"a base over Z/{base.p}^{base.n} of width {base.h.shape[1]} "
+                         f"for rows over Z/{p}^{n} of width {rows.shape[1]}")
+    return base.reduce(rows)
+
+
+def _zassenhaus(left: np.ndarray, right: Span, bottom: Span) -> Span:
+    """``_vanishing_tail`` of the Howell form of [[left, right.h], [bottom.h, 0]], on
+    ``bottom`` as its base: ``right`` itself when bottom holds every row of left."""
     p, n = bottom.p, bottom.n
-    right = np.zeros((len(bottom.h), top_right.shape[1]), dtype=np.int64)
-    base = Span._of_howell(np.hstack([bottom.h, right]), p, n)
-    h = howell_form(np.hstack([top_left, top_right]), p, n, base)
-    return Span._of_howell(_vanishing_tail(h, top_left.shape[1]), p, n)
+    left = _on_base(left, p, n, bottom)
+    if not left.any():
+        return right
+    h = howell_form(np.hstack([left, right.h]), p, n, bottom)
+    return Span._of_howell(_vanishing_tail(h, left.shape[1]), p, n)
 
 
 def preimage(a: np.ndarray, b: Span) -> Span:
@@ -361,7 +376,7 @@ def preimage(a: np.ndarray, b: Span) -> Span:
     b; those zero on the left block are exactly the v.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    return _zassenhaus(a, np.eye(a.shape[0], dtype=np.int64), b)
+    return _zassenhaus(a, Span.whole(a.shape[0], b.p, b.n), b)
 
 
 def span_intersect(a: Span, b: Span) -> Span:
@@ -376,8 +391,8 @@ def span_intersect(a: Span, b: Span) -> Span:
         return b
     if _is_whole(b) or not a.h.shape[0]:
         return a
-    a, b = sorted((a, b), key=lambda span: len(span.h))  # the larger, b, is the base
-    return _zassenhaus(a.h, a.h, b)
+    a, b = sorted((a, b), key=lambda span: (len(span.h), span.size()))  # the larger, b, is the base
+    return _zassenhaus(a.h, a, b)
 
 
 def _is_whole(span: Span) -> bool:

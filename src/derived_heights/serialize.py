@@ -40,8 +40,8 @@ RANK_LIMIT = 6
 
 # Declared limit on generators * p^n, each term of a complex file, and on
 # rank * p^n of a pairing file's X and Y.  `spectral` on (7,2) with 6
-# generators a side (294) takes 7.9 s and 203 MB (random d); with 8 (392),
-# 18 s; C1 alone with 16 (784), 60 s.  Curves are in the README.
+# generators a side (294) takes 5.8-6.9 s and 111 MB (random d); with 8 (392),
+# 15-18 s and 173 MB; C1 alone with 16 (784), 60 s.  Curves are in the README.
 AMBIENT_LIMIT = 300
 
 

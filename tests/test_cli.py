@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import time
 from pathlib import Path
@@ -306,9 +307,22 @@ def assert_exit_2_at(argv, capsys, where):
     (["--ring", "2,1", "fuzz"], "parse-error at $.rings[0]"),
     (["--trials", "-3", "fuzz"], "parse-error at $.trials"),
     (["--time-budget", "-1", "fuzz"], "parse-error at $.time_budget"),
+    # a budget that is not a finite number never fires, and would be written
+    # into the report as NaN or Infinity, which is not JSON
+    (["--time-budget", "nan", "--trials", "1", "fuzz"], "parse-error at $.time_budget"),
+    (["--time-budget", "inf", "--trials", "1", "fuzz"], "parse-error at $.time_budget"),
+    (["--time-budget", "1e400", "--trials", "1", "fuzz"], "parse-error at $.time_budget"),
 ])
 def test_fuzz_bad_options_exit_2(argv, where, capsys):
     assert_exit_2_at(argv, capsys, where)
+
+
+def test_reports_refuse_non_finite_numbers():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_json({"x": value}, [io.StringIO()])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.digest({"x": value})
 
 
 def test_fuzz_max_rank_beyond_the_ambient_limit_exit_2(capsys):

@@ -26,7 +26,8 @@ from derived_heights.stark import StarkInstance, verify_fitting
 @pytest.fixture
 def howell_inputs(monkeypatch):
     """Every ``howell_form`` input from now on, counted by (bytes, shape, p, n)
-    of its whole generating set: the base's rows, then the new rows.
+    of its whole generating set: the base's rows, padded with zero columns to
+    the width of the new rows (a Zassenhaus base is narrower), then the new rows.
 
     The package's lru caches are emptied first, so the count does not
     depend on which tests ran before.
@@ -40,7 +41,10 @@ def howell_inputs(monkeypatch):
 
     def counting(a, p, n, base=None):
         a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % p ** n
-        rows = a if base is None else np.vstack([base.h, a])
+        rows = a
+        if base is not None:
+            pad = np.zeros((len(base.h), a.shape[1] - base.h.shape[1]), dtype=np.int64)
+            rows = np.vstack([np.hstack([base.h, pad]), a])
         seen[rows.tobytes(), rows.shape, p, n] += 1
         return original(a, p, n, base)
 

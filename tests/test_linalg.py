@@ -356,23 +356,76 @@ def _base_cases(p, n, rng):
     return cases
 
 
+def _padded(h, cols):
+    """h with zero columns appended up to width cols."""
+    return np.hstack([h, np.zeros((len(h), cols - h.shape[1]), dtype=np.int64)])
+
+
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (2, 3)])
 def test_howell_form_on_a_base_is_the_stacked_form(p, n):
+    # rows reduced by the base on its columns, as howell_form's contract asks;
+    # a base narrower than the rows stands padded with zero columns
     rng = SplitMix64(5400 + 10 * p + n)
     non_unit = 0
     for base, a in _base_cases(p, n, rng):
         non_unit += len(base.reducer.pivots)
-        stacked = np.vstack([base.h, a % p ** n])
-        h = la.howell_form(a, p, n, base)
-        for ref in (la.howell_form(stacked, p, n), howell_oracle.howell_form(stacked, p, n)):
-            assert h.shape == ref.shape and (h == ref).all()
-        assert not h.flags.writeable
+        for extra in (0, 3):
+            rows = np.hstack([a, rng.below_many(p ** n, len(a) * extra).reshape(len(a), extra)])
+            rows %= p ** n
+            rows[:, :a.shape[1]] = base.reduce(rows[:, :a.shape[1]])
+            stacked = np.vstack([_padded(base.h, rows.shape[1]), rows])
+            h = la.howell_form(rows, p, n, base)
+            for ref in (la.howell_form(stacked, p, n), howell_oracle.howell_form(stacked, p, n)):
+                assert h.shape == ref.shape and (h == ref).all()
+            assert not h.flags.writeable
     assert non_unit or n == 1
     a = np.ones((2, 4), dtype=np.int64)
     for base in (la.Span.whole(4, p, n + 1), la.Span.whole(4, p + 2, n), la.Span.zero(4, p, n + 1),
                  la.Span.whole(3, p, n), la.Span.zero(5, p, n)):
         with pytest.raises(ValueError, match="a base over"):
-            la.howell_form(a, p, n, base)
+            la.Span(a, p, n, base)
+
+
+def _held_cases(p, n, rng):
+    """(a, b) with a inside b: b of scaled rows (non-unit pivots), a the span of
+    random combinations of them, the zero span and b itself."""
+    m = p ** n
+    cases = []
+    for rows, cols in ((2, 4), (4, 6), (6, 12), (3, 16)):
+        b = rand_mat(rng, rows, cols, m)
+        b[1::2] = p * b[1::2] % m
+        b[::3, :cols // 2] = p * b[::3, :cols // 2] % m
+        b = la.Span(b, p, n)
+        coeffs = rand_mat(rng, 3, len(b.h), m)
+        coeffs[::2] = p * coeffs[::2] % m
+        inside = la.mul_mod(coeffs, b.h, m)
+        cases += [(la.Span(inside, p, n), b), (la.Span.zero(cols, p, n), b), (b, b)]
+    return cases
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (2, 3)])
+def test_a_base_that_holds_every_new_row_is_the_result(p, n):
+    # a sum, an intersection and a preimage whose new rows the base already
+    # holds return the span the reduction proved, with its reducer, and that
+    # span is the stacked Howell form
+    rng = SplitMix64(5500 + 10 * p + n)
+    m, non_unit = p ** n, 0
+    for a, b in _held_cases(p, n, rng):
+        non_unit += len(b.reducer.pivots)
+        stacked = np.vstack([b.h, a.h])
+        for ref in (la.howell_form(stacked, p, n), howell_oracle.howell_form(stacked, p, n)):
+            assert b.h.shape == ref.shape and (b.h == ref).all()
+        for rows in (a.h, 2 * a.h - m, a.h[:0]):
+            out = la.Span(rows, p, n, b)
+            assert out.h is b.h and out.reducer is b.reducer and out == b
+        assert (b + a).h is b.h and a + b == b  # a has no more rows than b: b is the base
+        assert la.span_intersect(a, b) is a and la.span_intersect(b, a) is (b if a == b else a)
+        ref = howell_oracle.howell_form(a.h, p, n)
+        assert a.h.shape == ref.shape and (a.h == ref).all()
+        x = la.mul_mod(rand_mat(rng, 5, len(b.h), m), b.h, m) if len(b.h) else a.h[:0]
+        pre = la.preimage(x, b)
+        assert pre == la.Span.whole(len(x), p, n) and pre.size() == m ** len(x)
+    assert non_unit or n == 1
 
 
 def test_howell_kernel_bound_is_asserted(monkeypatch):
@@ -546,6 +599,20 @@ def test_product_probe_rejects_a_factor_at_the_modulus(m):
         for a, b in ((np.array([[bad]]), np.array([[1]])), (np.array([[1]]), np.array([[bad]]))):
             with pytest.raises(pytest.fail.Exception, match=r"factor outside .*\btest_product_probe"):
                 la.mul_mod(a, b, m)
+
+
+def test_base_probe_rejects_rows_the_base_did_not_reduce():
+    # howell_form takes its rows reduced by the base; the probe fails the test
+    # on any other row, and on a base over another ring or wider than the rows
+    base = la.Span(np.array([[1, 2, 0], [0, 3, 3]]), 3, 2)
+    held = np.array([[0, 0, 1, 4], [0, 1, 2, 0]])
+    assert (base.reduce(held[:, :3]) == held[:, :3]).all()
+    assert la.howell_form(held, 3, 2, base).shape == (4, 4)
+    for rows, b in ((np.array([[1, 0, 0, 0]]), base), (held, la.Span(base.h, 3, 1)),
+                    (held[:, :2], base)):
+        with pytest.raises(pytest.fail.Exception, match=r"not reduced by their base, from "
+                                                        r"test_base_probe"):
+            la.howell_form(rows, 3, 2, b)
 
 
 def test_every_matrix_product_in_src_goes_through_mul_mod():

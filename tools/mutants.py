@@ -74,6 +74,7 @@ SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
 
 HOWELL_KERNEL = (T_LA + "test_howell_kernel_matches_the_oracle_on_structured_inputs",)
 HOWELL_BASE = (T_LA + "test_howell_form_on_a_base_is_the_stacked_form",)
+HELD = (T_LA + "test_a_base_that_holds_every_new_row_is_the_result",)
 
 PROJECTION_TABLES = (T_HT + "test_one_by_one_pairings_keep_the_unreduced_value",
                      T_HT + "test_compare_records_match_the_golden_digest")
@@ -93,12 +94,27 @@ MUTANTS = (
            "return h[int(h[:, :cols].any(axis=1).sum()):, cols:]",
            "return h[int(h[:, :cols].any(axis=1).sum()) + 1:, cols:]", INTERSECT_PREIMAGE),
     Mutant("intersect-right-block-zero", LA,
-           "return _zassenhaus(a.h, a.h, b)",
-           "return _zassenhaus(a.h, 0 * a.h, b)", INTERSECT_PREIMAGE),
+           "return _zassenhaus(a.h, a, b)",
+           "return _zassenhaus(a.h, Span._of_howell(0 * a.h, a.p, a.n), b)", INTERSECT_PREIMAGE),
     Mutant("preimage-twice-identity", LA,
-           "return _zassenhaus(a, np.eye(a.shape[0], dtype=np.int64), b)",
-           "return _zassenhaus(a, 2 * np.eye(a.shape[0], dtype=np.int64), b)",
-           INTERSECT_PREIMAGE),
+           "return _zassenhaus(a, Span.whole(a.shape[0], b.p, b.n), b)",
+           "return _zassenhaus(a, Span._of_howell(2 * np.eye(a.shape[0], dtype=np.int64), "
+           "b.p, b.n), b)", INTERSECT_PREIMAGE),
+    Mutant("held-meet-returns-the-base", LA,
+           "if not left.any():\n        return right", "if not left.any():\n        return bottom",
+           HELD + INTERSECT_PREIMAGE),
+    # -- a base that holds every new row is the result ------------------------------
+    # each survives every tier-1 test but these: the output is the same, only
+    # the work or the sharing differs
+    Mutant("held-sum-runs-the-loop", LA,
+           "if not rows.any():", "if not rows.size:",
+           HELD + (T_UP + "test_sum_with_a_whole_or_zero_summand_is_it_with_no_howell_form",)),
+    Mutant("held-meet-runs-the-loop", LA,
+           "if not left.any():", "if not left.size:", HELD),
+    Mutant("held-span-rebuilds-its-reducer", LA,
+           "self._set(base.h, p, n, base.reducer, base._size)", "self._set(base.h, p, n)", HELD),
+    Mutant("intersect-base-by-rows-only", LA,
+           "key=lambda span: (len(span.h), span.size())", "key=lambda span: len(span.h)", HELD),
     # -- the batched Bockstein-square check and the per-object memo ---------------
     Mutant("relate-drops-last-generator", CX,
            "gens = psi.src.num.h", "gens = psi.src.num.h[:-1]",
@@ -187,18 +203,18 @@ MUTANTS = (
     # the first three survive every other tier-1 test; the last two are the
     # base mechanism's own faults, which the span checks downstream catch too
     Mutant("howell-base-ring-unchecked", LA,
-           "if (base.p, base.n, base.h.shape[1]) != (p, n, a.shape[1]):",
-           "if base.h.shape[1] != a.shape[1]:", HOWELL_BASE),
+           "if (base.p, base.n, base.h.shape[1]) != (p, n, rows.shape[1]):",
+           "if base.h.shape[1] != rows.shape[1]:", HOWELL_BASE),
     Mutant("howell-base-width-unchecked", LA,
-           "if (base.p, base.n, base.h.shape[1]) != (p, n, a.shape[1]):",
+           "if (base.p, base.n, base.h.shape[1]) != (p, n, rows.shape[1]):",
            "if (base.p, base.n) != (p, n):", HOWELL_BASE),
     Mutant("howell-base-sort-on-zero-width", LA,
            "if base is not None and j:", "if base is not None:", HOWELL_BASE),
     Mutant("howell-base-pivots-unsorted", LA,
            "h = h[(h != 0).argmax(axis=1).argsort()]", "pass", HOWELL_BASE),
     Mutant("howell-base-non-unit-rows-placed", LA,
-           "placed, a = r.unit_rows, np.vstack([r.h[[i for i, _, _ in r.pivots]], r.reduce(a)])",
-           "placed, a = r.h, r.reduce(a)", HOWELL_BASE),
+           "placed, rest = r.unit_rows, r.h[[i for i, _, _ in r.pivots]]",
+           "placed, rest = r.h, r.h[:0]", HOWELL_BASE),
     # -- the Span value -----------------------------------------------------------------
     Mutant("span-equality-by-shape", LA,
            "self.h.shape == other.h.shape\n                and bool((self.h == other.h).all()))",
