@@ -29,7 +29,9 @@ Conventions used throughout the package:
     kernel) wraps it without a second Howell form.  Only spans that are
     kept are canonicalized: containment and annihilation are decided on
     generating rows (``span.contains(rows)``), since a span contains the
-    span of some rows exactly when it contains each row.  Sum, containment,
+    span of some rows exactly when it contains each row; a span handed its
+    own ``h``, or itself, holds it with no reduction (an identity test, not
+    an equality test).  Sum, containment,
     equality and size are ``Span`` members; intersection, preimage,
     image and enumeration take ``Span`` arguments and read (p, n) off
     them.  A sum is the Howell form of the smaller summand's rows on the
@@ -68,7 +70,8 @@ gives the Howell property without a second pass.  A base, a span whose
 Howell form (padded with zero columns) heads the generating set, reduces
 the new rows before the call (``_on_base``), zeroing them at its unit
 pivots' columns; if all vanish, the base is the span, with no form.  Its
-unit-pivot rows start out placed, so no step is taken at those columns.
+unit-pivot rows start out placed, and no step visits their columns: active
+rows are zero there, and so are updates and annihilators, made of active rows.
 Reduction is deferred: between steps the entries are only congruent mod
 p^n, the pivot column is reduced as it is read and the placed rows once, at the
 end.  An entry takes at most one update per column, so it stays below
@@ -157,17 +160,20 @@ def howell_form(a: np.ndarray, p: int, n: int, base: Optional["Span"] = None) ->
     column c, and with the other active rows it spans every element of
     the span vanishing on columns <= c, which gives the Howell property.
     A column zero on every active row is skipped with the run after it.
-    A base, no wider than ``a`` and padded with zero columns, has its
-    unit-pivot rows placed and its other rows active, ``a`` reduced by it
-    (``_on_base``); the placed rows are sorted by pivot column at the end.
+    A base, no wider than ``a`` and padded with zero columns, has its unit-pivot
+    rows placed (their columns skipped) and its other rows active, ``a`` reduced
+    by it (``_on_base``); the placed rows are sorted by pivot column at the end.
     """
     m = p ** n
     a = np.atleast_2d(np.asarray(a, dtype=np.int64)) % m
     a = a[a.any(axis=1)]
     placed = rest = a[:0, :0]
+    free = np.arange(a.shape[1] + 1)  # free[c]: the first column >= c no base unit pivot holds
     if base is not None:
         r = base.reducer
         placed, rest = r.unit_rows, r.h[[i for i, _, _ in r.pivots]]
+        free[r.unit_cols] = a.shape[1]
+    free = np.minimum.accumulate(free[::-1])[::-1].tolist()
     j, k, cols = len(placed), len(rest) + len(a), a.shape[1]
     check_accumulation(cols * m, m)  # deferred entries times a unit inverse
     val, inv, pw = _tables(p, n)
@@ -176,7 +182,7 @@ def howell_form(a: np.ndarray, p: int, n: int, base: Optional["Span"] = None) ->
     w = np.zeros((j + k + cols, cols), dtype=np.int64)
     w[:j, :placed.shape[1]], w[j:j + len(rest), :rest.shape[1]] = placed, rest
     w[j + len(rest):j + k] = a
-    c = 0
+    c = free[0]
     while k and c < cols:
         col = w[:j + k, c] % m
         vc = val[col[j:]]
@@ -199,7 +205,7 @@ def howell_form(a: np.ndarray, p: int, n: int, base: Optional["Span"] = None) ->
             blk[nz] -= np.multiply.outer(q[nz], row[c:])
         else:
             blk -= np.multiply.outer(q, row[c:])
-        j, k, c = j + 1, k - 1, c + 1
+        j, k, c = j + 1, k - 1, free[c + 1]
         if v:
             ann = row * pw[n - v] % m
             if ann.any():
@@ -311,7 +317,7 @@ class Span:
         if isinstance(other, Span):
             _same_ring(self, other)
             other = other.h
-        return self.reducer.contains(other)
+        return other is self.h or self.reducer.contains(other)
 
     def size(self) -> int:
         """Number of elements of the span: p^(n * rows - the sum of the pivot valuations)."""
@@ -457,17 +463,18 @@ class CosetReducer:
         self.unit_cols, self.unit_rows, self.pivots = _split_pivots(h)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v mod the span: one reduced copy of v, updated in place, reduced once at the end."""
         m = self.m
         v = np.asarray(v, dtype=np.int64)
-        out = np.atleast_2d(v) % m
-        out = out - mul_mod(out[:, self.unit_cols], self.unit_rows, m)
+        out = (v if v.ndim == 2 else v[None]) % m
+        out -= mul_mod(out[:, self.unit_cols], self.unit_rows, m)
         for i, col, pv in self.pivots:
             # entries stay congruent mod m, so the quotients are read off
             # the reduced pivot column and the rows are reduced once, at the end
             q = out[:, col] % m // pv
             if q.any():
                 out -= q[:, None] * self.h[i]
-        return (out % m).reshape(v.shape)
+        return np.remainder(out, m, out=out).reshape(v.shape)
 
     def contains(self, v: np.ndarray) -> bool:
         """True iff v (every row of v, if 2-D) lies in the span."""

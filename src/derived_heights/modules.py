@@ -205,18 +205,17 @@ class ModuleHom:
         return v if self.mat is None else la.mul_mod(v, self.mat, self.src.m)
 
     def check_well_defined(self) -> None:
+        """num into num, den into den, and gamma-equivariance modulo den: num @ D in den
+        for D = gamma_src @ M - M @ gamma_tgt (M = I if None), not reduced when D = 0."""
         src, tgt, m = self.src, self.tgt, self.src.m
-        image = self._rows(src.num.h)
-        if not tgt.num.contains(image):
+        if not tgt.num.contains(self._rows(src.num.h)):
             raise ValueError("map does not send numerator into numerator")
         if not tgt.den.contains(self._rows(src.den.h)):
             raise ValueError("map does not send denominator into denominator")
-        # R-linearity on representatives, true of the identity under equal gammas
-        if self.mat is not None or not np.array_equal(src.gamma, tgt.gamma):
-            comm = (la.mul_mod(src.num.h, self._rows(src.gamma), m)
-                    - la.mul_mod(image, tgt.gamma, m))
-            if not tgt.den.contains(comm):
-                raise ValueError("map does not commute with the gamma action")
+        diff = (self._rows(src.gamma)
+                - (tgt.gamma if self.mat is None else la.mul_mod(self.mat, tgt.gamma, m))) % m
+        if diff.any() and not tgt.den.contains(la.mul_mod(src.num.h, diff, m)):
+            raise ValueError("map does not commute with the gamma action")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.tgt.reduce(self._rows(v))

@@ -89,8 +89,10 @@ def parse_matrix(obj: Any, path: str):
     cols = _int(_get(obj, "cols", path), f"{path}.cols")
     modulus = _get(obj, "modulus", path)
     entries = _get(obj, "entries", path)
-    if rows < 0 or cols < 0:
-        raise InputError(path, "negative dimensions")
+    bound = max(AMBIENT_LIMIT, len(entries) if isinstance(entries, list) else 0)
+    for key, dim in (("rows", rows), ("cols", cols)):  # an empty matrix bounds neither
+        if not 0 <= dim <= bound:
+            raise InputError(f"{path}.{key}", f"expected 0 <= {key} <= {bound}")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(f"{path}.entries",
                          f"expected {rows * cols} entries, got "

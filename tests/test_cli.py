@@ -114,6 +114,30 @@ def test_cmd_pairing_oversized_entry_exit_2(tmp_path, capsys):
         ser.parse_pairing(obj)
 
 
+@pytest.mark.parametrize("rows, cols", [(2 ** 62, 0), (2 ** 70, 0), (0, 2 ** 70)])
+def test_empty_matrix_declaring_a_huge_size_exit_2(rows, cols, tmp_path, capsys):
+    # an empty entry list matches any rows * cols == 0: each dimension is
+    # bounded before the array is shaped (numpy refused these with a traceback)
+    obj = pairing_payload(RingCtx(3, 1), [[RingCtx(3, 1).norm()]])
+    obj["ell"].update(rows=rows, cols=cols, entries=[])
+    started = time.process_time()
+    assert_exit_2_at(["pairing", write_json(tmp_path, "empty.json", obj)], capsys,
+                     f"parse-error at $.ell.{'rows' if rows else 'cols'}")
+    assert time.process_time() - started < 0.5
+
+
+def test_structure_empty_matrix_declaring_a_huge_size_exit_2(tmp_path, capsys):
+    # int mode built one empty list per declared row before refusing the matrix
+    obj = {"p": 3, "d": {"rows": 10 ** 12, "cols": 0, "modulus": "int", "entries": []}}
+    started = time.process_time()
+    assert_exit_2_at(["structure", write_json(tmp_path, "empty.json", obj)], capsys,
+                     "parse-error at $.d.rows")
+    assert time.process_time() - started < 0.5
+    # the largest ambient stays declarable on an empty matrix
+    empty = {"rows": 0, "cols": AMBIENT_LIMIT, "modulus": 3, "entries": []}
+    assert ser.parse_matrix(empty, "$.m")[0].shape == (0, AMBIENT_LIMIT)
+
+
 def test_cmd_structure(tmp_path, capsys):
     obj = {"p": 3, "d": ser.matrix_to_json([[3, 0], [0, 9]], None)}
     path = write_json(tmp_path, "diag.json", obj)
@@ -236,7 +260,7 @@ def test_wide_ring_fuzz_report_is_pinned(suite, capsys):
 
 
 # sha256 of the `pairing` report on each file of tests/corpus, one datum per
-# ring written by tools/pairing_corpus.py (SEED = 25); run from the repository
+# ring written by tools/corpus.py (SEED = 25); run from the repository
 # root, since the report embeds the relative file argument.  The same rule as above
 PAIRING_CORPUS_SHA256 = {
     "pairing_3_1": "68ec28eb9423edd79fa24635d1af75b6531f8b10600d4f8057a0286ff5718124",
@@ -255,6 +279,42 @@ def test_pairing_corpus_report_is_pinned(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert any(r["k"] >= 2 for r in json.loads(out)["records"][0]["table"])
     assert hashlib.sha256(out.encode()).hexdigest() == PAIRING_CORPUS_SHA256[name]
+
+
+# sha256 of the `spectral`, `stark` and `fitting` reports on their files of
+# tests/corpus, one per (command, ring), written by tools/corpus.py as the
+# pairing files are.  Spectral files have a nonzero H^2 and a nonzero
+# E_k^{0,1} at some k >= 2; Stark files a Fitting ideal neither zero nor
+# the unit ideal; fitting files two distinct Fitting ideals.  The same rule as above
+CORPUS_SHA256 = {
+    "spectral_3_1": "ed04140a525e2cb824f182fcaca81dec53c1b7ed432b12af3fa23cc3231f0ef8",
+    "spectral_3_2": "36e0d4e3733f9df3d602fe0b0e74488f0ed1c0717d1321f359ecc187bb4ba2e1",
+    "spectral_5_1": "534fe5ce066b4d0769c417d59751cdff996aa22073ecce80f1a02aaf766315ab",
+    "spectral_5_2": "34725c9fdeae1d12c47129ede178b12bde2ff4968eb93633a661b95baef7648f",
+    "spectral_7_1": "8fe7d9b2342c0c85ac9c412932206f0643fe007f3433a64cd65085bd7d41a0cb",
+    "spectral_7_2": "4893fb3d14f00138e9f673b26a649d3910e3431cdd7799f1f307ce8c459705e0",
+    "stark_3_1": "c3698a2092ed759a8e7eeb495b0d76c940cec7835dfee229264a191a6890d356",
+    "stark_3_2": "abe81a8d00321272489244eb46e6f20b1daa1369492e0b6e715cc823af23d22d",
+    "stark_5_1": "2a400736808da7c0dc8e34a98aa6e3664e0fbefccc2f20d67bd9ae5a15d257aa",
+    "stark_5_2": "b7c483e55c8cf0c63b42ce47d0ee0286370ef3da3dcbf3028eb908ece4fd2fbf",
+    "stark_7_1": "1f9a56294041a35cac57872412c8975de72458d246a336f3c31d4f1500ccae93",
+    "stark_7_2": "a1bed99f0fc4ed2c38adc650f3abaebbfe5696978faedf5757034f27a9b2fae6",
+    "fitting_3_1": "240fb397dbad8f7a5806127c1ea33ddd0d06f98a67bca3631ca9eb52b9c5a15f",
+    "fitting_3_2": "5c2241b9376935a48e114cfd05f817b2f4aa6c841c6dd2dda6c15344075eeee0",
+    "fitting_5_1": "a921737a6a834328a1b46a70c55fe5fb4d378f2b323872bb20cafb5d9228fa67",
+    "fitting_5_2": "f122966a8e641915b71b1a68cc075c8cb24a24fccee6e6cb9a53d855e39ce193",
+    "fitting_7_1": "fdfdeb80964fc97d2e46baa06ffa768a8af379c2b133858f9a4340cc4e589e58",
+    "fitting_7_2": "b2b96f00c443749d6512ce0c493bf82a6366b44134b17c11201e8d52095fdec7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_SHA256))
+def test_corpus_report_is_pinned(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main([name.split("_")[0], f"tests/corpus/{name}.json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["pass"]
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_SHA256[name]
 
 
 def test_fuzz_all_suites_smoke():

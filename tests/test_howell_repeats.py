@@ -3,7 +3,9 @@
 ``linalg.howell_form`` keeps no memo, so an input it is handed twice is
 computed twice.  These tests count its inputs by their reduced bytes on
 fixed data and pin how many repeat an earlier one: a span that comes to
-be built by two routes again raises the count.
+be built by two routes again raises the count.  The coset reductions of
+one fixed complex's checks are pinned the same way: a check that comes
+to reduce what its rows or its matrices already decide raises the count.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ from derived_heights.rng import SplitMix64
 from derived_heights.stark import StarkInstance, verify_fitting
 
 
+def _clear_caches() -> None:
+    for mod in (groupring, heights, la, modules, stark):
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 @pytest.fixture
 def howell_inputs(monkeypatch):
     """Every ``howell_form`` input from now on, counted by (bytes, shape, p, n)
@@ -32,10 +41,7 @@ def howell_inputs(monkeypatch):
     The package's lru caches are emptied first, so the count does not
     depend on which tests ran before.
     """
-    for mod in (groupring, heights, la, modules, stark):
-        for value in vars(mod).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    _clear_caches()
     seen: Counter = Counter()
     original = la.howell_form
 
@@ -68,6 +74,23 @@ def test_complex_checks_repeats_pinned(howell_inputs):
         assert cx.verify_relate(k)
         assert all(cx.coker_iso_reports(k).values())
     assert repeats(howell_inputs) == 1
+
+
+def test_complex_checks_reductions_pinned(monkeypatch):
+    # the complex above: a span handed its own rows and a map whose gamma
+    # commutator vanishes as a matrix make no reduction (90 at the parent)
+    _clear_caches()
+    calls = []
+    reduce = la.CosetReducer.reduce
+    monkeypatch.setattr(la.CosetReducer, "reduce",
+                        lambda self, v: calls.append(1) or reduce(self, v))
+    ring = RingCtx(3, 2)
+    ell = random_ell_matrix(ring, 2, 2, SplitMix64(23))
+    cx = TwoTermComplex.free(ring, 2, 2, r_matrix_expand(ring, ell))
+    for k in (1, 2):
+        assert cx.verify_relate(k)
+        assert all(cx.coker_iso_reports(k).values())
+    assert len(calls) == 80
 
 
 def test_pairing_compare_repeats_pinned(howell_inputs):

@@ -379,11 +379,47 @@ def test_howell_form_on_a_base_is_the_stacked_form(p, n):
                 assert h.shape == ref.shape and (h == ref).all()
             assert not h.flags.writeable
     assert non_unit or n == 1
+    # a base with a unit pivot and a non-unit one: rows that the base leaves
+    # nonzero at the non-unit pivot's column take that column, so the step
+    # may skip only the unit pivots' columns
+    if n > 1:
+        base = la.Span(np.array([[1, 2, 0, 1], [0, p, 1, 0], [0, 0, p, 0]]), p, n)
+        assert len(base.reducer.unit_cols) and len(base.reducer.pivots)
+        for rows in ([[0, 1, 0, 0]], [[0, 1, 1, 0], [0, 0, 1, 1]], [[0, 0, 1, 0], [0, p, 0, 1]]):
+            rows = base.reduce(np.array(rows))
+            assert rows[:, 1:3].any()
+            ref = howell_oracle.howell_form(np.vstack([base.h, rows]), p, n)
+            h = la.howell_form(rows, p, n, base)
+            assert h.shape == ref.shape and (h == ref).all()
     a = np.ones((2, 4), dtype=np.int64)
     for base in (la.Span.whole(4, p, n + 1), la.Span.whole(4, p + 2, n), la.Span.zero(4, p, n + 1),
                  la.Span.whole(3, p, n), la.Span.zero(5, p, n)):
         with pytest.raises(ValueError, match="a base over"):
             la.Span(a, p, n, base)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (7, 2)])
+def test_a_span_holds_its_own_rows_with_no_reduction(p, n, monkeypatch):
+    # an identity test, not an equality test: an equal copy of the rows, or
+    # other rows of the same shape, still go through the reducer
+    calls = []
+    reduce = la.CosetReducer.reduce
+    monkeypatch.setattr(la.CosetReducer, "reduce",
+                        lambda self, v: calls.append(1) or reduce(self, v))
+    rng = SplitMix64(5600 + 10 * p + n)
+    m = p ** n
+    b = rand_mat(rng, 4, 6, m)
+    b[1] = p * b[1] % m
+    span = la.Span(b, p, n)
+    assert span.contains(span.h) and span.contains(span) and not calls
+    same = la.Span(span.h, p, n, span)  # one reduction of its rows, then it shares span.h
+    assert same.h is span.h and len(calls) == 1 and span.contains(same) and len(calls) == 1
+    assert span.contains(span.h.copy()) and len(calls) == 2
+    small = la.Span(span.h[:1], p, n)
+    assert not small.contains(span.h[1:2].copy()) and len(calls) == 3
+    assert not small.contains(span) and len(calls) == 4
+    with pytest.raises(ValueError, match="spans over"):
+        span.contains(la.Span(span.h, p, n + 1))
 
 
 def _held_cases(p, n, rng):

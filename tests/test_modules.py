@@ -565,6 +565,51 @@ def test_map_checks_reject_each_broken_condition():
         assert hom.image().num == free.num and hom.is_surjective()
 
 
+@pytest.fixture
+def commutator_checks(monkeypatch):
+    """Per ``ModuleHom`` check, the number of its ``Span.contains`` calls: two
+    (numerator, denominator), three when the gamma commutator is reduced."""
+    counts, depth = [], []
+    contains, check = la.Span.contains, md.ModuleHom.check_well_defined
+
+    def counting_contains(self, other):
+        if depth:
+            counts[-1] += 1
+        return contains(self, other)
+
+    def counting_check(self):
+        counts.append(0)
+        depth.append(1)
+        try:
+            return check(self)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(la.Span, "contains", counting_contains)
+    monkeypatch.setattr(md.ModuleHom, "check_well_defined", counting_check)
+    return counts
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_maps_induced_by_d_reduce_no_commutator(p, n, commutator_checks):
+    # d is R-linear, so D = gamma_1 d - d gamma_2 vanishes on the nose for
+    # d, psi^(k) and beta^(k), and D = 0 for pi and rho (equal gammas); d is
+    # not square, so its commutator has one order of the factors only
+    ring = RingCtx(p, n)
+    ell = random_ell_matrix(ring, 2, 1, SplitMix64(5700 + 10 * p + n))
+    cx = TwoTermComplex.free(ring, 2, 1, r_matrix_expand(ring, ell))
+    for k in range(1, p):
+        for build in (cx.generalized_bockstein, cx.derived_bockstein, cx.pi_projection,
+                      cx.rho_projection):
+            build(k)
+    assert len(commutator_checks) == 1 + 4 * (p - 1) and set(commutator_checks) == {2}
+    # D != 0, and the map still commutes modulo den: gamma = 1 on R/I
+    commutator_checks.clear()
+    trivial = trivial_module(ring, ring.m).quotient(aug_ideal_power(ring, 1))
+    md.ModuleHom(aug_quotient(ring), trivial, None)
+    assert commutator_checks == [3]
+
+
 def test_span_that_is_not_gamma_stable_is_rejected():
     for ring in RINGS:
         free = md.free_module(ring, 1)

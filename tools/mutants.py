@@ -75,6 +75,8 @@ SPAN_ALGEBRA = (T_PR + "test_span_algebra_is_the_enumerated_set_algebra",
 HOWELL_KERNEL = (T_LA + "test_howell_kernel_matches_the_oracle_on_structured_inputs",)
 HOWELL_BASE = (T_LA + "test_howell_form_on_a_base_is_the_stacked_form",)
 HELD = (T_LA + "test_a_base_that_holds_every_new_row_is_the_result",)
+OWN_ROWS = (T_LA + "test_a_span_holds_its_own_rows_with_no_reduction",)
+COMMUTATOR = (T_MD + "test_maps_induced_by_d_reduce_no_commutator",)
 
 PROJECTION_TABLES = (T_HT + "test_one_by_one_pairings_keep_the_unreduced_value",
                      T_HT + "test_compare_records_match_the_golden_digest")
@@ -111,6 +113,9 @@ MUTANTS = (
            HELD + (T_UP + "test_sum_with_a_whole_or_zero_summand_is_it_with_no_howell_form",)),
     Mutant("held-meet-runs-the-loop", LA,
            "if not left.any():", "if not left.size:", HELD),
+    Mutant("held-columns-include-non-unit-pivots", LA,
+           "free[r.unit_cols] = a.shape[1]", "free[(r.h != 0).argmax(axis=1)] = a.shape[1]",
+           HOWELL_BASE),
     Mutant("held-span-rebuilds-its-reducer", LA,
            "self._set(base.h, p, n, base.reducer, base._size)", "self._set(base.h, p, n)", HELD),
     Mutant("intersect-base-by-rows-only", LA,
@@ -158,7 +163,8 @@ MUTANTS = (
            "if out[:, :cols].any():\n            return None", "if False:\n            return None",
            SOLVE),
     Mutant("one-row-reduce-not-reshaped", LA,
-           "return (out % m).reshape(v.shape)", "return out % m",
+           "return np.remainder(out, m, out=out).reshape(v.shape)",
+           "return np.remainder(out, m, out=out)",
            (T_LA + "test_one_vector_is_the_one_row_case",)),
     # -- the unit pivots in one product, and free modules by their blocks ------------
     Mutant("unit-product-skips-a-row", LA,
@@ -242,6 +248,8 @@ MUTANTS = (
     Mutant("size-ignores-pivot-valuation", LA,
            "self.p ** (self.n * len(self.h) - v)", "self.p ** (self.n * len(self.h))",
            SPAN_ALGEBRA),
+    Mutant("own-rows-shortcut-by-shape", LA,
+           "return other is self.h or", "return other.shape == self.h.shape or", OWN_ROWS),
     Mutant("contains-ignores-ring", LA,
            "_same_ring(self, other)\n            other = other.h",
            "other = other.h",
@@ -309,26 +317,34 @@ MUTANTS = (
            (T_HT + "test_graded_projection_matches_its_definition",)),
     # -- checks decided on generating rows, and the guarded modular product -------
     Mutant("map-numerator-first-row-only", MD,
-           "tgt.num.contains(image)", "tgt.num.contains(image[:1])", MAP_CHECKS),
+           "tgt.num.contains(self._rows(src.num.h))",
+           "tgt.num.contains(self._rows(src.num.h)[:1])", MAP_CHECKS),
     Mutant("map-denominator-checked-on-numerator", MD,
            "tgt.den.contains(self._rows(src.den.h))",
            "tgt.den.contains(self._rows(src.num.h))", MAP_CHECKS),
     Mutant("map-commutation-on-denominator", MD,
-           "comm = (la.mul_mod(src.num.h, self._rows(src.gamma), m)\n"
-           "                    - la.mul_mod(image, tgt.gamma, m))",
-           "comm = (la.mul_mod(src.den.h, self._rows(src.gamma), m)\n"
-           "                    - la.mul_mod(self._rows(src.den.h), tgt.gamma, m))", MAP_CHECKS),
+           "la.mul_mod(src.num.h, diff, m)", "la.mul_mod(src.den.h, diff, m)", MAP_CHECKS),
+    # -- the gamma commutator as num @ D, D = gamma_src @ M - M @ gamma_tgt --------
+    Mutant("commutator-raises-on-nonzero-difference", MD,
+           "if diff.any() and not tgt.den.contains(la.mul_mod(src.num.h, diff, m)):",
+           "if diff.any():", MAP_CHECKS + COMMUTATOR),
+    Mutant("commutator-difference-transposed", MD,
+           "diff = (self._rows(src.gamma)\n                - (tgt.gamma if self.mat is None "
+           "else la.mul_mod(self.mat, tgt.gamma, m)))",
+           "diff = ((src.gamma if self.mat is None else la.mul_mod(self.mat, src.gamma, m))\n"
+           "                - (tgt.gamma if self.mat is None "
+           "else la.mul_mod(tgt.gamma, self.mat, m)))",
+           MAP_CHECKS + COMMUTATOR),
     # -- the identity on representatives (no matrix) -------------------------------
     Mutant("identity-numerator-unchecked", MD,
-           "if not tgt.num.contains(image):",
-           "if not (self.mat is None or tgt.num.contains(image)):", MAP_CHECKS),
+           "if not tgt.num.contains(self._rows(src.num.h)):",
+           "if not (self.mat is None or tgt.num.contains(self._rows(src.num.h))):", MAP_CHECKS),
     Mutant("identity-denominator-unchecked", MD,
            "if not tgt.den.contains(self._rows(src.den.h)):",
            "if not (self.mat is None or tgt.den.contains(self._rows(src.den.h))):",
            MAP_CHECKS),
     Mutant("identity-commutation-never-checked", MD,
-           "if self.mat is not None or not np.array_equal(src.gamma, tgt.gamma):",
-           "if self.mat is not None:", MAP_CHECKS),
+           "if diff.any() and", "if self.mat is not None and diff.any() and", MAP_CHECKS),
     Mutant("gamma-stability-of-numerator-only", MD,
            "for span in (num, den):", "for span in (num,):",
            (T_MD + "test_span_that_is_not_gamma_stable_is_rejected",)),
