@@ -215,8 +215,7 @@ def _trial_compari(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
 
 def _random_free_complex(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     """Free complex R^a -> R^b with random R-linear d, and its payload."""
-    a = rng.below(config.max_rank) + 1
-    b = rng.below(config.max_rank) + 1
+    a, b = rng.below(config.max_rank) + 1, rng.below(config.max_rank) + 1
     ell = random_ell_matrix(ring, a, b, rng)
     cx = TwoTermComplex.free(ring, a, b, r_matrix_expand(ring, ell))
     payload = {"ring": [ring.p, ring.n], "rank1": a, "rank2": b,
@@ -245,8 +244,7 @@ def _trial_stark(ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
 
 def _trial_structure(_ring: RingCtx, rng: SplitMix64, config: FuzzConfig):
     p = STRUCTURE_PRIMES[rng.below(len(STRUCTURE_PRIMES))]
-    rows = rng.below(5) + 1
-    cols = rng.below(5) + 1
+    rows, cols = rng.below(5) + 1, rng.below(5) + 1
     mat = rng.below_many(101, rows * cols).reshape(rows, cols) - 50
     cx = IntComplex.make(p, mat)
     rep = verify_recovery(cx)
@@ -389,6 +387,8 @@ def main(argv=None) -> int:
     try:
         if args.max_card < 0:  # no cardinality is below it
             raise InputError("$.max_card", "must be nonnegative")
+        if not 0 <= args.seed < 1 << 64:  # the stream would take it mod 2^64
+            raise InputError("$.seed", "must be in [0, 2^64)")
         report = _COMMANDS[args.command](args)
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -16,9 +16,10 @@ disjoint routes above the linear-algebra substrate:
     x_s with D^(k-1) x_s = s~ (and likewise y_t), and read off
     ell(x_s)(y_t) mod I^(k+1);
   * the Bockstein pairing: pull s back through the norm identification
-    of H^1(C/IC) with S_0 and the page projection, apply the snake map
-    of the k-th filtration step, and evaluate the resulting functional
-    at a norm preimage of t.
+    of H^1(C/IC) with S_0 and the page projection (one solve of
+    a [d | N] = [0 | s] modulo I^k C^2), apply the snake map of the k-th
+    filtration step, and evaluate the resulting functional at a norm
+    preimage of t.
 
 Their agreement on every admissible (k, s, t) is the headline check;
 each evaluation also re-derives itself from independently drawn lifts.
@@ -48,7 +49,7 @@ kernels S and T, filtration pieces, complex and k >= 2 tilde solvers (one
 per side, k and generator, so the symmetry table draws through the
 derivative-lift table's) stay per datum, each built on first use:
 ``validate`` reads S alone, and ``compare`` stops at the first zero piece.
-The Bockstein solver is built per table call, once for all of its draws.
+The Bockstein solver, on the complex's I^k C^2, is built per table call, once for all draws.
 
 ``bd_pairing`` and ``boc_pairing`` are the 1x1 case of the same tables;
 their ``PairingValue`` keeps the unreduced value and reads its class
@@ -277,22 +278,13 @@ class PairingData:
                          draws: int) -> np.ndarray:
         """``draws`` snake-map outputs over each s, every one after the first
         boundary-perturbed; shape (draws, rows, width)."""
-        ring = self.ring
-        m = ring.m
-        psi = self.complex().generalized_bockstein(k)
-        am, bm = self.a * m, self.b * m
-        # unknown (a, w): a d = w (I^k C^2 basis)  and  a N = s
-        ik2 = self.complex().ideal_span2(k).h
-        big = np.zeros((am + ik2.shape[0], bm + am), dtype=np.int64)
-        big[:am, :bm] = self.d
-        big[:am, bm:] = self.x.scale_matrix(ring.norm())
-        big[am:, :bm] = (-ik2) % m
-        rhs = np.zeros((draws * len(s_rows), bm + am), dtype=np.int64)
-        rhs[:, bm:] = np.tile(s_rows, (draws, 1))
-        z = la.Solver(big, ring.p, ring.n).random_solution(rhs, rng)
-        if z is None:
+        ring, m, psi = self.ring, self.ring.m, self.complex().generalized_bockstein(k)
+        # a [d | N] = [0 | s] modulo the base I^k C^2: a d lies in I^k C^2 and a N = s
+        rhs = np.pad(np.tile(s_rows, (draws, 1)), ((0, 0), (self.b * m, 0)))
+        a = la.Solver(np.hstack([self.d, self.x.scale_matrix(ring.norm())]), ring.p, ring.n,
+                      self.complex().ideal_span2(k)).random_solution(rhs, rng)
+        if a is None:
             raise AssertionError("lift-not-found: no page representative above s")
-        a = z[:, :am]
         if not psi.src.num.contains(a):
             raise AssertionError("page representative escaped H^1(C/I^k C)")
         w = psi.apply(a)

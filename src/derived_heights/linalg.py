@@ -8,8 +8,8 @@ reduction and exhaustive span enumeration.  Everything downstream
 (group-ring modules, spectral sequences, pairings) reduces to these
 primitives.  There is one pivot loop, ``CosetReducer.reduce``:
 membership tests go through it, and so does every solve, since solving
-v @ a == b is the reduction of [b | 0] by the Howell form of [a | I]
-(``Solver``; ``kernel`` is its solution kernel).
+v @ a == b modulo a span B is the reduction of [b | 0] by the Howell form of
+[[a, I], [B, 0]] (``Solver``; ``kernel`` and ``preimage`` are its kernel).
 
 Conventions used throughout the package:
 
@@ -46,7 +46,7 @@ Conventions used throughout the package:
     product; only the non-unit pivots are walked in order (none at n = 1).
     The result is the same as a walk over every pivot
   * ``span_intersect`` and ``preimage`` are one Howell form each, of
-    [[a, a], [b, 0]] and [[a, I], [b, 0]] (Zassenhaus), with b as its base
+    [[a, a], [b, 0]] (Zassenhaus) and a ``Solver``'s [[a, I], [b, 0]], on b
     (the larger span, by rows and then size, for an intersection): its rows
     that vanish on the left block are already the canonical answer
     (Storjohann, "Algorithms for Matrix Canonical Forms", 2000), a (the
@@ -364,25 +364,19 @@ def _on_base(rows: np.ndarray, p: int, n: int, base: Span) -> np.ndarray:
     return base.reduce(rows)
 
 
-def _zassenhaus(left: np.ndarray, right: Span, bottom: Span) -> Span:
-    """``_vanishing_tail`` of the Howell form of [[left, right.h], [bottom.h, 0]], on
-    ``bottom`` as its base: ``right`` itself when bottom holds every row of left."""
-    p, n = bottom.p, bottom.n
-    left = _on_base(left, p, n, bottom)
+def _zassenhaus(a: Span, b: Span) -> Span:
+    """``_vanishing_tail`` of the Howell form of [[a, a], [b, 0]], on ``b`` as its
+    base: ``a`` itself when b holds every row of a."""
+    left = _on_base(a.h, b.p, b.n, b)
     if not left.any():
-        return right
-    h = howell_form(np.hstack([left, right.h]), p, n, bottom)
-    return Span._of_howell(_vanishing_tail(h, left.shape[1]), p, n)
+        return a
+    h = howell_form(np.hstack([left, a.h]), b.p, b.n, b)
+    return Span._of_howell(_vanishing_tail(h, left.shape[1]), b.p, b.n)
 
 
 def preimage(a: np.ndarray, b: Span) -> Span:
-    """The span {v : v @ a lies in b}.
-
-    The rows of [[a, I], [b, 0]] span the pairs (v @ a + w, v) with w in
-    b; those zero on the left block are exactly the v.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    return _zassenhaus(a, Span.whole(a.shape[0], b.p, b.n), b)
+    """The span {v : v @ a lies in b}: the kernel of a ``Solver`` on the base b."""
+    return Solver(a, b.p, b.n, b).ker
 
 
 def span_intersect(a: Span, b: Span) -> Span:
@@ -398,7 +392,7 @@ def span_intersect(a: Span, b: Span) -> Span:
     if _is_whole(b) or not a.h.shape[0]:
         return a
     a, b = sorted((a, b), key=lambda span: (len(span.h), span.size()))  # the larger, b, is the base
-    return _zassenhaus(a.h, a, b)
+    return _zassenhaus(a, b)
 
 
 def _is_whole(span: Span) -> bool:
@@ -482,30 +476,43 @@ class CosetReducer:
 
 
 class Solver:
-    """Repeated solving of v @ a == b for one fixed a.
+    """Repeated solving of v @ a == t modulo a span ``base`` (zero if None), for one fixed a.
 
-    Factors the Howell form H of [a | I] once.  The rows of H with a pivot
-    in the a-part come first; the others are the kernel of a.  A solve is
-    the coset reduction of [b | 0] by the a-part rows (``reducer``), for
-    one target or a whole matrix of them: b lies in the row span of a
-    exactly when the left block vanishes, and minus the right block is
-    then a solution, canonical modulo the kernel (Storjohann, 2000).
-    Used by the pairing tables, which lift every element of a filtration
-    piece against the same handful of matrices in one call.
+    Factors the Howell form H of [[a, I], [base, 0]] once, on the base (padded
+    with zero columns if narrower than a).  The rows of H with a pivot in the
+    a-part come first; the others are the kernel {v : v @ a in base}.  H is the
+    base's rows, then [0 | I], with no Howell form when the base holds every
+    row of a.  A solve is the coset reduction of [t | 0] by the a-part rows
+    (``reducer``, built on the first solve), for one target or a whole matrix
+    of them: t lies in the span of a plus the base exactly when the left block
+    vanishes, and minus the right block is then a solution, canonical modulo
+    the kernel (Storjohann, 2000).
     """
 
-    __slots__ = ("p", "n", "m", "rows", "cols", "reducer", "ker")
+    __slots__ = ("p", "n", "m", "rows", "cols", "ker", "_top", "_reducer")
 
-    def __init__(self, a: np.ndarray, p: int, n: int):
+    def __init__(self, a: np.ndarray, p: int, n: int, base: Optional[Span] = None):
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         self.p, self.n, self.m = p, n, p ** n
         self.rows, self.cols = a.shape
-        h = howell_form(np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)]), p, n)
+        aug = np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)])
+        if base is not None:
+            width = base.h.shape[1]
+            aug[:, :width] = _on_base(a[:, :width], p, n, base)
+        if base is None or aug[:, :self.cols].any():
+            h = howell_form(aug, p, n, base)
+        else:  # the base holds every row of a, and aug is [0 | I]
+            h = np.vstack([np.pad(base.h, ((0, 0), (0, aug.shape[1] - width))), aug])
         self.ker = Span._of_howell(_vanishing_tail(h, self.cols), p, n)
-        self.reducer = CosetReducer(h[:h.shape[0] - self.ker.h.shape[0]], p, n)
+        self._top, self._reducer = h[:h.shape[0] - self.ker.h.shape[0]], None
+
+    @property
+    def reducer(self) -> CosetReducer:
+        self._reducer = self._reducer or CosetReducer(self._top, self.p, self.n)
+        return self._reducer
 
     def solve(self, b: np.ndarray) -> Optional[np.ndarray]:
-        """A solution v of v @ a == b, or None if there is none.
+        """A solution v of v @ a == b modulo the base, or None if there is none.
 
         For a 2-D b (one target per row) this solves the matrix equation
         V @ a == b in one reduction: row i of V solves row i of b, and the

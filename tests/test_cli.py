@@ -407,6 +407,18 @@ def test_negative_max_card_exit_2(tmp_path, capsys):
     assert main(["--max-card", "0", "pairing", pairing]) == 0
 
 
+@pytest.mark.parametrize("seed, inside", [(-1, 0), (1 << 64, (1 << 64) - 1)])
+def test_seed_outside_64_bits_exit_2(seed, inside, tmp_path, capsys):
+    # the stream would take the seed mod 2^64 while the report keeps it as
+    # typed: -1 would write the records of 2^64 - 1, and 2^64 those of 0
+    ring = RingCtx(3, 1)
+    pairing = write_json(tmp_path, "norm.json", pairing_payload(ring, [[ring.norm()]]))
+    for command in (["--trials", "0", "fuzz"], ["pairing", pairing]):
+        assert_exit_2_at(["--seed", str(seed), *command], capsys, "parse-error at $.seed")
+        assert main(["--seed", str(inside), *command]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == inside
+
+
 def test_negative_kmax_and_imax_exit_2(tmp_path, capsys):
     cx = write_json(tmp_path, "cx.json", gamma_minus_one_complex())
     assert_exit_2_at(["spectral", cx, "--kmax", "-1"], capsys, "parse-error at $.kmax")

@@ -62,9 +62,9 @@ def counting_solvers(monkeypatch) -> list[np.ndarray]:
     """Record the matrix of every ``la.Solver`` built from now on."""
     built, original = [], la.Solver.__init__
 
-    def counting(self, a, p, n):
+    def counting(self, a, p, n, base=None):
         built.append(np.array(a) % p ** n)
-        original(self, a, p, n)
+        original(self, a, p, n, base)
 
     monkeypatch.setattr(la.Solver, "__init__", counting)
     return built

@@ -12,9 +12,14 @@ its definition, a sum of dense gamma powers.  The free flag comes from
 ``free_module`` alone, and ``span_intersect`` and ``Span.__add__`` skip
 their Howell form when one argument is the whole ambient or the zero span,
 or when the larger span's reduction clears every row of the other.
+``Solver`` on a base span is checked against the block system it replaces
+and against enumeration; on a base that holds every row of a it forms no
+Howell form, and kernels and preimages build no reducer.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -166,7 +171,7 @@ def test_intersection_with_the_whole_ambient_is_the_other_span(p, n):
         b = la.Span(scaled_matrix(rng, 3, 4, p, n), p, n)
         assert la.span_intersect(whole, b) is b and la.span_intersect(b, whole) is b
         assert la.span_intersect(b, la.Span(np.eye(4, dtype=np.int64), p, n)) is b
-        zass = la._zassenhaus(scaled.h, scaled, b)
+        zass = la._zassenhaus(scaled, b)
         assert la.span_intersect(scaled, b) == zass == la.span_intersect(b, scaled)
     assert la.span_intersect(scaled, whole) == scaled == la.span_intersect(whole, scaled)
 
@@ -212,3 +217,112 @@ def test_sum_with_a_whole_or_zero_summand_is_it_with_no_howell_form(p, n, monkey
             with pytest.raises(AssertionError, match="a Howell form of a sum"):
                 scaled + b
     assert held < len(others)
+
+
+# -- solving modulo a base span -------------------------------------------------
+
+
+def padded(rows, cols):
+    """Rows with zero columns appended up to cols."""
+    return np.hstack([rows, np.zeros((len(rows), cols - rows.shape[1]), dtype=np.int64)])
+
+
+def block_solver(a, b, p, n):
+    """The construction a base replaces: a solver of (v, w) @ [[a], [-b | 0]] == t."""
+    return la.Solver(np.vstack([a, padded(-b.h % p ** n, a.shape[1])]), p, n)
+
+
+@pytest.mark.parametrize("p,n", RINGS)
+def test_solver_on_a_base_is_the_block_system(p, n):
+    # v @ a == t modulo b, against the block system in the unknowns (v, w) and
+    # against enumeration; b as wide as a, or narrower and padded with zero
+    # columns, as the Bockstein lift's I^k C^2 is
+    rng = SplitMix64(4100 + 10 * p + n)
+    m = p ** n
+    for trial in range(12):
+        rows, cols = 1 + rng.below(3 if m < 27 else 2), 2 + rng.below(3)
+        width = cols - trial % 3
+        a = scaled_matrix(rng, rows, cols, p, n)
+        b = la.Span(scaled_matrix(rng, 1 + rng.below(3), width, p, n), p, n)
+        solver, block = la.Solver(a, p, n, b), block_solver(a, b, p, n)
+        coeffs = rng.below_many(m, 3 * (rows + len(b.h))).reshape(3, -1)
+        inside = coeffs @ np.vstack([a, padded(b.h, cols)]) % m
+        for t in np.vstack([inside, rng.below_many(m, 3 * cols).reshape(3, cols)]):
+            v, vw = solver.solve(t), block.solve(t)
+            assert (v is None) == (vw is None)
+            if v is None:
+                continue
+            residue = (v @ a - t) % m
+            assert b.contains(residue[:width]) and not residue[width:].any()
+            assert solver.ker.contains((v - vw[:rows]) % m)
+            drawn = solver.random_solution(t, SplitMix64(trial))
+            assert solver.ker.contains((drawn - v) % m)
+        assert solver.solve(inside) is not None
+        # the kernel is the v-part of the block kernel, and the enumerated preimage
+        assert solver.ker == la.Span(block.ker.h[:, :rows], p, n)
+        vs = np.array(list(product(range(m), repeat=rows)), dtype=np.int64)
+        images = vs @ a % m
+        outside = b.reduce(images[:, :width]).any(axis=1) | images[:, width:].any(axis=1)
+        assert ({tuple(v) for v in vs[~outside].tolist()}
+                == {tuple(v.tolist()) for v in la.span_elements(solver.ker)})
+
+
+@pytest.mark.parametrize("p,n", RINGS)
+def test_a_base_that_holds_every_row_of_a_solves_with_no_howell_form(p, n, monkeypatch):
+    # the kernel is the whole ambient, h is the base's rows then [0 | I], and a
+    # target is solved (by 0) exactly when the base holds it
+    rng = SplitMix64(4200 + 10 * p + n)
+    m = p ** n
+    cases = []
+    for trial in range(6):
+        width = 2 + rng.below(3)
+        b = la.Span(scaled_matrix(rng, rng.below(4), width, p, n), p, n)
+        rows, extra = 1 + rng.below(3), trial % 2
+        a = padded(rng.below_many(m, rows * len(b.h)).reshape(rows, -1) @ b.h % m, width + extra)
+        targets = rng.below_many(m, 6 * (width + extra)).reshape(6, -1)
+        targets[:3] = padded(rng.below_many(m, 3 * len(b.h)).reshape(3, -1) @ b.h % m, width + extra)
+        cases.append((a, b, targets))
+
+    def no_howell(*args, **kwargs):
+        raise AssertionError("a Howell form of a solver whose base holds a")
+
+    monkeypatch.setattr(la, "howell_form", no_howell)
+    outside = 0
+    for a, b, targets in cases:
+        width = b.h.shape[1]
+        solver = la.Solver(a, p, n, b)
+        assert solver.ker == la.Span.whole(len(a), p, n)
+        for t in targets:
+            v = solver.solve(t)
+            if b.contains(t[:width]) and not t[width:].any():
+                assert v is not None and not v.any()
+            else:
+                assert v is None
+                outside += 1
+    assert outside
+
+
+def test_kernels_and_preimages_build_no_reducer(monkeypatch):
+    # a solver builds its reducer on its first solve, once; kernel and
+    # preimage read only its kernel
+    rng = SplitMix64(4300)
+    cases = []
+    for p, n in RINGS:
+        a = scaled_matrix(rng, 3, 4, p, n)
+        b = la.Span(scaled_matrix(rng, 2, 4, p, n), p, n)
+        b.reducer  # the base's own, built before counting
+        cases.append((p, n, a, b))
+    built, init = [], la.CosetReducer.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(la.CosetReducer, "__init__", counting)
+    for p, n, a, b in cases:
+        la.kernel(a, p, n), la.preimage(a, b), la.Solver(a, p, n, b).ker
+        assert not built
+        solver = la.Solver(a, p, n)
+        solver.solve(a[0]), solver.random_solution(a, SplitMix64(p))
+        assert len(built) == 1 and solver.reducer is solver.reducer
+        built.clear()

@@ -77,6 +77,9 @@ HOWELL_BASE = (T_LA + "test_howell_form_on_a_base_is_the_stacked_form",)
 HELD = (T_LA + "test_a_base_that_holds_every_new_row_is_the_result",)
 OWN_ROWS = (T_LA + "test_a_span_holds_its_own_rows_with_no_reduction",)
 COMMUTATOR = (T_MD + "test_maps_induced_by_d_reduce_no_commutator",)
+SOLVER_HELD = ("tests/test_unit_pivots.py::"
+               "test_a_base_that_holds_every_row_of_a_solves_with_no_howell_form",)
+LAZY_REDUCER = ("tests/test_unit_pivots.py::test_kernels_and_preimages_build_no_reducer",)
 
 PROJECTION_TABLES = (T_HT + "test_one_by_one_pairings_keep_the_unreduced_value",
                      T_HT + "test_compare_records_match_the_golden_digest")
@@ -96,14 +99,12 @@ MUTANTS = (
            "return h[int(h[:, :cols].any(axis=1).sum()):, cols:]",
            "return h[int(h[:, :cols].any(axis=1).sum()) + 1:, cols:]", INTERSECT_PREIMAGE),
     Mutant("intersect-right-block-zero", LA,
-           "return _zassenhaus(a.h, a, b)",
-           "return _zassenhaus(a.h, Span._of_howell(0 * a.h, a.p, a.n), b)", INTERSECT_PREIMAGE),
+           "np.hstack([left, a.h])", "np.hstack([left, 0 * a.h])", INTERSECT_PREIMAGE),
     Mutant("preimage-twice-identity", LA,
-           "return _zassenhaus(a, Span.whole(a.shape[0], b.p, b.n), b)",
-           "return _zassenhaus(a, Span._of_howell(2 * np.eye(a.shape[0], dtype=np.int64), "
-           "b.p, b.n), b)", INTERSECT_PREIMAGE),
+           "np.hstack([a % self.m, np.eye(self.rows, dtype=np.int64)])",
+           "np.hstack([a % self.m, 2 * np.eye(self.rows, dtype=np.int64)])", INTERSECT_PREIMAGE),
     Mutant("held-meet-returns-the-base", LA,
-           "if not left.any():\n        return right", "if not left.any():\n        return bottom",
+           "if not left.any():\n        return a", "if not left.any():\n        return b",
            HELD + INTERSECT_PREIMAGE),
     # -- a base that holds every new row is the result ------------------------------
     # each survives every tier-1 test but these: the output is the same, only
@@ -120,6 +121,19 @@ MUTANTS = (
            "self._set(base.h, p, n, base.reducer, base._size)", "self._set(base.h, p, n)", HELD),
     Mutant("intersect-base-by-rows-only", LA,
            "key=lambda span: (len(span.h), span.size())", "key=lambda span: len(span.h)", HELD),
+    # -- one solver on a base: preimages and the Bockstein lift -----------------------
+    Mutant("solver-held-drops-the-base-rows", LA,
+           "h = np.vstack([np.pad(base.h, ((0, 0), (0, aug.shape[1] - width))), aug])",
+           "h = aug", SOLVER_HELD),
+    # the output is the same: only the laziness test sees the work
+    Mutant("solver-reducer-built-eagerly", LA,
+           "self._top, self._reducer = h[:h.shape[0] - self.ker.h.shape[0]], None",
+           "self._top = h[:h.shape[0] - self.ker.h.shape[0]]\n"
+           "        self._reducer = CosetReducer(self._top, p, n)", LAZY_REDUCER),
+    Mutant("bockstein-base-one-power-up", HT,
+           "self.complex().ideal_span2(k)).random_solution",
+           "self.complex().ideal_span2(k + 1)).random_solution",
+           (T_HT + "test_worked_example_k2",)),
     # -- the batched Bockstein-square check and the per-object memo ---------------
     Mutant("relate-drops-last-generator", CX,
            "gens = psi.src.num.h", "gens = psi.src.num.h[:-1]",
